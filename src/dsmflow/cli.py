@@ -228,16 +228,16 @@ def _family_solution(args, setup: ProblemSetup) -> GridFunction | None:
 
 
 def cmd_solve(args) -> int:
+    cfg = FlowConfig(scheme=args.scheme, dt=args.dt, t_max=args.t_max,
+                     eps_rel=args.eps_rel, eps_abs=args.eps_abs,
+                     record_stride=args.record_stride,
+                     enforce_ball=args.enforce_ball)
     setup = _build_setup(args)
     inputs: dict = {}
     h = _load_h(args, setup, inputs)
     u0 = _load_u0(args, setup, inputs)
     report = estimate_constants(setup, args.samples, args.seed)
     verdict = admissibility_check(setup, u0, h, report)
-    cfg = FlowConfig(scheme=args.scheme, dt=args.dt, t_max=args.t_max,
-                     eps_rel=args.eps_rel, eps_abs=args.eps_abs,
-                     record_stride=args.record_stride,
-                     enforce_ball=args.enforce_ball)
     traj = integrate_flow(setup, u0, h, cfg)
     try:
         slope, r_squared = decay_fit(traj)

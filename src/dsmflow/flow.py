@@ -52,6 +52,10 @@ class FlowConfig:
     enforce_ball: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_max", "eps_rel", "eps_abs"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not 0.0 < self.dt <= 0.5:

@@ -104,6 +104,10 @@ class ClassicalIFTConfig:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name in ("m", "epsilon", "tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.m <= 0.0 or self.epsilon <= 0.0:
             raise ValueError("m and epsilon must be positive")
         if self.max_iter < 1:

@@ -15,6 +15,7 @@ Built-ins:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -71,8 +72,8 @@ class QuadraticVolterra(ScaleOperator):
     delta: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
-        if self.u_min <= 0.0:
-            raise ValueError("u_min must be positive")
+        if not (math.isfinite(self.u_min) and self.u_min > 0.0):
+            raise ValueError(f"u_min must be positive and finite, got {self.u_min!r}")
 
     def eval(self, u: GridFunction) -> GridFunction:
         return integrate_from_zero(u * u)
@@ -124,8 +125,8 @@ class ProblemSetup:
     R: float
 
     def __post_init__(self) -> None:
-        if self.R <= 0.0:
-            raise ValueError("ball radius R must be positive")
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError(f"ball radius R must be positive and finite, got {self.R!r}")
         require_same_grid(self.U, self.f)
         drift = sobolev_norm(self.operator.eval(self.U) - self.f,
                              self.operator.a + self.operator.delta)

@@ -199,3 +199,22 @@ def test_grid_size_mismatch_exits_1(tmp_path):
     write_grid_csv(GridFunction.constant(1.0, 101), small)
     assert run("solve", "--n", 201, "--u0-file", small,
                "--h-family", "scaled-linear", "--out-dir", tmp_path) == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("solve", "--t-max", "inf"), "t_max"),
+    (("solve", "--dt", "nan"), "dt"),
+    (("solve", "--eps-rel", "nan"), "eps_rel"),
+    (("solve", "--eps-abs", "nan"), "eps_abs"),
+    (("solve", "--u-min", "nan"), "u_min"),
+    (("verify", "--radius", "nan"), "R"),
+    (("classical-ift", "--m", "inf"), "m"),
+    (("classical-ift", "--epsilon", "nan"), "epsilon"),
+    (("classical-ift", "--tol", "nan"), "tol"),
+])
+def test_non_finite_flag_exits_1_naming_field(tmp_path, capsys, argv, field):
+    assert run(*argv, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dsmflow: error: ")
+    assert f"{field} must be" in err
+    assert not list(tmp_path.iterdir())

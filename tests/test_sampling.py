@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from dsmflow.sampling import (
+    MAX_FREQUENCY,
+    _trig_basis,
+    sample_in_ball,
+    trig_polynomial,
+)
+from dsmflow.scale import GridFunction
+
+DRAWS = 2 * MAX_FREQUENCY + 1
+
+
+def reference_trig_polynomial(rng, n, max_frequency=MAX_FREQUENCY):
+    """Per-frequency sum with one scalar draw per coefficient."""
+    x = np.linspace(0.0, 1.0, n)
+    vals = np.zeros(n)
+    for k in range(max_frequency + 1):
+        vals += rng.uniform(-1.0, 1.0) * np.cos(k * np.pi * x)
+    for k in range(1, max_frequency + 1):
+        vals += rng.uniform(-1.0, 1.0) * np.sin(k * np.pi * x)
+    return vals
+
+
+@pytest.mark.parametrize("n", [201, 20001])
+def test_trig_polynomial_matches_per_frequency_sum(n):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        got = trig_polynomial(rng, n).values
+        want = reference_trig_polynomial(ref_rng, n)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_trig_polynomial_consumes_scalar_draws_in_order():
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    trig_polynomial(rng, 51)
+    for _ in range(DRAWS):
+        ref_rng.uniform(-1.0, 1.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_in_ball_consumes_one_more_draw():
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    sample_in_ball(rng, GridFunction.constant(1.0, 51), 0.05, 1)
+    for _ in range(DRAWS + 1):
+        ref_rng.uniform(0.0, 1.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_cached_basis_is_read_only():
+    basis = _trig_basis(51, MAX_FREQUENCY)
+    assert basis.shape == (DRAWS, 51)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 2.0
+
+
+def test_second_call_on_same_grid_hits_cache():
+    rng = np.random.default_rng(14)
+    trig_polynomial(rng, 53)
+    hits = _trig_basis.cache_info().hits
+    trig_polynomial(rng, 53)
+    assert _trig_basis.cache_info().hits == hits + 1
