@@ -15,8 +15,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .conditions import admissibility_check, estimate_constants
@@ -44,7 +45,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 
-H_FAMILIES = ("scaled-linear", "quadratic-perturb")
+
+# Built-in right-hand-side families. In each, "h" maps to h(x, p), and each
+# operator id to the analytic solution u(x, p) of F(u) = h, or to None where
+# that has no positive solution (sqrt(1 + 2px) on [0, 1] needs p > -1/2).
+_FAMILIES = {
+    "scaled-linear": {
+        "h": lambda x, p: p * p * x,
+        "volterra-quadratic": lambda x, p: np.full(x.size, abs(p)),
+        "linear-smoothing": lambda x, p: np.full(x.size, p * p),
+    },
+    "quadratic-perturb": {
+        "h": lambda x, p: x + p * x * x,
+        "volterra-quadratic": lambda x, p: (
+            np.sqrt(1.0 + 2.0 * p * x) if p > -0.5 else None),
+        "linear-smoothing": lambda x, p: 1.0 + 2.0 * p * x,
+    },
+}
+H_FAMILIES = tuple(_FAMILIES)
+
+# Float flags that reach no config object in some command.
+_UNCHECKED_FLOATS = ("u_min", "param", "p", "tol")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,12 +87,14 @@ def _add_common(parser, n_default=201):
                         help="working-ball radius around the reference point")
 
 
-def _add_h_flags(parser):
+def _add_input_flags(parser):
     parser.add_argument("--h-file", type=Path, help="right-hand side as grid CSV")
     parser.add_argument("--h-family", choices=H_FAMILIES,
                         help="built-in analytic right-hand side family")
     parser.add_argument("--param", type=float, default=1.1,
                         help="parameter of --h-family")
+    parser.add_argument("--u0-file", type=Path,
+                        help="initial iterate as grid CSV (default: U)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="integrate the Newton flow for one right-hand side")
     _add_common(p)
-    _add_h_flags(p)
-    p.add_argument("--u0-file", type=Path, help="initial iterate as grid CSV (default: U)")
+    _add_input_flags(p)
     p.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=30.0)
@@ -96,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="estimate condition constants on the working ball")
     _add_common(p)
-    _add_h_flags(p)
-    p.add_argument("--u0-file", type=Path)
+    _add_input_flags(p)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
@@ -108,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-newton", help="Newton iteration next to a default flow solve")
     _add_common(p)
-    _add_h_flags(p)
-    p.add_argument("--u0-file", type=Path)
+    _add_input_flags(p)
     p.add_argument("--max-iter", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_compare_newton)
@@ -128,39 +148,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run; embedded in every JSON report.
+def _load_problem(args):
+    """Return ``(setup, h, u0, inputs)``; h = F(U) and u0 = U unless flags say
+    otherwise, and ``inputs`` maps each input read from a file to its path."""
+    operator = make_operator(args.operator, u_min=args.u_min)
+    setup = ProblemSetup.from_reference(
+        operator, GridFunction.constant(1.0, args.n), args.radius)
+    h_file = getattr(args, "h_file", None)
+    h_family = getattr(args, "h_family", None)
+    u0_file = getattr(args, "u0_file", None)
+    inputs: dict = {}
+    h, u0 = setup.f, setup.U
+    if h_file is not None and h_family is not None:
+        raise ValueError("--h-file and --h-family are mutually exclusive")
+    if h_file is not None:
+        inputs["h"] = h_file
+        h = read_grid_csv(h_file)
+    elif h_family is not None:
+        h = GridFunction(_FAMILIES[h_family]["h"](setup.U.x, args.param))
+    if u0_file is not None:
+        inputs["u0"] = u0_file
+        u0 = read_grid_csv(u0_file)
+    return setup, h, u0, inputs
 
-    Deliberately carries no timestamps so identical flags, seed and inputs
-    reproduce identical bytes.
-    """
 
-    command: str
-    operator: str | None
-    n: int | None
-    seed: int | None
-    parameters: dict = field(default_factory=dict)
-    input_files: dict = field(default_factory=dict)
-    output_files: dict = field(default_factory=dict)
-    version: str = __version__
+def _oracle(args, setup: ProblemSetup) -> GridFunction | None:
+    """Analytic solution of F(u) = h for the built-in right-hand sides."""
+    if args.h_family is None:
+        return None if args.h_file is not None else setup.U
+    values = _FAMILIES[args.h_family][args.operator](setup.U.x, args.param)
+    return None if values is None else GridFunction(values)
 
 
-def _manifest(args, inputs: dict, outputs: dict) -> dict:
-    skip = {"func", "command", "operator", "n", "seed", "out_dir",
-            "u0_file", "h_file", "p_file"}
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in skip and not callable(v) and not isinstance(v, Path)}
-    manifest = RunManifest(
-        command=args.command,
-        operator=getattr(args, "operator", None),
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", None),
-        parameters=params,
-        input_files={k: str(v) for k, v in inputs.items()},
-        output_files={k: str(v) for k, v in outputs.items()},
-    )
-    return asdict(manifest)
+def _outputs(args, **names: str) -> dict:
+    """Create --out-dir and map each output key to its file inside it."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return {key: args.out_dir / name for key, name in names.items()}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -169,62 +192,36 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _build_setup(args) -> ProblemSetup:
-    operator = make_operator(args.operator, u_min=args.u_min)
-    return ProblemSetup.from_reference(
-        operator, GridFunction.constant(1.0, args.n), args.radius)
+def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) -> None:
+    """Write ``payload`` to ``outputs[key]`` with the run manifest embedded.
+
+    The manifest carries no timestamps, so identical flags, seed and inputs
+    reproduce identical bytes.
+    """
+    skip = {"func", "command", "operator", "n", "seed", "out_dir",
+            "u0_file", "h_file", "p_file"}
+    payload["manifest"] = {
+        "command": args.command,
+        "operator": getattr(args, "operator", None),
+        "n": getattr(args, "n", None),
+        "seed": getattr(args, "seed", None),
+        "parameters": {k: v for k, v in sorted(vars(args).items())
+                       if k not in skip and not callable(v)
+                       and not isinstance(v, Path)},
+        "input_files": {k: str(v) for k, v in inputs.items()},
+        "output_files": {k: str(v) for k, v in outputs.items()},
+        "version": __version__,
+    }
+    _write_json(outputs[key], payload)
 
 
-def _family_h(family: str, param: float, n: int) -> GridFunction:
-    x = GridFunction.constant(0.0, n).x
-    if family == "scaled-linear":
-        return GridFunction(param * param * x)
-    if family == "quadratic-perturb":
-        return GridFunction(x + param * x * x)
-    raise ValueError(f"unknown h family {family!r}")
-
-
-def _load_h(args, setup: ProblemSetup, inputs: dict) -> GridFunction:
-    if args.h_file is not None and args.h_family is not None:
-        raise ValueError("--h-file and --h-family are mutually exclusive")
-    if args.h_file is not None:
-        inputs["h"] = args.h_file
-        return read_grid_csv(args.h_file)
-    if args.h_family is not None:
-        return _family_h(args.h_family, args.param, args.n)
-    return setup.f
-
-
-def _load_u0(args, setup: ProblemSetup, inputs: dict) -> GridFunction:
-    if getattr(args, "u0_file", None) is not None:
-        inputs["u0"] = args.u0_file
-        return read_grid_csv(args.u0_file)
-    return setup.U
-
-
-def _family_solution(args, setup: ProblemSetup) -> GridFunction | None:
-    """Analytic solution for built-in families, scalar-evaluated per node."""
-    if args.h_family is None and args.h_file is not None:
-        return None
-    family = args.h_family or "trivial"
-    x = setup.U.x
-    if args.operator == "volterra-quadratic":
-        if family == "scaled-linear":
-            vals = [abs(args.param) for _ in x]
-        elif family == "quadratic-perturb":
-            if 1.0 + 2.0 * args.param * 1.0 <= 0.0:
-                return None
-            vals = [math.sqrt(1.0 + 2.0 * args.param * xi) for xi in x]
-        else:
-            vals = [1.0 for _ in x]
-    else:
-        if family == "scaled-linear":
-            vals = [args.param * args.param for _ in x]
-        elif family == "quadratic-perturb":
-            vals = [1.0 + 2.0 * args.param * xi for xi in x]
-        else:
-            vals = [1.0 for _ in x]
-    return GridFunction(vals)
+def _flow_summary(traj) -> dict:
+    return {
+        "stop_reason": traj.stop_reason,
+        "final_t": traj.final_t,
+        "g0": traj.g0,
+        "g_final": traj.g_final,
+    }
 
 
 def cmd_solve(args) -> int:
@@ -232,10 +229,7 @@ def cmd_solve(args) -> int:
                      eps_rel=args.eps_rel, eps_abs=args.eps_abs,
                      record_stride=args.record_stride,
                      enforce_ball=args.enforce_ball)
-    setup = _build_setup(args)
-    inputs: dict = {}
-    h = _load_h(args, setup, inputs)
-    u0 = _load_u0(args, setup, inputs)
+    setup, h, u0, inputs = _load_problem(args)
     report = estimate_constants(setup, args.samples, args.seed)
     verdict = admissibility_check(setup, u0, h, report)
     traj = integrate_flow(setup, u0, h, cfg)
@@ -244,41 +238,29 @@ def cmd_solve(args) -> int:
     except ValueError:
         slope, r_squared = None, None
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "trajectory": args.out_dir / "trajectory.csv",
-        "final_u": args.out_dir / "final_u.csv",
-        "summary": args.out_dir / "solve_summary.json",
-    }
+    outputs = _outputs(args, trajectory="trajectory.csv", final_u="final_u.csv",
+                       summary="solve_summary.json")
     write_trajectory_csv(traj, outputs["trajectory"])
     write_grid_csv(traj.final_u, outputs["final_u"])
-    _write_json(outputs["summary"], {
-        "stop_reason": traj.stop_reason,
-        "final_t": traj.final_t,
-        "g0": traj.g0,
-        "g_final": traj.g_final,
+    _write_report(args, inputs, outputs, "summary", {
+        **_flow_summary(traj),
         "decay_slope": slope,
         "decay_r_squared": r_squared,
         "r_bound": verdict.r,
         "admissible": verdict.admissible,
         "rho0": verdict.rho0,
         "margin": verdict.margin,
-        "manifest": _manifest(args, inputs, outputs),
     })
     return EXIT_OK if traj.stop_reason == STOP_CONVERGED else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:
-    setup = _build_setup(args)
-    inputs: dict = {}
-    h = _load_h(args, setup, inputs)
-    u0 = _load_u0(args, setup, inputs)
+    setup, h, u0, inputs = _load_problem(args)
     report = estimate_constants(setup, args.samples, args.seed)
     verdict = admissibility_check(setup, u0, h, report)
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {"constants": args.out_dir / "constants.json"}
-    _write_json(outputs["constants"], {
+    outputs = _outputs(args, constants="constants.json")
+    _write_report(args, inputs, outputs, "constants", {
         "c0_lower": report.c0_lower,
         "c0_upper": report.c0_upper,
         "c_iso": report.c_iso,
@@ -290,63 +272,44 @@ def cmd_verify(args) -> int:
         "skipped": report.skipped,
         "admissible": verdict.admissible,
         "margin": verdict.margin,
-        "manifest": _manifest(args, inputs, outputs),
     })
     return EXIT_OK
 
 
 def cmd_probe_loss(args) -> int:
-    setup = _build_setup(args)
+    setup, _, _, inputs = _load_problem(args)
     result = smoothing_loss_probe(setup, setup.U, args.k_max)
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "modes": args.out_dir / "loss_probe.csv",
-        "summary": args.out_dir / "loss_probe.json",
-    }
+    outputs = _outputs(args, modes="loss_probe.csv", summary="loss_probe.json")
     write_loss_probe_csv(result, outputs["modes"])
-    _write_json(outputs["summary"], {
+    _write_report(args, inputs, outputs, "summary", {
         "exponent": result.exponent,
         "k_max": args.k_max,
         "ratio_same_index_k1": result.modes[1].ratio_same_index,
         "ratio_shifted_index_k1": result.modes[1].ratio_shifted_index,
-        "manifest": _manifest(args, {}, outputs),
     })
     return EXIT_OK
 
 
 def cmd_compare_newton(args) -> int:
-    setup = _build_setup(args)
-    inputs: dict = {}
-    h = _load_h(args, setup, inputs)
-    u0 = _load_u0(args, setup, inputs)
-    oracle = _family_solution(args, setup)
+    setup, h, u0, inputs = _load_problem(args)
     record = newton_solve(setup, u0, h, max_iter=args.max_iter, tol=args.tol,
-                          oracle=oracle)
+                          oracle=_oracle(args, setup))
     traj = integrate_flow(setup, u0, h, FlowConfig())
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "iterations": args.out_dir / "newton_iterations.csv",
-        "flow_trajectory": args.out_dir / "flow_trajectory.csv",
-        "summary": args.out_dir / "newton_comparison.json",
-    }
+    outputs = _outputs(args, iterations="newton_iterations.csv",
+                       flow_trajectory="flow_trajectory.csv",
+                       summary="newton_comparison.json")
     write_iteration_csv(record, outputs["iterations"])
     write_trajectory_csv(traj, outputs["flow_trajectory"])
-    _write_json(outputs["summary"], {
+    _write_report(args, inputs, outputs, "summary", {
         "newton": {
             "converged": record.converged,
             "iterations": record.steps[-1].k,
             "final_residual": record.steps[-1].residual,
             "diverged_at": record.diverged_at,
         },
-        "flow": {
-            "stop_reason": traj.stop_reason,
-            "final_t": traj.final_t,
-            "g0": traj.g0,
-            "g_final": traj.g_final,
-        },
-        "manifest": _manifest(args, inputs, outputs),
+        "flow": _flow_summary(traj),
     })
     return EXIT_OK if record.converged else EXIT_FAILED
 
@@ -364,19 +327,13 @@ def cmd_classical_ift(args) -> int:
     def phi(z: GridFunction) -> GridFunction:
         return z + z * z
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "solution": args.out_dir / "contraction_solution.csv",
-        "summary": args.out_dir / "classical_ift.json",
-    }
+    outputs = _outputs(args, solution="contraction_solution.csv",
+                       summary="classical_ift.json")
     try:
         z = contraction_solve(phi, p_rhs, cfg)
     except (ContractionEscapeError, ConvergenceError) as exc:
-        _write_json(outputs["summary"], {
-            "solved": False,
-            "reason": str(exc),
-            "manifest": _manifest(args, inputs, outputs),
-        })
+        _write_report(args, inputs, outputs, "summary",
+                      {"solved": False, "reason": str(exc)})
         return EXIT_FAILED
 
     payload = {
@@ -384,21 +341,23 @@ def cmd_classical_ift(args) -> int:
         "defect": sobolev_norm(phi(z) - p_rhs, 0),
         "z_min": z.min(),
         "z_max": z.max(),
-        "manifest": _manifest(args, inputs, outputs),
     }
     if args.p_file is None:
         oracle = (-1.0 + math.sqrt(1.0 + 4.0 * args.p)) / 2.0
         payload["oracle"] = oracle
         payload["oracle_max_error"] = float(max(abs(v - oracle) for v in z.values))
     write_grid_csv(z, outputs["solution"])
-    _write_json(outputs["summary"], payload)
+    _write_report(args, inputs, outputs, "summary", payload)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for name in _UNCHECKED_FLOATS:
+            value = getattr(args, name, 0.0)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dsmflow: error: {exc}", file=sys.stderr)

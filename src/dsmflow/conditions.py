@@ -102,10 +102,11 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
         q = unit_direction(rng, p.U.n, p.a)
         try:
             q_norm = sobolev_norm(q, p.a)
-            two_sided = sobolev_norm(op.apply_derivative(u, q), p.a + p.delta) / q_norm
+            a_u_q = op.apply_derivative(u, q)
+            two_sided = sobolev_norm(a_u_q, p.a + p.delta) / q_norm
             iso = sobolev_norm(
                 op.solve_derivative(v, op.apply_derivative(w, q)), p.a) / q_norm
-            diff = op.apply_derivative(u, q) - op.apply_derivative(v, q)
+            diff = a_u_q - op.apply_derivative(v, q)
             lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / (
                 ball_distance(u, v, p.a) * q_norm)
         except DegenerateCoefficient:

@@ -13,7 +13,6 @@ breakdown outside.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,13 @@ import numpy as np
 
 from .operators import DegenerateCoefficient, ProblemSetup, dsm_vector_field
 from .sampling import sample_in_ball
-from .scale import GridFunction, ball_distance, require_same_grid, sobolev_norm
+from .scale import (
+    GridFunction,
+    _write_csv_rows,
+    ball_distance,
+    require_same_grid,
+    sobolev_norm,
+)
 
 STOP_CONVERGED = "converged"
 STOP_HORIZON = "horizon"
@@ -295,9 +300,5 @@ def lipschitz_probe(p: ProblemSetup, h: GridFunction, sample_count: int = 200,
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write recorded samples as `t,g,dist_u0,dist_U` rows."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "g", "dist_u0", "dist_U"])
-        for s in traj.samples:
-            writer.writerow([f"{s.t:.17g}", f"{s.g:.17g}",
-                             f"{s.dist_u0:.17g}", f"{s.dist_U:.17g}"])
+    _write_csv_rows(path, ["t", "g", "dist_u0", "dist_U"],
+                    ((s.t, s.g, s.dist_u0, s.dist_U) for s in traj.samples))

@@ -10,7 +10,6 @@ argument fails on scale operators (same-index amplification of high modes).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +18,7 @@ import numpy as np
 
 from .flow import euler_step, residual
 from .operators import DegenerateCoefficient, ProblemSetup
-from .scale import GridFunction, ball_distance, sobolev_norm
+from .scale import GridFunction, _write_csv_rows, ball_distance, sobolev_norm
 
 # Residual magnitude treated as divergence of the Newton iteration.
 DIVERGENCE_RESIDUAL = 1e6
@@ -196,19 +195,12 @@ def smoothing_loss_probe(p: ProblemSetup, u: GridFunction, k_max: int) -> LossPr
 
 def write_iteration_csv(record: IterationRecord, path) -> None:
     """Write `k,residual,dist_to_oracle` rows; the oracle column may be empty."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "residual", "dist_to_oracle"])
-        for s in record.steps:
-            dist = "" if s.dist_to_oracle is None else f"{s.dist_to_oracle:.17g}"
-            writer.writerow([s.k, f"{s.residual:.17g}", dist])
+    _write_csv_rows(path, ["k", "residual", "dist_to_oracle"],
+                    ((s.k, s.residual, s.dist_to_oracle) for s in record.steps))
 
 
 def write_loss_probe_csv(result: LossProbeResult, path) -> None:
     """Write `k,ratio_same_index,ratio_shifted_index` rows."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "ratio_same_index", "ratio_shifted_index"])
-        for m in result.modes:
-            writer.writerow([m.k, f"{m.ratio_same_index:.17g}",
-                             f"{m.ratio_shifted_index:.17g}"])
+    _write_csv_rows(path, ["k", "ratio_same_index", "ratio_shifted_index"],
+                    ((m.k, m.ratio_same_index, m.ratio_shifted_index)
+                     for m in result.modes))

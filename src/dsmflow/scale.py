@@ -177,14 +177,20 @@ def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:
     return sobolev_norm(u - center, a)
 
 
-def write_grid_csv(f: GridFunction, path) -> None:
-    """Write the two-column `x,value` format with 17-significant-digit floats."""
-    x = f.x
+def _write_csv_rows(path, header, rows) -> None:
+    """Write CSV rows: floats with 17 significant digits, ints as they are,
+    None as an empty field."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["x", "value"])
-        for xi, vi in zip(x, f.values):
-            writer.writerow([f"{xi:.17g}", f"{vi:.17g}"])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else str(v) if isinstance(v, int)
+                             else f"{v:.17g}" for v in row])
+
+
+def write_grid_csv(f: GridFunction, path) -> None:
+    """Write the two-column `x,value` format with 17-significant-digit floats."""
+    _write_csv_rows(path, ["x", "value"], zip(f.x, f.values))
 
 
 def read_grid_csv(path) -> GridFunction:

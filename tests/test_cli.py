@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,38 @@ def test_compare_newton_heron_case(tmp_path):
     assert not lines[1].endswith(",")  # oracle column filled for families
 
 
+def newton_oracle_column(tmp_path, *argv):
+    assert run("compare-newton", *argv, "--out-dir", tmp_path) in (0, 2)
+    lines = (tmp_path / "newton_iterations.csv").read_text().splitlines()
+    return [line.split(",")[2] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("operator", ["volterra-quadratic", "linear-smoothing"])
+@pytest.mark.parametrize("h_flags", [
+    pytest.param((), id="default"),
+    pytest.param(("--h-family", "scaled-linear", "--param", 1.1), id="scaled-linear"),
+    pytest.param(("--h-family", "quadratic-perturb", "--param", 0.2),
+                 id="quadratic-perturb"),
+])
+def test_compare_newton_oracle_is_the_analytic_solution(tmp_path, operator, h_flags):
+    column = newton_oracle_column(tmp_path, "--operator", operator, *h_flags)
+    assert all(column)
+    # Newton reaches the discrete solution, which is O(dx^2) from the analytic one.
+    assert float(column[-1]) <= 1e-5
+
+
+@pytest.mark.parametrize("h_flags", [
+    pytest.param(("--h-family", "quadratic-perturb", "--param", -0.7),
+                 id="no-real-solution"),  # 1 + 2p < 0
+    pytest.param(("--h-file", "h.csv"), id="h-file"),
+])
+def test_compare_newton_oracle_column_empty(tmp_path, monkeypatch, h_flags):
+    monkeypatch.chdir(tmp_path)
+    write_grid_csv(QuadraticVolterra().eval(GridFunction.constant(1.05, 201)), "h.csv")
+    column = newton_oracle_column(tmp_path, *h_flags)
+    assert column and not any(column)
+
+
 # --- classical-ift -----------------------------------------------------------------
 
 def test_classical_ift_constant_rhs(tmp_path):
@@ -158,16 +191,39 @@ def test_classical_ift_rhs_too_large_is_usage_error(tmp_path):
 
 # --- manifest and error handling ----------------------------------------------------
 
-def test_manifest_embedded_in_reports(tmp_path):
-    assert run("verify", "--samples", 50, "--seed", 4, "--out-dir", tmp_path) == 0
-    manifest = load(tmp_path / "constants.json")["manifest"]
-    assert manifest["command"] == "verify"
-    assert manifest["operator"] == "volterra-quadratic"
-    assert manifest["n"] == 201
-    assert manifest["seed"] == 4
+@pytest.mark.parametrize("argv, report, fields", [
+    pytest.param(
+        ("solve", "--h-family", "scaled-linear", "--samples", 10, "--seed", 4),
+        "solve_summary.json", {"operator": "volterra-quadratic", "n": 201, "seed": 4},
+        id="solve"),
+    pytest.param(
+        ("verify", "--samples", 50, "--seed", 4),
+        "constants.json", {"operator": "volterra-quadratic", "n": 201, "seed": 4},
+        id="verify"),
+    pytest.param(
+        ("probe-loss", "--k-max", 4, "--n", 101, "--operator", "linear-smoothing"),
+        "loss_probe.json", {"operator": "linear-smoothing", "n": 101, "seed": 0},
+        id="probe-loss"),
+    pytest.param(
+        ("compare-newton", "--h-family", "quadratic-perturb", "--param", 0.1),
+        "newton_comparison.json", {"operator": "volterra-quadratic", "n": 201, "seed": 0},
+        id="compare-newton"),
+    pytest.param(
+        ("classical-ift", "--p", 0.1, "--n", 51),
+        "classical_ift.json", {"operator": None, "n": 51, "seed": None},
+        id="classical-ift"),
+])
+def test_manifest_embedded_in_reports(tmp_path, argv, report, fields):
+    assert run(*argv, "--out-dir", tmp_path) in (0, 2)
+    manifest = load(tmp_path / report)["manifest"]
+    assert manifest["command"] == argv[0]
+    assert {key: manifest[key] for key in fields} == fields
     assert manifest["version"]
-    assert "constants" in manifest["output_files"]
-    assert manifest["parameters"]["samples"] == 50
+    outputs = {Path(path) for path in manifest["output_files"].values()}
+    assert outputs == set(tmp_path.iterdir())
+    if argv[0] == "verify":
+        assert "constants" in manifest["output_files"]
+        assert manifest["parameters"]["samples"] == 50
 
 
 def test_missing_input_file_exits_1(tmp_path):
@@ -211,6 +267,10 @@ def test_grid_size_mismatch_exits_1(tmp_path):
     (("classical-ift", "--m", "inf"), "m"),
     (("classical-ift", "--epsilon", "nan"), "epsilon"),
     (("classical-ift", "--tol", "nan"), "tol"),
+    (("solve", "--h-family", "scaled-linear", "--param", "nan"), "param"),
+    (("classical-ift", "--p", "nan"), "p"),
+    (("compare-newton", "--tol", "nan"), "tol"),
+    (("verify", "--operator", "linear-smoothing", "--u-min", "nan"), "u_min"),
 ])
 def test_non_finite_flag_exits_1_naming_field(tmp_path, capsys, argv, field):
     assert run(*argv, "--out-dir", tmp_path) == 1
