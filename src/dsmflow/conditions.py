@@ -10,6 +10,7 @@ inside the working ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,10 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
             iso = sobolev_norm(
                 op.solve_derivative(v, op.apply_derivative(w, q)), p.a) / q_norm
             diff = a_u_q - op.apply_derivative(v, q)
-            lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / (
-                ball_distance(u, v, p.a) * q_norm)
+            lip_denom = ball_distance(u, v, p.a) * q_norm
+            if lip_denom == 0.0:
+                raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
+            lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / lip_denom
         except DegenerateCoefficient:
             skipped += 1
             continue
@@ -140,11 +143,15 @@ def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     ||h - f||_{a+delta}; the pair is admissible when it stays within rho0.
     The drift bound r uses the measured initial residual, which is sharper
     than its analytic cap, and ``radius_ok`` reports whether the working
-    radius covers drift plus perturbation.
+    radius covers drift plus perturbation. A distance or residual that
+    overflows raises ``ValueError`` naming it.
     """
     dist_u0 = ball_distance(u0, p.U, p.a)
     dist_h = ball_distance(h, p.f, p.a + p.delta)
     g0 = residual(p, u0, h)
+    for name, value in (("dist_u0", dist_u0), ("dist_h", dist_h), ("g0", g0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
     r = r_bound(g0, report.c0_lower)
     rho_eff = max(dist_u0, dist_h)
     return AdmissibilityVerdict(

@@ -110,17 +110,34 @@ class Trajectory:
 
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
+    return _residual_field(p, u, h)[1]
+
+
+def _residual_field(p: ProblemSetup, u: GridFunction,
+                    h: GridFunction) -> tuple[GridFunction, float]:
+    """F(u) - h together with its H_{a+delta} norm."""
     require_same_grid(u, h)
-    return sobolev_norm(p.operator.eval(u) - h, p.a + p.delta)
+    r = p.operator.eval(u) - h
+    return r, sobolev_norm(r, p.a + p.delta)
 
 
-def euler_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float) -> GridFunction:
-    """One explicit Euler step; with dt = 1 this is one Newton step."""
-    return u + dt * dsm_vector_field(p, u, h)
+def euler_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
+               k1: GridFunction | None = None) -> GridFunction:
+    """One explicit Euler step; with dt = 1 this is one Newton step.
+
+    ``k1``, when given, is the velocity at u, as ``dsm_vector_field`` would
+    compute it.
+    """
+    if k1 is None:
+        k1 = dsm_vector_field(p, u, h)
+    return u + dt * k1
 
 
-def rk4_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float) -> GridFunction:
-    k1 = dsm_vector_field(p, u, h)
+def rk4_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
+             k1: GridFunction | None = None) -> GridFunction:
+    """One classical Runge-Kutta step; ``k1`` as in ``euler_step``."""
+    if k1 is None:
+        k1 = dsm_vector_field(p, u, h)
     k2 = dsm_vector_field(p, u + (dt / 2.0) * k1, h)
     k3 = dsm_vector_field(p, u + (dt / 2.0) * k2, h)
     k4 = dsm_vector_field(p, u + dt * k3, h)
@@ -139,14 +156,22 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     iterate leaves the setup's ball, and ``degenerate`` when the operator
     guard trips or the residual stops being finite. Admissibility is not
     enforced here: callers may deliberately start outside the guaranteed
-    region to observe the failure modes.
+    region to observe the failure modes. A non-finite g(0) raises
+    ``ValueError``: the data overflow before the flow starts.
+
+    Every accepted iterate has a finite residual, and so finite values. The
+    residual F(u) - h of each accepted step also gives the next step's
+    stage-one velocity -A(u)^{-1}(F(u) - h), so F is evaluated once less per
+    step with the same arithmetic.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
     require_same_grid(h, p.f)
     step = _STEPPERS[cfg.scheme]
 
-    g0 = residual(p, u0, h)
+    r, g0 = _residual_field(p, u0, h)
+    if not math.isfinite(g0):
+        raise ValueError(f"initial residual g(0) is not finite: {g0!r}")
     threshold = cfg.eps_rel * g0 + cfg.eps_abs
     samples = [TrajectorySample(0.0, g0, 0.0, ball_distance(u0, p.U, p.a))]
     recorded = [u0]
@@ -159,8 +184,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     n_steps = max(1, int(round(cfg.t_max / cfg.dt)))
     for k in range(1, n_steps + 1):
         try:
-            u_next = step(p, u, h, cfg.dt)
-            g = residual(p, u_next, h)
+            u_next = step(p, u, h, cfg.dt, -p.operator.solve_derivative(u, r))
+            r, g = _residual_field(p, u_next, h)
         except DegenerateCoefficient:
             stop = STOP_DEGENERATE
             break

@@ -65,7 +65,9 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
 
     Divergence (residual beyond ``DIVERGENCE_RESIDUAL`` or a tripped operator
     guard) sets ``diverged_at`` instead of raising. When an oracle iterate
-    sequence's limit is supplied, the record tracks the distance to it.
+    sequence's limit is supplied, the record tracks the distance to it. A
+    non-finite starting residual raises ``ValueError``: the data overflow
+    before the first step.
     """
     u = u0
     steps: list[IterationStep] = []
@@ -73,6 +75,8 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     diverged_at = None
     for k in range(max_iter + 1):
         g = residual(p, u, h)
+        if k == 0 and not math.isfinite(g):
+            raise ValueError(f"initial residual g(0) is not finite: {g!r}")
         dist = ball_distance(u, oracle, p.a) if oracle is not None else None
         steps.append(IterationStep(k, g, dist))
         if g <= tol:
@@ -121,12 +125,14 @@ def contraction_solve(phi: Callable[[GridFunction], GridFunction],
     iteration applies no preconditioner). Starting from z = 0, iterates must
     stay inside the ball of radius ``cfg.epsilon`` in the L2 norm; escaping
     it raises ``ContractionEscapeError``. The right-hand side must satisfy
-    the smallness condition m * ||p|| < epsilon / 2.
+    the smallness condition m * ||p|| < epsilon / 2, which a norm that
+    overflows fails.
     """
-    if cfg.m * sobolev_norm(p_rhs, 0) >= cfg.epsilon / 2.0:
+    size = cfg.m * sobolev_norm(p_rhs, 0)
+    if not size < cfg.epsilon / 2.0:
         raise ValueError(
             "right-hand side too large: need m * ||p|| < epsilon / 2 "
-            f"(got {cfg.m * sobolev_norm(p_rhs, 0):.6g} vs {cfg.epsilon / 2.0:.6g})"
+            f"(got {size:.6g} vs {cfg.epsilon / 2.0:.6g})"
         )
     z = GridFunction.zeros(p_rhs.n)
     for _ in range(cfg.max_iter + 1):

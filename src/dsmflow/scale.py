@@ -34,6 +34,13 @@ class GridFunction:
     Instances are immutable values: arithmetic returns new instances and the
     stored array is read-only, so trajectories can hold references without
     defensive copies.
+
+    The constructor copies its input and checks it (finite, at least 3
+    nodes): it guards every array from outside the package. The results of
+    arithmetic, ``derivative`` and ``integrate_from_zero`` are wrapped by
+    ``_trusted`` without the copy or the check, so an overflow can leave inf
+    or NaN in them; ``integrate_flow`` checks the residual norm of every
+    step instead.
     """
 
     values: np.ndarray
@@ -48,6 +55,15 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> GridFunction:
+        """Wrap a fresh float array the package has just computed, without
+        the constructor's copy and checks; the array is made read-only."""
+        values.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        return f
 
     @property
     def n(self) -> int:
@@ -80,9 +96,9 @@ class GridFunction:
     def _combine(self, other, op) -> GridFunction:
         if isinstance(other, GridFunction):
             require_same_grid(self, other)
-            return GridFunction(op(self.values, other.values))
+            return GridFunction._trusted(op(self.values, other.values))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return GridFunction(op(self.values, float(other)))
+            return GridFunction._trusted(op(self.values, float(other)))
         return NotImplemented
 
     def __add__(self, other) -> GridFunction:
@@ -107,7 +123,7 @@ class GridFunction:
         return self._combine(other, np.divide)
 
     def __neg__(self) -> GridFunction:
-        return GridFunction(-self.values)
+        return GridFunction._trusted(-self.values)
 
     def min(self) -> float:
         return float(np.min(self.values))
@@ -140,7 +156,7 @@ def derivative(f: GridFunction) -> GridFunction:
     # difference-first form of the one-sided stencils: exact zero on constants
     d[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * dx)
     d[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * dx)
-    return GridFunction(d)
+    return GridFunction._trusted(d)
 
 
 def integrate_from_zero(f: GridFunction) -> GridFunction:
@@ -148,7 +164,7 @@ def integrate_from_zero(f: GridFunction) -> GridFunction:
     v = f.values
     out = np.zeros_like(v)
     out[1:] = np.cumsum((v[1:] + v[:-1]) * (f.dx / 2.0))
-    return GridFunction(out)
+    return GridFunction._trusted(out)
 
 
 def _l2_squared(values: np.ndarray, dx: float) -> float:

@@ -1,8 +1,12 @@
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmflow.cli import main
 from dsmflow.operators import QuadraticVolterra
@@ -18,6 +22,18 @@ def run(*argv):
 def load(path):
     with open(path) as handle:
         return json.load(handle)
+
+
+def load_strict(path):
+    """Load a JSON report, failing on NaN or Infinity (not strict JSON)."""
+    def reject(constant):
+        raise ValueError(f"{path}: non-strict JSON constant {constant}")
+    with open(path) as handle:
+        return json.load(handle, parse_constant=reject)
+
+
+def write_linear_h(path, scale, n=201):
+    write_grid_csv(GridFunction(scale * np.linspace(0.0, 1.0, n)), path)
 
 
 # --- solve -------------------------------------------------------------------
@@ -278,3 +294,60 @@ def test_non_finite_flag_exits_1_naming_field(tmp_path, capsys, argv, field):
     assert err.startswith("dsmflow: error: ")
     assert f"{field} must be" in err
     assert not list(tmp_path.iterdir())
+
+
+# --- overflowing data ----------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_overflowing_h_exits_1_without_report(tmp_path, capsys):
+    write_linear_h(tmp_path / "h.csv", 1e160)
+    out = tmp_path / "out"
+    assert run("verify", "--h-file", tmp_path / "h.csv", "--samples", 20,
+               "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith("dsmflow: error: dist_h is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "compare-newton"])
+@pytest.mark.parametrize("scale, code", [(1e100, 2), (1e160, 1), (1e200, 1)])
+def test_overflowing_h_exits_1_and_large_h_stops_degenerate(tmp_path, capsys,
+                                                             command, scale, code):
+    write_linear_h(tmp_path / "h.csv", scale)
+    out = tmp_path / "out"
+    extra = ("--samples", 20) if command == "solve" else ()
+    assert run(command, "--h-file", tmp_path / "h.csv", *extra, "--out-dir", out) == code
+    if code == 1:
+        assert capsys.readouterr().err.startswith("dsmflow: error: ")
+        assert not out.exists()
+        return
+    reports = sorted(out.glob("*.json"))
+    assert len(reports) == 1
+    summary = load_strict(reports[0])
+    flow = summary if command == "solve" else summary["flow"]
+    assert flow["stop_reason"] == "degenerate"
+
+
+# --- property: solve never fails with a traceback ------------------------------
+
+def _flag_values(finite):
+    return st.one_of(finite, st.sampled_from([1e300, -1e300, math.nan, math.inf, -math.inf]))
+
+
+# A finite dt is drawn from [0.02, 1]: dt = 1e-300 is a valid request for
+# 3e301 steps, a run that never ends, not a fault this test can observe.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(param=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+       radius=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+       u_min=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
+       dt=_flag_values(st.floats(min_value=0.02, max_value=1.0)))
+def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run("solve", "--n", 21, "--samples", 10, "--h-family", "scaled-linear",
+                   f"--param={param!r}", f"--radius={radius!r}",
+                   f"--u-min={u_min!r}", f"--dt={dt!r}", "--out-dir", out)
+        assert code in (0, 1, 2)
+        for report in out.glob("*.json"):
+            load_strict(report)

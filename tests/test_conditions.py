@@ -151,6 +151,13 @@ def test_sample_count_floor(setup201):
         estimate_constants(setup201, 9, 0)
 
 
+def test_radius_too_small_to_separate_samples_raises():
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(), GridFunction.constant(1.0, 21), 1e-300)
+    with pytest.raises(ValueError, match="too small"):
+        estimate_constants(setup, 10, 0)
+
+
 def test_all_guarded_samples_raise():
     # reference point below the division guard: every sample is rejected
     op = QuadraticVolterra(u_min=0.1)
@@ -167,6 +174,19 @@ def test_trivial_pair_is_admissible(setup201, report42):
     assert verdict.r == 0.0
     assert verdict.margin == report42.rho0
     assert verdict.radius_ok
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u0_scale, h_scale, name", [
+    (1e160, 0.0, "dist_u0"),
+    (0.0, 1e160, "dist_h"),
+    (1e100, 0.0, "g0"),  # both distances finite, but ||F(u0) - h|| overflows
+])
+def test_admissibility_rejects_overflowing_data(setup201, report42, u0_scale, h_scale, name):
+    u0 = setup201.U + GridFunction.constant(u0_scale, 201)
+    h = setup201.f + GridFunction(h_scale * setup201.U.x)
+    with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        admissibility_check(setup201, u0, h, report42)
 
 
 def test_admissibility_margin_arithmetic(setup201, report42):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dsmflow.flow as flow_module
 from dsmflow.flow import (
     STOP_BALL_EXIT,
     STOP_CONVERGED,
@@ -17,6 +18,7 @@ from dsmflow.flow import (
     lipschitz_probe,
     pair_lipschitz_ratio,
     residual,
+    rk4_step,
     verify_trajectory_bounds,
     write_trajectory_csv,
 )
@@ -165,6 +167,73 @@ def test_degenerate_coefficient_recorded_not_raised(setup201):
     traj = integrate_flow(setup201, setup201.U, h, FlowConfig())
     assert traj.stop_reason in (STOP_DEGENERATE, STOP_HORIZON)
     assert all(math.isfinite(s.g) for s in traj.samples)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_initial_residual_raises(setup201):
+    h = scaled_linear_h(201, 1e80)  # h = 1e160 x: its H_2 norm overflows
+    with pytest.raises(ValueError, match=r"g\(0\)"):
+        integrate_flow(setup201, setup201.U, h, FlowConfig())
+
+
+# --- work per step (exact counts, never timed) -------------------------------
+
+def test_grid_function_checks_do_not_grow_with_steps(setup201, monkeypatch):
+    calls = []
+    original = GridFunction.__post_init__
+
+    def counting(self):
+        calls.append(None)
+        original(self)
+
+    h = scaled_linear_h(201, 1.1)
+    monkeypatch.setattr(GridFunction, "__post_init__", counting)
+    counts = {}
+    for t_max in (1.0, 5.0):
+        calls.clear()
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=t_max))
+        assert traj.stop_reason == STOP_HORIZON
+        counts[t_max] = len(calls)
+    assert counts[1.0] == counts[5.0]
+
+
+def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
+    vf_calls = []
+    eval_calls = []
+    original_vf = flow_module.dsm_vector_field
+    original_eval = QuadraticVolterra.eval
+
+    def counting_vf(*args):
+        vf_calls.append(None)
+        return original_vf(*args)
+
+    def counting_eval(self, u):
+        eval_calls.append(None)
+        return original_eval(self, u)
+
+    monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
+    monkeypatch.setattr(QuadraticVolterra, "eval", counting_eval)
+    h = scaled_linear_h(201, 1.1)
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0))
+    steps = 20
+    assert traj.stop_reason == STOP_HORIZON and len(traj.samples) == steps + 1
+    assert len(vf_calls) == 3 * steps
+    assert len(eval_calls) == 4 * steps + 1  # one more for g(0)
+
+
+@pytest.mark.parametrize("scheme, step", [("rk4", rk4_step), ("euler", euler_step)])
+def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
+    rng = np.random.default_rng(12)
+    u0 = sample_in_ball(rng, setup201.U, 0.02, 1)
+    h = scaled_linear_h(201, 1.1)
+    cfg = FlowConfig(scheme=scheme, t_max=1.0)
+    traj = integrate_flow(setup201, u0, h, cfg)
+    u = u0
+    for recorded in traj.recorded_u[1:]:
+        u = step(setup201, u, h, cfg.dt)
+        assert np.array_equal(recorded.values, u.values)
+    assert len(traj.recorded_u) == 21
+    assert np.array_equal(traj.final_u.values, u.values)
 
 
 # --- decay fit -----------------------------------------------------------------

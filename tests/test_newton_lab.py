@@ -98,6 +98,13 @@ def test_newton_divergence_recorded_not_raised(setup201):
     assert all(math.isfinite(s.residual) for s in record.steps)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_newton_non_finite_initial_residual_raises(setup201):
+    h = GridFunction(1e160 * setup201.U.x)
+    with pytest.raises(ValueError, match=r"g\(0\)"):
+        newton_solve(setup201, setup201.U, h)
+
+
 def test_rough_target_stalls_newton_but_not_the_flow():
     # near-grid-frequency content in h: plain Newton stagnates, the flow
     # keeps the residual monotone and finite (observational comparison)
@@ -120,6 +127,14 @@ def test_rough_target_stalls_newton_but_not_the_flow():
 
 def pointwise_quadratic(z: GridFunction) -> GridFunction:
     return z + z * z
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_contraction_rejects_rhs_whose_norm_overflows():
+    # the norm of a 1e160 constant is NaN, which must not pass the smallness check
+    with pytest.raises(ValueError, match="too large"):
+        contraction_solve(pointwise_quadratic, GridFunction.constant(1e160, 51),
+                          ClassicalIFTConfig())
 
 
 def test_contraction_zero_rhs_returns_zero():

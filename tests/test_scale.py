@@ -14,6 +14,8 @@ from dsmflow.scale import (
     write_grid_csv,
 )
 
+from dsmflow.sampling import MAX_FREQUENCY, _trig_basis, trig_polynomial
+
 from oracles import trapezoid_l2
 
 
@@ -175,6 +177,54 @@ def test_nonfinite_values_rejected():
 def test_arithmetic_requires_matching_grids():
     with pytest.raises(GridMismatchError):
         GridFunction.zeros(11) + GridFunction.zeros(13)
+
+
+def test_constructor_copies_its_input():
+    source = np.linspace(0.0, 1.0, 11)
+    expected = source.copy()
+    f = GridFunction(source)
+    source[3] = 99.0
+    assert np.array_equal(f.values, expected)
+
+
+def test_from_callable_copies_an_array_the_caller_keeps():
+    kept = np.linspace(0.0, 1.0, 11)
+    expected = kept.copy()
+    f = GridFunction.from_callable(lambda x: kept, 11)
+    kept[3] = 99.0
+    assert np.array_equal(f.values, expected)
+
+
+INTERNAL_RESULTS = {
+    "add": lambda f, g: f + g,
+    "radd": lambda f, g: 1.0 + f,
+    "sub": lambda f, g: f - g,
+    "rsub": lambda f, g: 1.0 - f,
+    "mul": lambda f, g: f * g,
+    "rmul": lambda f, g: 2.0 * f,
+    "truediv": lambda f, g: f / g,
+    "neg": lambda f, g: -f,
+    "derivative": lambda f, g: derivative(f),
+    "integrate_from_zero": lambda f, g: integrate_from_zero(f),
+}
+
+
+@pytest.mark.parametrize("compute", INTERNAL_RESULTS.values(), ids=INTERNAL_RESULTS.keys())
+def test_internal_results_are_read_only_and_unshared(compute):
+    f = grid_fn(lambda x: 1.0 + x)
+    g = grid_fn(lambda x: 2.0 + x * x)
+    out = compute(f, g)
+    assert isinstance(out, GridFunction)
+    assert out.values.dtype == np.float64
+    assert not out.values.flags.writeable
+    assert not np.shares_memory(out.values, f.values)
+    assert not np.shares_memory(out.values, g.values)
+
+
+def test_trig_polynomial_is_read_only_and_unshared_with_the_basis():
+    d = trig_polynomial(np.random.default_rng(0), 201)
+    assert not d.values.flags.writeable
+    assert not np.shares_memory(d.values, _trig_basis(201, MAX_FREQUENCY))
 
 
 # --- CSV format ------------------------------------------------------------
