@@ -358,7 +358,10 @@ def main(argv=None) -> int:
             value = getattr(args, name, 0.0)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        return args.func(args)
+        # Overflowing data surface as the named non-finite quantity that the
+        # commands check for, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"dsmflow: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,9 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import residual
-from .operators import DegenerateCoefficient, ProblemSetup
-from .sampling import sample_in_ball, unit_direction
-from .scale import GridFunction, ball_distance, sobolev_norm
+from .operators import ProblemSetup
+from .sampling import (
+    DIRECTION_DRAWS,
+    POINT_DRAWS,
+    _ball_points,
+    _sample_extremes,
+    unit_direction,
+)
+from .scale import GridFunction, _take_rows, ball_distance, sobolev_norm
 
 
 class EstimationError(RuntimeError):
@@ -84,55 +90,62 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
     then accumulates the min/max of the relevant norm ratios. Samples whose
     A^{-1} application trips the operator guard are skipped and counted.
     Draws are consumed in a fixed per-sample order, so for a fixed seed a
-    longer run extends a shorter one sample for sample.
+    longer run extends a shorter one sample for sample. Samples are
+    evaluated a block at a time (see ``sampling._sample_extremes``). A
+    constant that comes out non-finite, because the ball's norms overflow,
+    raises ``ValueError`` naming it.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be at least 10")
-    op = p.operator
     rng = np.random.default_rng(seed)
-    c0_lower = np.inf
-    c0_upper = -np.inf
-    c_iso = -np.inf
-    c_lip = -np.inf
-    used = 0
-    skipped = 0
-    for _ in range(sample_count):
-        u = sample_in_ball(rng, p.U, p.R, p.a)
-        v = sample_in_ball(rng, p.U, p.R, p.a)
-        w = sample_in_ball(rng, p.U, p.R, p.a)
-        q = unit_direction(rng, p.U.n, p.a)
-        try:
-            q_norm = sobolev_norm(q, p.a)
-            a_u_q = op.apply_derivative(u, q)
-            two_sided = sobolev_norm(a_u_q, p.a + p.delta) / q_norm
-            iso = sobolev_norm(
-                op.solve_derivative(v, op.apply_derivative(w, q)), p.a) / q_norm
-            diff = a_u_q - op.apply_derivative(v, q)
-            lip_denom = ball_distance(u, v, p.a) * q_norm
-            if lip_denom == 0.0:
-                raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
-            lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / lip_denom
-        except DegenerateCoefficient:
-            skipped += 1
-            continue
-        c0_lower = min(c0_lower, two_sided)
-        c0_upper = max(c0_upper, two_sided)
-        c_iso = max(c_iso, iso)
-        c_lip = max(c_lip, lip)
-        used += 1
+    extremes, used = _sample_extremes(
+        rng, sample_count, _CONSTANTS_DRAWS, p.U.n,
+        lambda draws, live: _constants_ratios(p, draws, live))
     if used == 0:
         raise EstimationError(f"all {sample_count} samples tripped the operator guard")
+    c0_lower, c0_upper = extremes["two_sided"]
+    constants = {"c0_lower": c0_lower, "c0_upper": c0_upper,
+                 "c_iso": extremes["iso"][1], "c_lip": extremes["lip"][1]}
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
     return ConstantsReport(
-        c0_lower=float(c0_lower),
-        c0_upper=float(c0_upper),
-        c_iso=float(c_iso),
-        c_lip=float(c_lip),
-        rho0=rho_max(p.R, float(c0_lower), float(c0_upper)),
+        **constants,
+        rho0=rho_max(p.R, c0_lower, c0_upper),
         radius=p.R,
         sample_count=sample_count,
         seed=seed,
-        skipped=skipped,
+        skipped=sample_count - used,
     )
+
+
+# Per sample: the ball points u, v, w, then the direction q.
+_CONSTANTS_DRAWS = 3 * POINT_DRAWS + DIRECTION_DRAWS
+
+
+def _constants_ratios(p: ProblemSetup, draws: np.ndarray,
+                      live: np.ndarray) -> dict[str, np.ndarray]:
+    """The constants' norm ratios of a block of samples (one per row of
+    `draws`, or a single 1-D sample), over the live samples whose u and v
+    pass the operator guard."""
+    op, a = p.operator, p.a
+    u, v, w = _ball_points(draws, 3, p.U, p.R, a)
+    q = unit_direction(draws[..., 3 * POINT_DRAWS:], p.U.n, a)
+    # norms are floats for a single sample: np.asarray lets `keep` index them
+    q_norm = np.asarray(sobolev_norm(q, a))
+    a_u_q = op.apply_derivative(u, q)
+    two_sided = np.asarray(sobolev_norm(a_u_q, a + p.delta) / q_norm)
+    lip_denom = np.asarray(ball_distance(u, v, a) * q_norm)
+    v_ok = live & ~op.below_guard(v)
+    if (v_ok & (lip_denom == 0.0)).any():
+        raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
+    keep = v_ok & ~op.below_guard(u)
+    if not keep.all():
+        u, v, w, q, a_u_q = (_take_rows(f, keep) for f in (u, v, w, q, a_u_q))
+    iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a) / q_norm[keep]
+    diff = a_u_q - op.apply_derivative(v, q)
+    lip = sobolev_norm(op.solve_derivative(u, diff), a) / lip_denom[keep]
+    return {"two_sided": two_sided[keep], "iso": iso, "lip": lip}
 
 
 def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DegenerateCoefficient, ProblemSetup, dsm_vector_field
-from .sampling import sample_in_ball
+from .sampling import POINT_DRAWS, _ball_points, _sample_extremes
 from .scale import (
     GridFunction,
+    _take_rows,
     _write_csv_rows,
     ball_distance,
     require_same_grid,
@@ -37,6 +38,9 @@ SCHEMES = ("euler", "rk4")
 
 # Samples with g at or below this floor are ignored by decay_fit.
 NOISE_FLOOR = 1e-12
+
+# Most steps one solve may ask for (t_max / dt); the defaults take 600.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,18 @@ class FlowConfig:
             raise ValueError("eps_abs must be nonnegative")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step")
+        if self.t_max / self.dt > MAX_STEPS + 0.5:  # rounds to more steps
+            raise ValueError(
+                f"t_max {self.t_max!r} / dt {self.dt!r} asks for "
+                f"{self.t_max / self.dt:.3g} steps, more than {MAX_STEPS}"
+            )
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
+
+    @property
+    def steps(self) -> int:
+        """Number of steps from t = 0 to t_max."""
+        return max(1, round(self.t_max / self.dt))
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     u = u0
     t = 0.0
     stop = STOP_HORIZON
-    n_steps = max(1, int(round(cfg.t_max / cfg.dt)))
+    n_steps = cfg.steps
     for k in range(1, n_steps + 1):
         try:
             u_next = step(p, u, h, cfg.dt, -p.operator.solve_derivative(u, r))
@@ -286,41 +300,46 @@ def pair_lipschitz_ratio(p: ProblemSetup, u: GridFunction, v: GridFunction,
     A pair is skipped when the denominator vanishes or the operator guard
     rejects one of the points.
     """
-    denom = ball_distance(u, v, p.a)
-    if denom < 1e-14:
+    ratios = _lipschitz_ratios(p, u, v, h, live=np.True_)
+    if ratios["direct"].size == 0:
         return None
+    return float(ratios["direct"][0]), float(ratios["split"][0])
+
+
+def _lipschitz_ratios(p: ProblemSetup, u: GridFunction, v: GridFunction, h: GridFunction,
+                      live: np.ndarray) -> dict[str, np.ndarray]:
+    """Direct and split Lipschitz ratios of the live pairs (u, v), one per
+    row of a batch or a single pair, that ``pair_lipschitz_ratio`` would
+    not skip."""
     op = p.operator
-    try:
-        direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
-        resid_u = op.eval(u) - h
-        i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
-        i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
-    except DegenerateCoefficient:
-        return None
-    return direct / denom, (i1 + i2) / denom
+    denom = np.asarray(ball_distance(u, v, p.a))  # a float for a single pair
+    keep = live & ~(denom < 1e-14) & ~op.below_guard(u) & ~op.below_guard(v)
+    if not keep.all():
+        u, v = _take_rows(u, keep), _take_rows(v, keep)
+    denom = denom[keep]
+    direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
+    resid_u = op.eval(u) - h
+    i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
+    i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
+    return {"direct": direct / denom, "split": (i1 + i2) / denom}
 
 
 def lipschitz_probe(p: ProblemSetup, h: GridFunction, sample_count: int = 200,
                     seed: int = 0) -> LipschitzProbeReport:
-    """Max Lipschitz ratio of the vector field over random pairs in the ball."""
+    """Max Lipschitz ratio of the vector field over random pairs in the ball.
+
+    Each sample draws the ball points u then v; samples are evaluated a
+    block at a time (see ``sampling._sample_extremes``).
+    """
     rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    max_split = 0.0
-    used = 0
-    skipped = 0
-    for _ in range(sample_count):
-        u = sample_in_ball(rng, p.U, p.R, p.a)
-        v = sample_in_ball(rng, p.U, p.R, p.a)
-        ratios = pair_lipschitz_ratio(p, u, v, h)
-        if ratios is None:
-            skipped += 1
-            continue
-        max_ratio = max(max_ratio, ratios[0])
-        max_split = max(max_split, ratios[1])
-        used += 1
+    extremes, used = _sample_extremes(
+        rng, sample_count, 2 * POINT_DRAWS, p.U.n,
+        lambda draws, live: _lipschitz_ratios(
+            p, *_ball_points(draws, 2, p.U, p.R, p.a), h, live))
     if used == 0:
         raise RuntimeError("every sampled pair was skipped")
-    return LipschitzProbeReport(max_ratio, max_split, used, skipped)
+    return LipschitzProbeReport(max(0.0, extremes["direct"][1]),
+                                max(0.0, extremes["split"][1]), used, sample_count - used)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

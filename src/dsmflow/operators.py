@@ -19,6 +19,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .scale import (
     GridFunction,
     derivative,
@@ -57,6 +59,12 @@ class ScaleOperator(ABC):
     def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
         """Apply A(u)^{-1} to psi."""
 
+    def below_guard(self, u: GridFunction) -> np.ndarray:
+        """Whether each row of u trips the guard on A(u)^{-1}: one bool for
+        a single function, one per row for a batch. No row trips it unless
+        the operator guards a division."""
+        return np.zeros(u.values.shape[:-1], dtype=bool)
+
 
 @dataclass(frozen=True)
 class QuadraticVolterra(ScaleOperator):
@@ -64,7 +72,8 @@ class QuadraticVolterra(ScaleOperator):
 
     ``u_min`` guards the pointwise division in A^{-1}: once the trajectory
     leaves the safe ball and u dips below the guard, ``solve_derivative``
-    raises ``DegenerateCoefficient`` instead of silently blowing up.
+    raises ``DegenerateCoefficient`` instead of silently blowing up. On a
+    batch it raises when any row dips below; ``below_guard`` says which.
     """
 
     u_min: float = 0.1
@@ -84,11 +93,14 @@ class QuadraticVolterra(ScaleOperator):
 
     def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
         require_same_grid(u, psi)
-        if u.min() < self.u_min:
+        if self.below_guard(u).any():
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
         return derivative(psi) / (2.0 * u)
+
+    def below_guard(self, u: GridFunction) -> np.ndarray:
+        return u.values.min(axis=-1) < self.u_min
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ included, so the spacing is 1/(n-1). Derivatives use second-order stencils
 use the cumulative trapezoid rule, and the H_a norm for a in {0, 1, 2}
 sums the squared L2 norms of the function and its first a discrete
 derivatives.
+
+The kernels work along the last axis, so a batch of functions, shape
+(rows, n), goes through the same code as one function: each row's result
+is bit-identical to that of the row on its own, and `sobolev_norm` returns
+one norm per row.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ class GridFunction:
     arithmetic, ``derivative`` and ``integrate_from_zero`` are wrapped by
     ``_trusted`` without the copy or the check, so an overflow can leave inf
     or NaN in them; ``integrate_flow`` checks the residual norm of every
-    step instead.
+    step instead. Only ``_trusted`` may wrap a batch, one function per row
+    of a (rows, n) array; ``n`` is always the grid length.
     """
 
     values: np.ndarray
@@ -67,7 +73,7 @@ class GridFunction:
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def dx(self) -> float:
@@ -152,10 +158,12 @@ def derivative(f: GridFunction) -> GridFunction:
     v = f.values
     dx = f.dx
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    # difference-first form of the one-sided stencils: exact zero on constants
-    d[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * dx)
-    d[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2.0 * dx)
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
+    # difference-first form of the one-sided stencils: exact zero on constants.
+    # vt[k] is node k of every row, a scalar for a single function.
+    vt, dt = v.T, d.T
+    dt[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / (2.0 * dx)
+    dt[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / (2.0 * dx)
     return GridFunction._trusted(d)
 
 
@@ -163,20 +171,21 @@ def integrate_from_zero(f: GridFunction) -> GridFunction:
     """Cumulative trapezoid integral; the result vanishes at x = 0."""
     v = f.values
     out = np.zeros_like(v)
-    out[1:] = np.cumsum((v[1:] + v[:-1]) * (f.dx / 2.0))
+    np.cumsum((v[..., 1:] + v[..., :-1]) * (f.dx / 2.0), axis=-1, out=out[..., 1:])
     return GridFunction._trusted(out)
 
 
-def _l2_squared(values: np.ndarray, dx: float) -> float:
+def _l2_squared(values: np.ndarray, dx: float):
     sq = values * values
-    return float(dx * (np.sum(sq) - 0.5 * (sq[0] + sq[-1])))
+    return dx * (sq.sum(axis=-1) - 0.5 * (sq.T[0] + sq.T[-1]))
 
 
-def sobolev_norm(f: GridFunction, a: int) -> float:
+def sobolev_norm(f: GridFunction, a: int):
     """Discrete H_a norm: sqrt of the summed squared L2 norms of f, f', ... f^(a).
 
     The L2 norm uses trapezoid quadrature over [0, 1]; each higher term
-    applies `derivative` once more. Monotone in a by construction.
+    applies `derivative` once more. Monotone in a by construction. A float
+    for one function, an array of one norm per row for a batch.
     """
     check_scale_index(a)
     total = _l2_squared(f.values, f.dx)
@@ -184,7 +193,14 @@ def sobolev_norm(f: GridFunction, a: int) -> float:
     for _ in range(a):
         cur = derivative(cur)
         total += _l2_squared(cur.values, cur.dx)
-    return float(np.sqrt(total))
+    norm = np.sqrt(total)
+    return float(norm) if norm.ndim == 0 else norm
+
+
+def _take_rows(f: GridFunction, keep: np.ndarray) -> GridFunction:
+    """The rows of `f` that the bool mask `keep` selects, as a batch (a
+    single function is one row, and `keep` then a single bool)."""
+    return GridFunction._trusted(f.values[keep])
 
 
 def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:

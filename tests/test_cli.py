@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsmflow
 from dsmflow.cli import main
+from dsmflow.flow import MAX_STEPS
 from dsmflow.operators import QuadraticVolterra
 from dsmflow.scale import GridFunction, read_grid_csv, write_grid_csv
 
@@ -334,14 +339,12 @@ def _flag_values(finite):
     return st.one_of(finite, st.sampled_from([1e300, -1e300, math.nan, math.inf, -math.inf]))
 
 
-# A finite dt is drawn from [0.02, 1]: dt = 1e-300 is a valid request for
-# 3e301 steps, a run that never ends, not a fault this test can observe.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(max_examples=30, deadline=None)
-@given(param=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
-       radius=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
-       u_min=_flag_values(st.floats(allow_nan=False, allow_infinity=False)),
-       dt=_flag_values(st.floats(min_value=0.02, max_value=1.0)))
+@given(param=_flag_values(_FLOATS), radius=_flag_values(_FLOATS),
+       u_min=_flag_values(_FLOATS), dt=_flag_values(_FLOATS))
 def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -349,5 +352,65 @@ def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt):
                    f"--param={param!r}", f"--radius={radius!r}",
                    f"--u-min={u_min!r}", f"--dt={dt!r}", "--out-dir", out)
         assert code in (0, 1, 2)
+        if 0.0 < dt and 30.0 / dt > MAX_STEPS + 0.5:
+            assert code == 1
+            assert not list(out.iterdir())
         for report in out.glob("*.json"):
             load_strict(report)
+
+
+def test_solve_tiny_dt_exits_1_naming_dt_and_t_max(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("solve", "--dt", "1e-300", "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dsmflow: error: t_max 30.0 / dt 1e-300 asks for 3e+301 steps")
+    assert not out.exists()
+
+
+def test_overflow_prints_only_the_error_line(tmp_path):
+    write_linear_h(tmp_path / "h.csv", 1e154, n=21)
+    env = {**os.environ, "PYTHONPATH": str(Path(dsmflow.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsmflow.cli", "solve", "--n", "21", "--samples", "10",
+         "--h-file", str(tmp_path / "h.csv"), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "dsmflow: error: dist_h is not finite: nan\n"
+    assert proc.stdout == ""
+
+
+# --- property: verify never fails with a traceback -----------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(operator=st.sampled_from(["volterra-quadratic", "linear-smoothing"]),
+       samples=st.integers(min_value=-20, max_value=120),
+       radius=_flag_values(_FLOATS), u_min=_flag_values(_FLOATS),
+       seed=st.integers(min_value=-5, max_value=2**70))
+def test_verify_flags_exit_cleanly_with_strict_json(operator, samples, radius, u_min, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run("verify", "--n", 21, "--operator", operator, "--samples", samples,
+                   f"--radius={radius!r}", f"--u-min={u_min!r}", "--seed", seed,
+                   "--out-dir", out)
+        assert code in (0, 1, 2)
+        reports = list(out.glob("*.json"))
+        assert len(reports) == (code == 0)
+        for report in reports:
+            load_strict(report)
+
+
+def test_verify_with_every_sample_guarded_exits_2(tmp_path, capsys):
+    # U = 1 lies below the guard u_min = 2, so every sample trips it
+    out = tmp_path / "out"
+    assert run("verify", "--n", 21, "--samples", 30, "--u-min", 2, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        "dsmflow: failed: all 30 samples tripped the operator guard\n")
+    assert not out.exists()
+
+
+def test_verify_non_finite_constant_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("verify", "--n", 21, "--samples", 10, "--operator", "linear-smoothing",
+               "--radius", 1e300, "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith("dsmflow: error: c_lip is not finite")
+    assert not out.exists()

@@ -1,6 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
+import dsmflow.conditions as conditions_module
+import dsmflow.operators
+import dsmflow.sampling
+import dsmflow.scale
 from dsmflow.conditions import (
     ConstantsReport,
     EstimationError,
@@ -10,8 +16,13 @@ from dsmflow.conditions import (
     rho_max,
 )
 from dsmflow.flow import STOP_CONVERGED, FlowConfig, integrate_flow
-from dsmflow.operators import LinearSmoothing, ProblemSetup, QuadraticVolterra
-from dsmflow.sampling import sample_in_ball, trig_polynomial, unit_direction
+from dsmflow.operators import (
+    DegenerateCoefficient,
+    LinearSmoothing,
+    ProblemSetup,
+    QuadraticVolterra,
+)
+from dsmflow.sampling import BLOCK_ELEMENTS, sample_in_ball, trig_polynomial, unit_direction
 from dsmflow.scale import GridFunction, sobolev_norm
 
 
@@ -228,3 +239,150 @@ def test_admissible_affine_pairs_converge_at_defaults(setup201, report42):
         assert verdict.admissible
         traj = integrate_flow(setup201, u0, h, FlowConfig(enforce_ball=True))
         assert traj.stop_reason == STOP_CONVERGED
+
+
+# --- block evaluation against the per-sample loop --------------------------------
+
+def reference_estimate_constants(p, sample_count, seed):
+    """One sample at a time, each drawing u, v, w and q from the generator."""
+    op = p.operator
+    rng = np.random.default_rng(seed)
+    two_sided_all, iso_all, lip_all = [], [], []
+    for _ in range(sample_count):
+        u = sample_in_ball(rng, p.U, p.R, p.a)
+        v = sample_in_ball(rng, p.U, p.R, p.a)
+        w = sample_in_ball(rng, p.U, p.R, p.a)
+        q = unit_direction(rng, p.U.n, p.a)
+        try:
+            q_norm = sobolev_norm(q, p.a)
+            a_u_q = op.apply_derivative(u, q)
+            two_sided = sobolev_norm(a_u_q, p.a + p.delta) / q_norm
+            iso = sobolev_norm(
+                op.solve_derivative(v, op.apply_derivative(w, q)), p.a) / q_norm
+            diff = a_u_q - op.apply_derivative(v, q)
+            lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / (
+                sobolev_norm(u - v, p.a) * q_norm)
+        except DegenerateCoefficient:
+            continue
+        two_sided_all.append(two_sided)
+        iso_all.append(iso)
+        lip_all.append(lip)
+    return (min(two_sided_all), max(two_sided_all), max(iso_all), max(lip_all),
+            sample_count - len(two_sided_all))
+
+
+OPERATORS = [pytest.param(QuadraticVolterra(), id="volterra"),
+             pytest.param(LinearSmoothing(), id="linear")]
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+@pytest.mark.parametrize("n, samples", [
+    (201, 50),   # blocks of 40 rows: 40 + 10
+    (2001, 10),  # blocks of 4 rows: 4 + 4 + 2
+    (4097, 12),  # one-row blocks, evaluated as single samples
+])
+def test_block_estimate_matches_per_sample_loop(operator, n, samples):
+    rows = max(1, BLOCK_ELEMENTS // n)
+    assert rows == 1 or samples % rows != 0
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
+    report = estimate_constants(setup, samples, 3)
+    *want, skipped = reference_estimate_constants(setup, samples, 3)
+    got = (report.c0_lower, report.c0_upper, report.c_iso, report.c_lip)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
+    assert report.skipped == skipped == 0
+    assert report.sample_count == samples
+
+
+def test_block_estimate_skips_the_same_samples():
+    # u_min = 0.95 inside a ball of radius 0.5 around U = 1: some samples trip
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(u_min=0.95), GridFunction.constant(1.0, 201), 0.5)
+    report = estimate_constants(setup, 60, 4)
+    *want, skipped = reference_estimate_constants(setup, 60, 4)
+    assert report.skipped == skipped == 20
+    got = (report.c0_lower, report.c0_upper, report.c_iso, report.c_lip)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_block_estimate_consumes_71_scalar_draws_per_sample(setup201, monkeypatch):
+    created = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: created.append(default_rng(seed)) or created[-1])
+    estimate_constants(setup201, 50, 9)
+    monkeypatch.undo()
+    ref = np.random.default_rng(9)
+    for _ in range(50 * 71):
+        ref.uniform(0.0, 1.0)
+    assert created[0].bit_generator.state == ref.bit_generator.state
+
+
+def test_a_sample_evaluates_the_same_in_a_longer_run(setup201, monkeypatch):
+    runs = []
+    original = conditions_module._constants_ratios
+
+    def recording(p, draws, live):
+        ratios = original(p, draws, live)
+        runs[-1].append(ratios["two_sided"])
+        return ratios
+
+    monkeypatch.setattr(conditions_module, "_constants_ratios", recording)
+    for samples in (50, 100):
+        runs.append([])
+        estimate_constants(setup201, samples, 5)
+    short, long = (np.concatenate(run) for run in runs)
+    assert short.size == 50 and long.size == 100
+    assert np.array_equal(short, long[:50])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_constant_raises_naming_it():
+    # ||u - v|| overflows on a ball this large, so no finite c_lip exists
+    setup = ProblemSetup.from_reference(
+        LinearSmoothing(), GridFunction.constant(1.0, 21), 1e300)
+    with pytest.raises(ValueError, match="^c_lip is not finite"):
+        estimate_constants(setup, 10, 0)
+
+
+# --- call path: the batch goes through the public layers ------------------------
+
+def _count_calls(monkeypatch, counts, name, owners):
+    for owner in owners:
+        if name not in vars(owner):
+            continue
+        original = vars(owner)[name]
+
+        def counting(*args, _original=original, **kwargs):
+            counts[name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_estimate_calls_each_layer_once_per_block(operator, monkeypatch):
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 201), 0.05)
+    counts = collections.Counter()
+    modules = (dsmflow.scale, dsmflow.sampling, conditions_module, dsmflow.operators)
+    for name in ("trig_polynomial", "sample_in_ball", "unit_direction", "sobolev_norm"):
+        _count_calls(monkeypatch, counts, name, modules)
+    for name in ("apply_derivative", "solve_derivative"):
+        _count_calls(monkeypatch, counts, name, (type(operator),))
+    assert BLOCK_ELEMENTS // 201 == 40
+    per_block = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
+                 "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 9}
+    for samples, blocks in ((20, 1), (40, 1), (80, 2)):
+        counts.clear()
+        estimate_constants(setup, samples, 1)
+        assert dict(counts) == {name: blocks * c for name, c in per_block.items()}
+
+
+def test_guarded_coinciding_samples_are_skipped_not_too_small():
+    # every sample sits at U = 0.05, below the guard: skipped before the
+    # zero-distance check, as one sample at a time would skip it
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(u_min=0.1), GridFunction.constant(0.05, 21), 1e-300)
+    with pytest.raises(EstimationError):
+        estimate_constants(setup, 10, 0)

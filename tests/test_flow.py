@@ -5,6 +5,7 @@ import pytest
 
 import dsmflow.flow as flow_module
 from dsmflow.flow import (
+    MAX_STEPS,
     STOP_BALL_EXIT,
     STOP_CONVERGED,
     STOP_DEGENERATE,
@@ -23,9 +24,15 @@ from dsmflow.flow import (
     write_trajectory_csv,
 )
 from dsmflow.newton_lab import newton_step
-from dsmflow.operators import LinearSmoothing, ProblemSetup, QuadraticVolterra
-from dsmflow.sampling import sample_in_ball
-from dsmflow.scale import GridFunction, ball_distance
+from dsmflow.operators import (
+    DegenerateCoefficient,
+    LinearSmoothing,
+    ProblemSetup,
+    QuadraticVolterra,
+    dsm_vector_field,
+)
+from dsmflow.sampling import BLOCK_ELEMENTS, sample_in_ball
+from dsmflow.scale import GridFunction, ball_distance, sobolev_norm
 
 from oracles import heron_sqrt
 
@@ -56,6 +63,17 @@ def scaled_linear_h(n, lam):
 def test_flow_config_validation(kwargs):
     with pytest.raises(ValueError):
         FlowConfig(**kwargs)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, 30.0 / (MAX_STEPS + 1)])
+def test_flow_config_caps_the_step_count(dt):
+    with pytest.raises(ValueError, match=r"^t_max 30\.0 / dt .* steps, more than"):
+        FlowConfig(dt=dt, t_max=30.0)
+
+
+def test_flow_config_at_the_step_cap_is_valid():
+    assert FlowConfig(dt=30.0 / MAX_STEPS, t_max=30.0).steps == MAX_STEPS
+    assert FlowConfig().steps == 600
 
 
 # --- residual ----------------------------------------------------------------
@@ -352,6 +370,84 @@ def test_pair_ratio_skips_guarded_points(setup201):
     u = GridFunction.constant(0.05, 201)  # below the division guard
     v = setup201.U
     assert pair_lipschitz_ratio(setup201, u, v, setup201.f) is None
+
+
+def reference_pair_ratio(p, u, v, h):
+    """The per-pair ratios, one function at a time."""
+    denom = ball_distance(u, v, p.a)
+    if denom < 1e-14:
+        return None
+    op = p.operator
+    try:
+        direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
+        resid_u = op.eval(u) - h
+        i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
+        i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
+    except DegenerateCoefficient:
+        return None
+    return direct / denom, (i1 + i2) / denom
+
+
+def reference_lipschitz_probe(p, h, sample_count, seed):
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(sample_count):
+        u = sample_in_ball(rng, p.U, p.R, p.a)
+        v = sample_in_ball(rng, p.U, p.R, p.a)
+        pair = reference_pair_ratio(p, u, v, h)
+        if pair is not None:
+            ratios.append(pair)
+    return (max(r[0] for r in ratios), max(r[1] for r in ratios), len(ratios),
+            sample_count - len(ratios))
+
+
+@pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
+                                      pytest.param(LinearSmoothing(), id="linear")])
+@pytest.mark.parametrize("n, samples", [(201, 50), (2001, 10), (4097, 12)])
+def test_block_probe_matches_per_pair_loop(operator, n, samples):
+    rows = max(1, BLOCK_ELEMENTS // n)
+    assert rows == 1 or samples % rows != 0
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.1)
+    h = GridFunction(setup.U.x + 0.05 * setup.U.x**2)
+    report = lipschitz_probe(setup, h, samples, 6)
+    max_ratio, max_split, used, skipped = reference_lipschitz_probe(setup, h, samples, 6)
+    assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+    assert report.max_split_ratio == pytest.approx(max_split, rel=1e-12)
+    assert (report.pairs_used, report.skipped) == (used, skipped) == (samples, 0)
+
+
+def test_block_probe_skips_the_same_pairs():
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(u_min=0.95), GridFunction.constant(1.0, 201), 0.5)
+    report = lipschitz_probe(setup, setup.f, 60, 4)
+    max_ratio, max_split, used, skipped = reference_lipschitz_probe(setup, setup.f, 60, 4)
+    assert 0 < report.skipped == skipped < 60
+    assert report.pairs_used == used
+    assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
+    assert report.max_split_ratio == pytest.approx(max_split, rel=1e-12)
+
+
+def test_block_probe_consumes_36_scalar_draws_per_pair(setup201, monkeypatch):
+    created = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: created.append(default_rng(seed)) or created[-1])
+    lipschitz_probe(setup201, setup201.f, 45, 2)
+    monkeypatch.undo()
+    ref = np.random.default_rng(2)
+    for _ in range(45 * 36):
+        ref.uniform(0.0, 1.0)
+    assert created[0].bit_generator.state == ref.bit_generator.state
+
+
+def test_pair_ratio_matches_the_per_pair_math(setup201):
+    rng = np.random.default_rng(3)
+    h = setup201.f + 0.01
+    for _ in range(5):
+        u = sample_in_ball(rng, setup201.U, 0.05, 1)
+        v = sample_in_ball(rng, setup201.U, 0.05, 1)
+        got = pair_lipschitz_ratio(setup201, u, v, h)
+        assert got == pytest.approx(reference_pair_ratio(setup201, u, v, h), rel=1e-12)
 
 
 # --- CSV ----------------------------------------------------------------------

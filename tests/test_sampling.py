@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from dsmflow.sampling import (
+    BLOCK_ELEMENTS,
     MAX_FREQUENCY,
+    POINT_DRAWS,
+    _sample_extremes,
     _trig_basis,
     sample_in_ball,
     trig_polynomial,
+    unit_direction,
 )
 from dsmflow.scale import GridFunction
 
@@ -61,3 +65,56 @@ def test_second_call_on_same_grid_hits_cache():
     hits = _trig_basis.cache_info().hits
     trig_polynomial(rng, 53)
     assert _trig_basis.cache_info().hits == hits + 1
+
+
+# --- batches ---------------------------------------------------------------------
+
+def test_batch_rows_equal_single_draws():
+    # a batch's basis product may round differently from a single draw's
+    rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+    center = GridFunction.constant(1.0, 201)
+    draws = rng.random((6, POINT_DRAWS))
+    batch = sample_in_ball(draws, center, 0.05, 1)
+    assert batch.values.shape == (6, 201) and batch.n == 201
+    for row in batch.values:
+        single = sample_in_ball(ref_rng, center, 0.05, 1).values
+        assert np.max(np.abs(row - single)) <= 1e-14
+    directions = unit_direction(rng.random((3, DRAWS)), 201, 2)
+    for row in directions.values:
+        assert np.max(np.abs(row - unit_direction(ref_rng, 201, 2).values)) <= 1e-14
+
+
+def test_batch_draws_need_one_sample_per_row():
+    with pytest.raises(ValueError, match="draws per sample"):
+        trig_polynomial(np.zeros((2, DRAWS + 1)), 51)
+
+
+def test_single_polynomial_is_validated_and_a_batch_is_not(monkeypatch):
+    calls = []
+    original = GridFunction.__post_init__
+    monkeypatch.setattr(GridFunction, "__post_init__",
+                        lambda self: calls.append(1) or original(self))
+    trig_polynomial(np.random.default_rng(16), 51)
+    assert len(calls) == 1
+    trig_polynomial(np.random.default_rng(16).random((4, DRAWS)), 51)
+    assert len(calls) == 1
+
+
+def test_sample_extremes_blocks_pass_over_nan_and_consume_each_draw_once():
+    rows = BLOCK_ELEMENTS // 201
+    seen = []
+
+    def evaluate(draws, live):
+        seen.append((draws.shape, int(live.sum())))
+        ratios = draws[:, 0].copy()
+        ratios[0] = np.nan  # the builtins min and max pass over it
+        return {"x": ratios[live]}
+
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    extremes, used = _sample_extremes(rng, rows + 5, 3, 201, evaluate)
+    assert seen == [((rows, 3), rows), ((rows, 3), 5)]
+    assert used == rows + 5
+    first = ref_rng.random((rows + 5, 3))[:, 0]
+    kept = np.concatenate([first[1:rows], first[rows + 1:]])
+    assert extremes == {"x": (kept.min(), kept.max())}
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
