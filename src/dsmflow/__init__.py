@@ -11,12 +11,10 @@ from .conditions import (
 )
 from .flow import (
     FlowConfig,
-    LipschitzProbeReport,
     Trajectory,
     TrajectorySample,
     decay_fit,
     integrate_flow,
-    lipschitz_probe,
     residual,
     verify_trajectory_bounds,
 )

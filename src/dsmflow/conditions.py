@@ -136,6 +136,10 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray,
     a_u_q = op.apply_derivative(u, q)
     two_sided = np.asarray(sobolev_norm(a_u_q, a + p.delta) / q_norm)
     lip_denom = np.asarray(ball_distance(u, v, a) * q_norm)
+    # An overflowed distance measures nothing: its ratio is NaN, which the
+    # reduction passes over, so a ball whose distances all overflow has no
+    # finite c_lip.
+    lip_denom[np.isinf(lip_denom)] = np.nan
     v_ok = live & ~op.below_guard(v)
     if (v_ok & (lip_denom == 0.0)).any():
         raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")

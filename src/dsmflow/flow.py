@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DegenerateCoefficient, ProblemSetup, dsm_vector_field
-from .sampling import POINT_DRAWS, _ball_points, _sample_extremes
 from .scale import (
     GridFunction,
-    _take_rows,
+    _distance,
     _write_csv_rows,
     ball_distance,
     require_same_grid,
@@ -124,14 +123,14 @@ class Trajectory:
 
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
+    require_same_grid(u, h)
     return _residual_field(p, u, h)[1]
 
 
 def _residual_field(p: ProblemSetup, u: GridFunction,
                     h: GridFunction) -> tuple[GridFunction, float]:
-    """F(u) - h together with its H_{a+delta} norm."""
-    require_same_grid(u, h)
-    r = p.operator.eval(u) - h
+    """F(u) - h together with its H_{a+delta} norm, for u and h on one grid."""
+    r = GridFunction._trusted(p.operator._eval(u.values) - h.values)
     return r, sobolev_norm(r, p.a + p.delta)
 
 
@@ -144,18 +143,23 @@ def euler_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
     """
     if k1 is None:
         k1 = dsm_vector_field(p, u, h)
-    return u + dt * k1
+    return GridFunction._trusted(u.values + dt * k1.values)
 
 
 def rk4_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
              k1: GridFunction | None = None) -> GridFunction:
-    """One classical Runge-Kutta step; ``k1`` as in ``euler_step``."""
+    """One classical Runge-Kutta step; ``k1`` as in ``euler_step``.
+
+    The stage points and the final combination are formed on the value
+    arrays, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4).
+    """
     if k1 is None:
         k1 = dsm_vector_field(p, u, h)
-    k2 = dsm_vector_field(p, u + (dt / 2.0) * k1, h)
-    k3 = dsm_vector_field(p, u + (dt / 2.0) * k2, h)
-    k4 = dsm_vector_field(p, u + dt * k3, h)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u, k1 = u.values, k1.values
+    k2 = dsm_vector_field(p, GridFunction._trusted(u + (dt / 2.0) * k1), h).values
+    k3 = dsm_vector_field(p, GridFunction._trusted(u + (dt / 2.0) * k2), h).values
+    k4 = dsm_vector_field(p, GridFunction._trusted(u + dt * k3), h).values
+    return GridFunction._trusted(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
@@ -176,7 +180,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     Every accepted iterate has a finite residual, and so finite values. The
     residual F(u) - h of each accepted step also gives the next step's
     stage-one velocity -A(u)^{-1}(F(u) - h), so F is evaluated once less per
-    step with the same arithmetic.
+    step with the same arithmetic. The loop runs on value arrays; only each
+    step's iterate is wrapped, as the ``GridFunction`` the trajectory records.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -187,7 +192,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     if not math.isfinite(g0):
         raise ValueError(f"initial residual g(0) is not finite: {g0!r}")
     threshold = cfg.eps_rel * g0 + cfg.eps_abs
-    samples = [TrajectorySample(0.0, g0, 0.0, ball_distance(u0, p.U, p.a))]
+    U, start = p.U.values, u0.values
+    samples = [TrajectorySample(0.0, g0, 0.0, _distance(start, U, p.a))]
     recorded = [u0]
     if g0 <= threshold:
         return Trajectory(tuple(samples), tuple(recorded), u0, 0.0, STOP_CONVERGED, p.a)
@@ -208,11 +214,11 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             break
         t = k * cfg.dt
         u = u_next
-        dist_U = ball_distance(u, p.U, p.a)
+        dist_U = _distance(u.values, U, p.a)
         converged = g <= threshold
         exited = cfg.enforce_ball and dist_U > p.R
         if k % cfg.record_stride == 0 or converged or exited or k == n_steps:
-            samples.append(TrajectorySample(t, g, ball_distance(u, u0, p.a), dist_U))
+            samples.append(TrajectorySample(t, g, _distance(u.values, start, p.a), dist_U))
             recorded.append(u)
         if converged:
             stop = STOP_CONVERGED
@@ -276,70 +282,6 @@ def verify_trajectory_bounds(traj: Trajectory, r: float,
         if tail > tail_limit:
             violations.append(BoundViolation(i, s.t, "tail", tail, tail_limit))
     return violations
-
-
-@dataclass(frozen=True)
-class LipschitzProbeReport:
-    """Sampled Lipschitz behaviour of the flow's vector field on the ball.
-
-    ``max_ratio`` is the largest observed ||Phi(u) - Phi(v)|| / ||u - v||;
-    ``max_split_ratio`` bounds it through the triangle-inequality splitting
-    into the resolvent-difference and forward-difference terms.
-    """
-
-    max_ratio: float
-    max_split_ratio: float
-    pairs_used: int
-    skipped: int
-
-
-def pair_lipschitz_ratio(p: ProblemSetup, u: GridFunction, v: GridFunction,
-                         h: GridFunction) -> tuple[float, float] | None:
-    """Direct and split Lipschitz ratios for one pair, or None if skipped.
-
-    A pair is skipped when the denominator vanishes or the operator guard
-    rejects one of the points.
-    """
-    ratios = _lipschitz_ratios(p, u, v, h, live=np.True_)
-    if ratios["direct"].size == 0:
-        return None
-    return float(ratios["direct"][0]), float(ratios["split"][0])
-
-
-def _lipschitz_ratios(p: ProblemSetup, u: GridFunction, v: GridFunction, h: GridFunction,
-                      live: np.ndarray) -> dict[str, np.ndarray]:
-    """Direct and split Lipschitz ratios of the live pairs (u, v), one per
-    row of a batch or a single pair, that ``pair_lipschitz_ratio`` would
-    not skip."""
-    op = p.operator
-    denom = np.asarray(ball_distance(u, v, p.a))  # a float for a single pair
-    keep = live & ~(denom < 1e-14) & ~op.below_guard(u) & ~op.below_guard(v)
-    if not keep.all():
-        u, v = _take_rows(u, keep), _take_rows(v, keep)
-    denom = denom[keep]
-    direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
-    resid_u = op.eval(u) - h
-    i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
-    i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
-    return {"direct": direct / denom, "split": (i1 + i2) / denom}
-
-
-def lipschitz_probe(p: ProblemSetup, h: GridFunction, sample_count: int = 200,
-                    seed: int = 0) -> LipschitzProbeReport:
-    """Max Lipschitz ratio of the vector field over random pairs in the ball.
-
-    Each sample draws the ball points u then v; samples are evaluated a
-    block at a time (see ``sampling._sample_extremes``).
-    """
-    rng = np.random.default_rng(seed)
-    extremes, used = _sample_extremes(
-        rng, sample_count, 2 * POINT_DRAWS, p.U.n,
-        lambda draws, live: _lipschitz_ratios(
-            p, *_ball_points(draws, 2, p.U, p.R, p.a), h, live))
-    if used == 0:
-        raise RuntimeError("every sampled pair was skipped")
-    return LipschitzProbeReport(max(0.0, extremes["direct"][1]),
-                                max(0.0, extremes["split"][1]), used, sample_count - used)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -67,8 +67,10 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     guard) sets ``diverged_at`` instead of raising. When an oracle iterate
     sequence's limit is supplied, the record tracks the distance to it. A
     non-finite starting residual raises ``ValueError``: the data overflow
-    before the first step.
+    before the first step. So does a negative ``max_iter``.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     u = u0
     steps: list[IterationStep] = []
     converged = False

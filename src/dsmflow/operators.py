@@ -42,6 +42,12 @@ class ScaleOperator(ABC):
 
     ``a`` is the domain index and ``delta`` the smoothing gain: images of
     ``eval`` have finite H_{a+delta} norm.
+
+    F and A(u)^{-1} are written once each, on value arrays along the last
+    axis (``_eval`` and ``_solve``, which may mark their arguments read-only
+    and return fresh arrays); ``eval``, ``solve_derivative`` and
+    ``dsm_vector_field`` wrap them. Each built-in defines its public methods
+    itself, where the traced benchmark wraps them.
     """
 
     a: int
@@ -59,11 +65,24 @@ class ScaleOperator(ABC):
     def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
         """Apply A(u)^{-1} to psi."""
 
+    @abstractmethod
+    def _eval(self, u: np.ndarray) -> np.ndarray:
+        """F(u) on values."""
+
+    @abstractmethod
+    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """A(u)^{-1} psi on values; raises ``DegenerateCoefficient`` when a
+        row of u trips the guard."""
+
     def below_guard(self, u: GridFunction) -> np.ndarray:
         """Whether each row of u trips the guard on A(u)^{-1}: one bool for
-        a single function, one per row for a batch. No row trips it unless
-        the operator guards a division."""
-        return np.zeros(u.values.shape[:-1], dtype=bool)
+        a single function, one per row for a batch."""
+        return self._below_guard(u.values)
+
+    def _below_guard(self, u: np.ndarray) -> np.ndarray:
+        """``below_guard`` on values. No row trips it unless the operator
+        guards a division."""
+        return np.zeros(u.shape[:-1], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,7 @@ class QuadraticVolterra(ScaleOperator):
             raise ValueError(f"u_min must be positive and finite, got {self.u_min!r}")
 
     def eval(self, u: GridFunction) -> GridFunction:
-        return integrate_from_zero(u * u)
+        return GridFunction._trusted(self._eval(u.values))
 
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
         require_same_grid(u, q)
@@ -93,14 +112,20 @@ class QuadraticVolterra(ScaleOperator):
 
     def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
         require_same_grid(u, psi)
-        if self.below_guard(u).any():
+        return GridFunction._trusted(self._solve(u.values, psi.values))
+
+    def _eval(self, u: np.ndarray) -> np.ndarray:
+        return integrate_from_zero(GridFunction._trusted(u * u)).values
+
+    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        if self._below_guard(u).any():
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        return derivative(psi) / (2.0 * u)
+        return derivative(GridFunction._trusted(psi)).values / (2.0 * u)
 
-    def below_guard(self, u: GridFunction) -> np.ndarray:
-        return u.values.min(axis=-1) < self.u_min
+    def _below_guard(self, u: np.ndarray) -> np.ndarray:
+        return u.min(axis=-1) < self.u_min
 
 
 @dataclass(frozen=True)
@@ -111,7 +136,7 @@ class LinearSmoothing(ScaleOperator):
     delta: int = field(default=1, init=False)
 
     def eval(self, u: GridFunction) -> GridFunction:
-        return integrate_from_zero(u)
+        return GridFunction._trusted(self._eval(u.values))
 
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
         require_same_grid(u, q)
@@ -119,7 +144,13 @@ class LinearSmoothing(ScaleOperator):
 
     def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
         require_same_grid(u, psi)
-        return derivative(psi)
+        return GridFunction._trusted(self._solve(u.values, psi.values))
+
+    def _eval(self, u: np.ndarray) -> np.ndarray:
+        return integrate_from_zero(GridFunction._trusted(u)).values
+
+    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        return derivative(GridFunction._trusted(psi)).values
 
 
 @dataclass(frozen=True)
@@ -164,7 +195,9 @@ class ProblemSetup:
 
 def dsm_vector_field(p: ProblemSetup, u: GridFunction, h: GridFunction) -> GridFunction:
     """The Newton-flow velocity -A(u)^{-1} (F(u) - h)."""
-    return -p.operator.solve_derivative(u, p.operator.eval(u) - h)
+    require_same_grid(u, h)
+    op = p.operator
+    return GridFunction._trusted(-op._solve(u.values, op._eval(u.values) - h.values))
 
 
 OPERATOR_IDS = ("volterra-quadratic", "linear-smoothing")

@@ -375,7 +375,7 @@ def test_overflow_prints_only_the_error_line(tmp_path):
          "--h-file", str(tmp_path / "h.csv"), "--out-dir", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr == "dsmflow: error: dist_h is not finite: nan\n"
+    assert proc.stderr == "dsmflow: error: dist_h is not finite: inf\n"
     assert proc.stdout == ""
 
 
@@ -414,3 +414,57 @@ def test_verify_non_finite_constant_exits_1(tmp_path, capsys):
                "--radius", 1e300, "--out-dir", out) == 1
     assert capsys.readouterr().err.startswith("dsmflow: error: c_lip is not finite")
     assert not out.exists()
+
+
+# --- property: probe-loss, compare-newton and classical-ift never fail with a
+# traceback; a report is written only on the exits that promise one ----------
+
+def _reports_after(code, out, writes_on):
+    assert code in (0, 1, 2)
+    reports = list(out.glob("*.json"))
+    assert len(reports) == (code in writes_on)
+    for report in reports:
+        load_strict(report)
+
+
+@settings(max_examples=30, deadline=None)
+@given(operator=st.sampled_from(["volterra-quadratic", "linear-smoothing"]),
+       k_max=st.integers(min_value=-3, max_value=8),
+       radius=_flag_values(_FLOATS), u_min=_flag_values(_FLOATS))
+def test_probe_loss_flags_exit_cleanly_with_strict_json(operator, k_max, radius, u_min):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run("probe-loss", "--n", 21, "--operator", operator, "--k-max", k_max,
+                   f"--radius={radius!r}", f"--u-min={u_min!r}", "--out-dir", out)
+        _reports_after(code, out, (0,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(operator=st.sampled_from(["volterra-quadratic", "linear-smoothing"]),
+       family=st.sampled_from(["scaled-linear", "quadratic-perturb"]),
+       # p^2 x overflows its norms from |p| = 1e77 and its values from 1e155
+       param=st.one_of(_flag_values(_FLOATS), st.sampled_from([1e50, 1e77, 1e100, 1e154])),
+       u_min=_flag_values(_FLOATS), tol=_flag_values(_FLOATS),
+       max_iter=st.integers(min_value=-2, max_value=30))
+def test_compare_newton_flags_exit_cleanly_with_strict_json(operator, family, param, u_min,
+                                                             tol, max_iter):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run("compare-newton", "--n", 21, "--operator", operator, "--h-family", family,
+                   f"--param={param!r}", f"--u-min={u_min!r}", f"--tol={tol!r}",
+                   "--max-iter", max_iter, "--out-dir", out)
+        # exit 2 is a Newton run that missed its tolerance, and is reported
+        _reports_after(code, out, (0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_flag_values(_FLOATS), epsilon=_flag_values(_FLOATS), m=_flag_values(_FLOATS),
+       tol=_flag_values(_FLOATS), max_iter=st.integers(min_value=-2, max_value=300))
+def test_classical_ift_flags_exit_cleanly_with_strict_json(p, epsilon, m, tol, max_iter):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run("classical-ift", "--n", 21, f"--p={p!r}", f"--epsilon={epsilon!r}",
+                   f"--m={m!r}", f"--tol={tol!r}", "--max-iter", max_iter,
+                   "--out-dir", out)
+        # exit 2 is an iterate that escaped or ran out of iterations, and is reported
+        _reports_after(code, out, (0, 2))

@@ -16,8 +16,6 @@ from dsmflow.flow import (
     decay_fit,
     euler_step,
     integrate_flow,
-    lipschitz_probe,
-    pair_lipschitz_ratio,
     residual,
     rk4_step,
     verify_trajectory_bounds,
@@ -29,9 +27,8 @@ from dsmflow.operators import (
     LinearSmoothing,
     ProblemSetup,
     QuadraticVolterra,
-    dsm_vector_field,
 )
-from dsmflow.sampling import BLOCK_ELEMENTS, sample_in_ball
+from dsmflow.sampling import sample_in_ball
 from dsmflow.scale import GridFunction, ball_distance, sobolev_norm
 
 from oracles import heron_sqrt
@@ -219,18 +216,19 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     vf_calls = []
     eval_calls = []
     original_vf = flow_module.dsm_vector_field
-    original_eval = QuadraticVolterra.eval
+    original_eval = QuadraticVolterra._eval
 
     def counting_vf(*args):
         vf_calls.append(None)
         return original_vf(*args)
 
+    # F is evaluated on values by `_eval`, which the public `eval` wraps
     def counting_eval(self, u):
         eval_calls.append(None)
         return original_eval(self, u)
 
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
-    monkeypatch.setattr(QuadraticVolterra, "eval", counting_eval)
+    monkeypatch.setattr(QuadraticVolterra, "_eval", counting_eval)
     h = scaled_linear_h(201, 1.1)
     traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0))
     steps = 20
@@ -252,6 +250,96 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
         assert np.array_equal(recorded.values, u.values)
     assert len(traj.recorded_u) == 21
     assert np.array_equal(traj.final_u.values, u.values)
+
+
+# --- bit identity with GridFunction arithmetic ---------------------------------
+
+def reference_flow(p, u0, h, cfg):
+    """``integrate_flow`` written in GridFunction arithmetic: the stage
+    points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g and
+    the distances through the public operators, norms and distances."""
+    op = p.operator
+
+    def residual_field(u):
+        r = op.eval(u) - h
+        return r, sobolev_norm(r, p.a + p.delta)
+
+    def velocity(u):
+        return -op.solve_derivative(u, op.eval(u) - h)
+
+    dt = cfg.dt
+    r, g = residual_field(u0)
+    threshold = cfg.eps_rel * g + cfg.eps_abs
+    samples = [TrajectorySample(0.0, g, 0.0, ball_distance(u0, p.U, p.a))]
+    recorded = [u0]
+    if g <= threshold:
+        return samples, recorded, u0, STOP_CONVERGED
+    u = u0
+    for k in range(1, cfg.steps + 1):
+        try:
+            k1 = -op.solve_derivative(u, r)
+            if cfg.scheme == "euler":
+                u_next = u + dt * k1
+            else:
+                k2 = velocity(u + (dt / 2.0) * k1)
+                k3 = velocity(u + (dt / 2.0) * k2)
+                k4 = velocity(u + dt * k3)
+                u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            r, g = residual_field(u_next)
+        except DegenerateCoefficient:
+            return samples, recorded, u, STOP_DEGENERATE
+        if not math.isfinite(g):
+            return samples, recorded, u, STOP_DEGENERATE
+        u = u_next
+        dist_U = ball_distance(u, p.U, p.a)
+        converged = g <= threshold
+        exited = cfg.enforce_ball and dist_U > p.R
+        if k % cfg.record_stride == 0 or converged or exited or k == cfg.steps:
+            samples.append(TrajectorySample(k * dt, g, ball_distance(u, u0, p.a), dist_U))
+            recorded.append(u)
+        if converged:
+            return samples, recorded, u, STOP_CONVERGED
+        if exited:
+            return samples, recorded, u, STOP_BALL_EXIT
+    return samples, recorded, u, STOP_HORIZON
+
+
+def assert_flow_matches_reference(p, u0, h, cfg):
+    traj = integrate_flow(p, u0, h, cfg)
+    samples, recorded, final_u, stop = reference_flow(p, u0, h, cfg)
+    assert traj.stop_reason == stop
+    assert len(traj.samples) == len(samples) == len(traj.recorded_u) == len(recorded)
+    for got, want in zip(traj.samples, samples):
+        assert np.array_equal([got.t, got.g, got.dist_u0, got.dist_U],
+                              [want.t, want.g, want.dist_u0, want.dist_U])
+    for got, want in zip(traj.recorded_u, recorded):
+        assert np.array_equal(got.values, want.values)
+    assert np.array_equal(traj.final_u.values, final_u.values)
+    return traj
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
+                                      pytest.param(LinearSmoothing(), id="linear")])
+@pytest.mark.parametrize("n", [201, 2001])
+def test_flow_is_bit_identical_to_grid_function_arithmetic(operator, scheme, n):
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
+    u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
+    cfg = FlowConfig(scheme=scheme, eps_rel=1e-3, record_stride=3)
+    traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
+    assert traj.stop_reason == STOP_CONVERGED
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("enforce_ball, stop", [(False, STOP_DEGENERATE),
+                                                (True, STOP_BALL_EXIT)])
+def test_flow_failures_are_bit_identical_to_grid_function_arithmetic(
+        setup201, scheme, enforce_ball, stop):
+    x = setup201.U.x
+    h = GridFunction(x - 2.0 * x * x)  # h' = 1 - 4x crosses zero
+    cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball)
+    traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
+    assert traj.stop_reason == stop
 
 
 # --- decay fit -----------------------------------------------------------------
@@ -335,119 +423,6 @@ def test_bounds_require_converged_trajectory():
     traj = Trajectory(samples, (u,), u, 0.0, STOP_HORIZON, 1)
     with pytest.raises(ValueError):
         verify_trajectory_bounds(traj, 1.0)
-
-
-# --- Lipschitz probe ----------------------------------------------------------
-
-def test_linear_smoothing_field_difference_is_identity_map():
-    setup = ProblemSetup.from_reference(
-        LinearSmoothing(), GridFunction.constant(1.0, 201), 0.5)
-    h = GridFunction(setup.U.x)
-    report = lipschitz_probe(setup, h, sample_count=50, seed=42)
-    assert abs(report.max_ratio - 1.0) <= 5e-3
-    assert report.skipped == 0
-    other = lipschitz_probe(setup, setup.f + 0.3, sample_count=50, seed=42)
-    assert abs(report.max_ratio - other.max_ratio) <= 1e-10
-
-
-def test_volterra_probe_stable_across_seeds():
-    setup = ProblemSetup.from_reference(
-        QuadraticVolterra(), GridFunction.constant(1.0, 201), 0.1)
-    h = GridFunction(setup.U.x + 0.05 * setup.U.x**2)
-    r1 = lipschitz_probe(setup, h, sample_count=200, seed=42)
-    r2 = lipschitz_probe(setup, h, sample_count=200, seed=43)
-    assert math.isfinite(r1.max_ratio)
-    assert abs(r1.max_ratio - r2.max_ratio) <= 0.25 * max(r1.max_ratio, r2.max_ratio)
-    assert r1.max_split_ratio >= r1.max_ratio - 1e-12
-
-
-def test_pair_ratio_skips_identical_points(setup201):
-    u = setup201.U + 0.01
-    assert pair_lipschitz_ratio(setup201, u, u, setup201.f) is None
-
-
-def test_pair_ratio_skips_guarded_points(setup201):
-    u = GridFunction.constant(0.05, 201)  # below the division guard
-    v = setup201.U
-    assert pair_lipschitz_ratio(setup201, u, v, setup201.f) is None
-
-
-def reference_pair_ratio(p, u, v, h):
-    """The per-pair ratios, one function at a time."""
-    denom = ball_distance(u, v, p.a)
-    if denom < 1e-14:
-        return None
-    op = p.operator
-    try:
-        direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
-        resid_u = op.eval(u) - h
-        i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
-        i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
-    except DegenerateCoefficient:
-        return None
-    return direct / denom, (i1 + i2) / denom
-
-
-def reference_lipschitz_probe(p, h, sample_count, seed):
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(sample_count):
-        u = sample_in_ball(rng, p.U, p.R, p.a)
-        v = sample_in_ball(rng, p.U, p.R, p.a)
-        pair = reference_pair_ratio(p, u, v, h)
-        if pair is not None:
-            ratios.append(pair)
-    return (max(r[0] for r in ratios), max(r[1] for r in ratios), len(ratios),
-            sample_count - len(ratios))
-
-
-@pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
-                                      pytest.param(LinearSmoothing(), id="linear")])
-@pytest.mark.parametrize("n, samples", [(201, 50), (2001, 10), (4097, 12)])
-def test_block_probe_matches_per_pair_loop(operator, n, samples):
-    rows = max(1, BLOCK_ELEMENTS // n)
-    assert rows == 1 or samples % rows != 0
-    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.1)
-    h = GridFunction(setup.U.x + 0.05 * setup.U.x**2)
-    report = lipschitz_probe(setup, h, samples, 6)
-    max_ratio, max_split, used, skipped = reference_lipschitz_probe(setup, h, samples, 6)
-    assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
-    assert report.max_split_ratio == pytest.approx(max_split, rel=1e-12)
-    assert (report.pairs_used, report.skipped) == (used, skipped) == (samples, 0)
-
-
-def test_block_probe_skips_the_same_pairs():
-    setup = ProblemSetup.from_reference(
-        QuadraticVolterra(u_min=0.95), GridFunction.constant(1.0, 201), 0.5)
-    report = lipschitz_probe(setup, setup.f, 60, 4)
-    max_ratio, max_split, used, skipped = reference_lipschitz_probe(setup, setup.f, 60, 4)
-    assert 0 < report.skipped == skipped < 60
-    assert report.pairs_used == used
-    assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12)
-    assert report.max_split_ratio == pytest.approx(max_split, rel=1e-12)
-
-
-def test_block_probe_consumes_36_scalar_draws_per_pair(setup201, monkeypatch):
-    created = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: created.append(default_rng(seed)) or created[-1])
-    lipschitz_probe(setup201, setup201.f, 45, 2)
-    monkeypatch.undo()
-    ref = np.random.default_rng(2)
-    for _ in range(45 * 36):
-        ref.uniform(0.0, 1.0)
-    assert created[0].bit_generator.state == ref.bit_generator.state
-
-
-def test_pair_ratio_matches_the_per_pair_math(setup201):
-    rng = np.random.default_rng(3)
-    h = setup201.f + 0.01
-    for _ in range(5):
-        u = sample_in_ball(rng, setup201.U, 0.05, 1)
-        v = sample_in_ball(rng, setup201.U, 0.05, 1)
-        got = pair_lipschitz_ratio(setup201, u, v, h)
-        assert got == pytest.approx(reference_pair_ratio(setup201, u, v, h), rel=1e-12)
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -98,6 +98,13 @@ def test_newton_divergence_recorded_not_raised(setup201):
     assert all(math.isfinite(s.residual) for s in record.steps)
 
 
+def test_newton_budget_must_be_nonnegative(setup201):
+    with pytest.raises(ValueError, match="^max_iter must be nonnegative"):
+        newton_solve(setup201, setup201.U, setup201.f, max_iter=-1)
+    record = newton_solve(setup201, setup201.U, setup201.f + 0.01, max_iter=0)
+    assert [s.k for s in record.steps] == [0] and not record.converged
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_newton_non_finite_initial_residual_raises(setup201):
     h = GridFunction(1e160 * setup201.U.x)

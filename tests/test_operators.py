@@ -141,6 +141,27 @@ def test_vector_field_constant_for_scaled_linear_h(setup201):
     assert np.max(np.abs(vf.values - expected)) <= 1e-12
 
 
+def test_vector_field_checks_grids_and_guard(setup201):
+    with pytest.raises(GridMismatchError):
+        dsm_vector_field(setup201, setup201.U, GridFunction.constant(1.0, 101))
+    with pytest.raises(DegenerateCoefficient):
+        dsm_vector_field(setup201, GridFunction.constant(0.05, 201), setup201.f)
+
+
+@pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
+                                      pytest.param(LinearSmoothing(), id="linear")])
+def test_results_are_read_only_and_unshared(operator):
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 51), 0.05)
+    u = GridFunction.from_callable(lambda x: 1.0 + 0.1 * x, 51)
+    psi = GridFunction.from_callable(lambda x: x * x, 51)
+    for out in (operator.eval(u), operator.solve_derivative(u, psi),
+                dsm_vector_field(p, u, psi)):
+        assert out.values.dtype == np.float64
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, u.values)
+        assert not np.shares_memory(out.values, psi.values)
+
+
 # --- consistency identities ------------------------------------------------
 
 def test_frechet_remainder_is_second_order(setup201):

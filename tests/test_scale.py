@@ -76,6 +76,53 @@ def test_unsupported_index_rejected():
             sobolev_norm(f, a)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_norm_whose_squares_overflow_is_inf(a):
+    # the squares' sum overflows, and from a = 1 on so does the sum of the two
+    # end squares (1e308 each): inf - inf must not come out NaN
+    f = grid_fn(lambda x: 1e154 * x, n=21)
+    assert sobolev_norm(f, a) == math.inf
+    x = grid_fn(lambda x: x, n=21)
+    batch = GridFunction._trusted(np.stack([f.values, x.values]))
+    assert np.array_equal(sobolev_norm(batch, a), [math.inf, sobolev_norm(x, a)])
+
+
+def test_norm_of_nan_values_stays_nan():
+    f = GridFunction._trusted(np.array([0.0, np.nan, 1.0]))
+    assert math.isnan(sobolev_norm(f, 0))
+
+
+def reference_derivative(v, dx):
+    d = np.empty_like(v)
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
+    d[..., 0] = (4.0 * (v[..., 1] - v[..., 0]) - (v[..., 2] - v[..., 0])) / (2.0 * dx)
+    d[..., -1] = (4.0 * (v[..., -1] - v[..., -2]) - (v[..., -1] - v[..., -3])) / (2.0 * dx)
+    return d
+
+
+def reference_sobolev_norm(v, dx, a):
+    total = 0.0
+    for _ in range(a + 1):
+        sq = v * v
+        total = total + dx * (sq.sum(axis=-1) - 0.5 * (sq[..., 0] + sq[..., -1]))
+        v = reference_derivative(v, dx)
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("shape", [(3,), (201,), (7, 201), (2001,)])
+def test_kernels_equal_their_one_expression_forms(shape):
+    # the kernels compute in place, in the same order as these expressions
+    v = np.random.default_rng(shape[-1]).uniform(-2.0, 2.0, size=shape)
+    f = GridFunction._trusted(v)
+    assert np.array_equal(derivative(f).values, reference_derivative(v, f.dx))
+    integral = np.zeros_like(v)
+    integral[..., 1:] = np.cumsum((v[..., 1:] + v[..., :-1]) * (f.dx / 2.0), axis=-1)
+    assert np.array_equal(integrate_from_zero(f).values, integral)
+    for a in (0, 1, 2):
+        assert np.array_equal(sobolev_norm(f, a), reference_sobolev_norm(v, f.dx, a))
+
+
 # --- derivative ------------------------------------------------------------
 
 def test_derivative_of_constant_is_exactly_zero():
