@@ -27,6 +27,7 @@ from dsmflow.operators import (
     LinearSmoothing,
     ProblemSetup,
     QuadraticVolterra,
+    dsm_vector_field,
 )
 from dsmflow.sampling import sample_in_ball
 from dsmflow.scale import GridFunction, ball_distance, sobolev_norm
@@ -423,6 +424,82 @@ def test_bounds_require_converged_trajectory():
     traj = Trajectory(samples, (u,), u, 0.0, STOP_HORIZON, 1)
     with pytest.raises(ValueError):
         verify_trajectory_bounds(traj, 1.0)
+
+
+# --- Lipschitz behaviour of the vector field ---------------------------------
+
+def field_ratios(p, u, v, h):
+    """||Phi(u) - Phi(v)||_a / ||u - v||_a for the velocity Phi and its
+    triangle-inequality split bound, or None for coinciding or guarded points."""
+    denom = ball_distance(u, v, p.a)
+    if denom < 1e-14:
+        return None
+    op = p.operator
+    try:
+        direct = sobolev_norm(dsm_vector_field(p, u, h) - dsm_vector_field(p, v, h), p.a)
+        resid_u = op.eval(u) - h
+        i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), p.a)
+        i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), p.a)
+    except DegenerateCoefficient:
+        return None
+    return direct / denom, (i1 + i2) / denom
+
+
+def sampled_field_ratios(p, h, sample_count, seed):
+    """The ratios of `field_ratios` over random pairs in the ball, and the
+    number of pairs skipped."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(sample_count):
+        u = sample_in_ball(rng, p.U, p.R, p.a)
+        v = sample_in_ball(rng, p.U, p.R, p.a)
+        pair = field_ratios(p, u, v, h)
+        if pair is not None:
+            ratios.append(pair)
+    return ratios, sample_count - len(ratios)
+
+
+def test_linear_smoothing_field_difference_is_identity_map():
+    setup = ProblemSetup.from_reference(
+        LinearSmoothing(), GridFunction.constant(1.0, 201), 0.5)
+    h = GridFunction(setup.U.x)
+    ratios, skipped = sampled_field_ratios(setup, h, 50, 42)
+    max_ratio = max(r[0] for r in ratios)
+    assert abs(max_ratio - 1.0) <= 5e-3
+    assert skipped == 0
+    other, _ = sampled_field_ratios(setup, setup.f + 0.3, 50, 42)
+    assert abs(max_ratio - max(r[0] for r in other)) <= 1e-10
+
+
+def test_volterra_probe_stable_across_seeds():
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(), GridFunction.constant(1.0, 201), 0.1)
+    h = GridFunction(setup.U.x + 0.05 * setup.U.x**2)
+    r1, _ = sampled_field_ratios(setup, h, 200, 42)
+    r2, _ = sampled_field_ratios(setup, h, 200, 43)
+    max1, max2 = max(r[0] for r in r1), max(r[0] for r in r2)
+    assert math.isfinite(max1)
+    assert abs(max1 - max2) <= 0.25 * max(max1, max2)
+    assert max(r[1] for r in r1) >= max1 - 1e-12
+
+
+def test_pair_ratio_matches_the_per_pair_math(setup201):
+    rng = np.random.default_rng(3)
+    h = setup201.f + 0.01
+    pairs = [(sample_in_ball(rng, setup201.U, 0.05, 1), sample_in_ball(rng, setup201.U, 0.05, 1))
+             for _ in range(5)]
+    u = GridFunction._trusted(np.stack([pu.values for pu, _ in pairs]))
+    v = GridFunction._trusted(np.stack([pv.values for _, pv in pairs]))
+    op, a = setup201.operator, setup201.a
+    denom = ball_distance(u, v, a)
+    direct = sobolev_norm(dsm_vector_field(setup201, u, h) - dsm_vector_field(setup201, v, h), a)
+    resid_u = op.eval(u) - h
+    i1 = sobolev_norm(op.solve_derivative(u, resid_u) - op.solve_derivative(v, resid_u), a)
+    i2 = sobolev_norm(op.solve_derivative(v, op.eval(u) - op.eval(v)), a)
+    assert direct.shape == denom.shape == (5,)
+    for row, (pu, pv) in enumerate(pairs):
+        got = (direct[row] / denom[row], (i1[row] + i2[row]) / denom[row])
+        assert got == pytest.approx(field_ratios(setup201, pu, pv, h), rel=1e-12)
 
 
 # --- CSV ----------------------------------------------------------------------
