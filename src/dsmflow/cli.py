@@ -221,6 +221,8 @@ def _flow_summary(traj) -> dict:
         "final_t": traj.final_t,
         "g0": traj.g0,
         "g_final": traj.g_final,
+        "steps": traj.steps,
+        "vf_evals": traj.vf_evals,
     }
 
 
@@ -327,28 +329,29 @@ def cmd_classical_ift(args) -> int:
     def phi(z: GridFunction) -> GridFunction:
         return z + z * z
 
-    outputs = _outputs(args, solution="contraction_solution.csv",
-                       summary="classical_ift.json")
     try:
         z = contraction_solve(phi, p_rhs, cfg)
     except (ContractionEscapeError, ConvergenceError) as exc:
-        _write_report(args, inputs, outputs, "summary",
-                      {"solved": False, "reason": str(exc)})
-        return EXIT_FAILED
+        z, payload = None, {"solved": False, "reason": str(exc)}
+    else:
+        payload = {
+            "solved": True,
+            "defect": sobolev_norm(phi(z) - p_rhs, 0),
+            "z_min": z.min(),
+            "z_max": z.max(),
+        }
+        if args.p_file is None:
+            oracle = (-1.0 + math.sqrt(1.0 + 4.0 * args.p)) / 2.0
+            payload["oracle"] = oracle
+            payload["oracle_max_error"] = float(max(abs(v - oracle) for v in z.values))
 
-    payload = {
-        "solved": True,
-        "defect": sobolev_norm(phi(z) - p_rhs, 0),
-        "z_min": z.min(),
-        "z_max": z.max(),
-    }
-    if args.p_file is None:
-        oracle = (-1.0 + math.sqrt(1.0 + 4.0 * args.p)) / 2.0
-        payload["oracle"] = oracle
-        payload["oracle_max_error"] = float(max(abs(v - oracle) for v in z.values))
-    write_grid_csv(z, outputs["solution"])
+    # an input contraction_solve rejects (exit 1) leaves no directory behind
+    outputs = _outputs(args, solution="contraction_solution.csv",
+                       summary="classical_ift.json")
+    if z is not None:
+        write_grid_csv(z, outputs["solution"])
     _write_report(args, inputs, outputs, "summary", payload)
-    return EXIT_OK
+    return EXIT_FAILED if z is None else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DegenerateCoefficient, ProblemSetup, dsm_vector_field
+from .operators import DegenerateCoefficient, ProblemSetup, _residual_into, dsm_vector_field
 from .scale import (
     GridFunction,
-    _distance,
+    Workspace,
+    _norm,
     _write_csv_rows,
     ball_distance,
     require_same_grid,
-    sobolev_norm,
 )
 
 STOP_CONVERGED = "converged"
@@ -102,7 +102,9 @@ class Trajectory:
 
     ``recorded_u`` keeps the iterate at each recorded sample so drift bounds
     against the limit can be re-checked after the fact; ``a`` is the scale
-    index those distances are measured in.
+    index those distances are measured in. ``steps`` counts the accepted
+    steps and ``vf_evals`` the velocities they computed (four per RK4 step,
+    one per Euler step).
     """
 
     samples: tuple[TrajectorySample, ...]
@@ -111,6 +113,8 @@ class Trajectory:
     final_t: float
     stop_reason: str
     a: int
+    steps: int = 0
+    vf_evals: int = 0
 
     @property
     def g0(self) -> float:
@@ -124,45 +128,91 @@ class Trajectory:
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
     require_same_grid(u, h)
-    return _residual_field(p, u, h)[1]
+    shape = np.broadcast(u.values, h.values).shape
+    return _residual(p, u.values, h.values, Workspace(shape))
 
 
-def _residual_field(p: ProblemSetup, u: GridFunction,
-                    h: GridFunction) -> tuple[GridFunction, float]:
-    """F(u) - h together with its H_{a+delta} norm, for u and h on one grid."""
-    r = GridFunction._trusted(p.operator._eval(u.values) - h.values)
-    return r, sobolev_norm(r, p.a + p.delta)
+def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
+    """``residual`` on values, with F(u) - h left in ``ws.res[0]``."""
+    _residual_into(p, u, h, ws)
+    return _norm(ws.res, p.a + p.delta, ws)
 
 
-def euler_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
-               k1: GridFunction | None = None) -> GridFunction:
+def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
+    """``ball_distance`` on values."""
+    np.subtract(u, v, out=ws.dif[0])
+    return _norm(ws.dif, a, ws)
+
+
+def euler_step(p: ProblemSetup, u, h, dt: float, k1: GridFunction | None = None,
+               ws: Workspace | None = None):
     """One explicit Euler step; with dt = 1 this is one Newton step.
 
     ``k1``, when given, is the velocity at u, as ``dsm_vector_field`` would
-    compute it.
+    compute it. ``integrate_flow`` passes its workspace instead: then u and
+    h are value arrays, ``ws.k1`` holds the negated velocity
+    A(u)^{-1}(F(u) - h), and the new iterate is returned as a fresh array.
     """
-    if k1 is None:
-        k1 = dsm_vector_field(p, u, h)
-    return GridFunction._trusted(u.values + dt * k1.values)
+    if ws is None:
+        return _public_step(_euler, p, u, h, dt, k1)
+    return _euler(p, u, h, dt, ws)
 
 
-def rk4_step(p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
-             k1: GridFunction | None = None) -> GridFunction:
-    """One classical Runge-Kutta step; ``k1`` as in ``euler_step``.
+def rk4_step(p: ProblemSetup, u, h, dt: float, k1: GridFunction | None = None,
+             ws: Workspace | None = None):
+    """One classical Runge-Kutta step; ``k1`` and ``ws`` as in ``euler_step``.
 
-    The stage points and the final combination are formed on the value
-    arrays, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4).
+    The stage points and the final combination are computed in the
+    workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4).
     """
-    if k1 is None:
-        k1 = dsm_vector_field(p, u, h)
-    u, k1 = u.values, k1.values
-    k2 = dsm_vector_field(p, GridFunction._trusted(u + (dt / 2.0) * k1), h).values
-    k3 = dsm_vector_field(p, GridFunction._trusted(u + (dt / 2.0) * k2), h).values
-    k4 = dsm_vector_field(p, GridFunction._trusted(u + dt * k3), h).values
-    return GridFunction._trusted(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    if ws is None:
+        return _public_step(_rk4, p, u, h, dt, k1)
+    return _rk4(p, u, h, dt, ws)
 
 
 _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
+_VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
+
+
+def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
+                 k1: GridFunction | None) -> GridFunction:
+    """A step on grid functions, in a workspace of its own."""
+    require_same_grid(u, h)
+    if k1 is None:
+        k1 = dsm_vector_field(p, u, h)
+    require_same_grid(u, k1)
+    ws = Workspace(k1.values.shape)
+    np.negative(k1.values, out=ws.k1)
+    return GridFunction._trusted(body(p, u.values, h.values, dt, ws))
+
+
+# The steps negate the stored -k1 exactly: (dt c) * (-s) is -((dt c) * s),
+# u + (-y) is u - y, and (-s) + y is y - s.
+
+def _euler(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
+           ws: Workspace) -> np.ndarray:
+    """u + dt k1."""
+    return np.subtract(u, np.multiply(ws.k1, dt, out=ws.stage))
+
+
+def _rk4(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
+         ws: Workspace) -> np.ndarray:
+    """u + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), the sum built up in ``ws.k1``
+    as each stage velocity arrives in ``ws.k2``."""
+    total, k, stage = ws.k1, ws.k2, ws.stage
+    np.subtract(u, np.multiply(total, dt / 2.0, out=stage), out=stage)  # u + dt/2 k1
+    dsm_vector_field(p, stage, h, ws, k)                                # k2
+    np.add(u, np.multiply(k, dt / 2.0, out=stage), out=stage)           # u + dt/2 k2
+    k *= 2.0
+    np.subtract(k, total, out=total)                                    # k1 + 2 k2
+    dsm_vector_field(p, stage, h, ws, k)                                # k3
+    np.add(u, np.multiply(k, dt, out=stage), out=stage)                 # u + dt k3
+    k *= 2.0
+    total += k                                                          # ... + 2 k3
+    dsm_vector_field(p, stage, h, ws, k)                                # k4
+    total += k
+    total *= dt / 6.0
+    return np.add(u, total)
 
 
 def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
@@ -180,32 +230,37 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     Every accepted iterate has a finite residual, and so finite values. The
     residual F(u) - h of each accepted step also gives the next step's
     stage-one velocity -A(u)^{-1}(F(u) - h), so F is evaluated once less per
-    step with the same arithmetic. The loop runs on value arrays; only each
-    step's iterate is wrapped, as the ``GridFunction`` the trajectory records.
+    step with the same arithmetic. Everything runs in one ``Workspace``: the
+    only array each step allocates is its new iterate, wrapped as a
+    ``GridFunction`` when the trajectory records it.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
     require_same_grid(h, p.f)
     step = _STEPPERS[cfg.scheme]
+    solve = p.operator.solve_derivative
+    ws = Workspace(u0.values.shape)
+    a, hv, U, start = p.a, h.values, p.U.values, u0.values
 
-    r, g0 = _residual_field(p, u0, h)
+    g0 = _residual(p, start, hv, ws)
     if not math.isfinite(g0):
         raise ValueError(f"initial residual g(0) is not finite: {g0!r}")
     threshold = cfg.eps_rel * g0 + cfg.eps_abs
-    U, start = p.U.values, u0.values
-    samples = [TrajectorySample(0.0, g0, 0.0, _distance(start, U, p.a))]
+    samples = [TrajectorySample(0.0, g0, 0.0, _distance(start, U, a, ws))]
     recorded = [u0]
     if g0 <= threshold:
-        return Trajectory(tuple(samples), tuple(recorded), u0, 0.0, STOP_CONVERGED, p.a)
+        return Trajectory(tuple(samples), tuple(recorded), u0, 0.0, STOP_CONVERGED, a)
 
-    u = u0
+    u = start
     t = 0.0
+    steps = 0
     stop = STOP_HORIZON
     n_steps = cfg.steps
     for k in range(1, n_steps + 1):
         try:
-            u_next = step(p, u, h, cfg.dt, -p.operator.solve_derivative(u, r))
-            r, g = _residual_field(p, u_next, h)
+            solve(u, ws.res[0], ws, ws.k1)
+            u_next = step(p, u, hv, cfg.dt, ws=ws)
+            g = _residual(p, u_next, hv, ws)
         except DegenerateCoefficient:
             stop = STOP_DEGENERATE
             break
@@ -214,19 +269,22 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             break
         t = k * cfg.dt
         u = u_next
-        dist_U = _distance(u.values, U, p.a)
+        steps = k
+        dist_U = _distance(u, U, a, ws)
         converged = g <= threshold
         exited = cfg.enforce_ball and dist_U > p.R
         if k % cfg.record_stride == 0 or converged or exited or k == n_steps:
-            samples.append(TrajectorySample(t, g, _distance(u.values, start, p.a), dist_U))
-            recorded.append(u)
+            samples.append(TrajectorySample(t, g, _distance(u, start, a, ws), dist_U))
+            recorded.append(GridFunction._trusted(u))
         if converged:
             stop = STOP_CONVERGED
             break
         if exited:
             stop = STOP_BALL_EXIT
             break
-    return Trajectory(tuple(samples), tuple(recorded), u, t, stop, p.a)
+    final_u = recorded[-1] if recorded[-1].values is u else GridFunction._trusted(u)
+    return Trajectory(tuple(samples), tuple(recorded), final_u, t, stop, a,
+                      steps, steps * _VELOCITIES_PER_STEP[cfg.scheme])
 
 
 def decay_fit(traj: Trajectory) -> tuple[float, float]:

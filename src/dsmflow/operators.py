@@ -23,7 +23,9 @@ import numpy as np
 
 from .scale import (
     GridFunction,
-    derivative,
+    Workspace,
+    _derivative,
+    _integrate,
     integrate_from_zero,
     require_same_grid,
     sobolev_norm,
@@ -43,10 +45,11 @@ class ScaleOperator(ABC):
     ``a`` is the domain index and ``delta`` the smoothing gain: images of
     ``eval`` have finite H_{a+delta} norm.
 
-    F and A(u)^{-1} are written once each, on value arrays along the last
-    axis (``_eval`` and ``_solve``, which may mark their arguments read-only
-    and return fresh arrays); ``eval``, ``solve_derivative`` and
-    ``dsm_vector_field`` wrap them. Each built-in defines its public methods
+    F and A(u)^{-1} are written on value arrays along the last axis
+    (``_eval`` and ``_solve``), into a given array with scratch from a
+    ``Workspace``; ``solve_derivative``, ``dsm_vector_field`` and the flow
+    run on them. ``eval`` states F in grid-function arithmetic on the same
+    scale kernels, bit for bit. Each built-in defines its public methods
     itself, where the traced benchmark wraps them.
     """
 
@@ -61,18 +64,31 @@ class ScaleOperator(ABC):
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
         """Apply A(u) = F'(u) to the direction q; linear in q."""
 
-    @abstractmethod
-    def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
-        """Apply A(u)^{-1} to psi."""
+    def solve_derivative(self, u, psi, ws: Workspace | None = None,
+                         out: np.ndarray | None = None):
+        """Apply A(u)^{-1} to psi.
+
+        Given a workspace, u and psi are value arrays and the result is
+        written into ``out``, which is returned; otherwise a fresh grid
+        function. Raises ``DegenerateCoefficient`` when u trips the guard.
+        """
+        if ws is not None:
+            return self._solve(u, psi, out, ws)
+        require_same_grid(u, psi)
+        shape = np.broadcast(u.values, psi.values).shape
+        return GridFunction._trusted(
+            self._solve(u.values, psi.values, np.empty(shape), Workspace(shape)))
 
     @abstractmethod
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        """F(u) on values."""
+    def _eval(self, u: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+        """F(u) on values, written into ``out``, which is returned."""
 
     @abstractmethod
-    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """A(u)^{-1} psi on values; raises ``DegenerateCoefficient`` when a
-        row of u trips the guard."""
+    def _solve(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray, ws: Workspace,
+               sign: float = 1.0) -> np.ndarray:
+        """``sign`` * A(u)^{-1} psi on values, written into ``out``, which is
+        returned; raises ``DegenerateCoefficient`` when a row of u trips the
+        guard. ``sign`` is 1 or -1, and -1 gives exactly the negation."""
 
     def below_guard(self, u: GridFunction) -> np.ndarray:
         """Whether each row of u trips the guard on A(u)^{-1}: one bool for
@@ -104,25 +120,27 @@ class QuadraticVolterra(ScaleOperator):
             raise ValueError(f"u_min must be positive and finite, got {self.u_min!r}")
 
     def eval(self, u: GridFunction) -> GridFunction:
-        return GridFunction._trusted(self._eval(u.values))
+        return integrate_from_zero(u * u)
 
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
         require_same_grid(u, q)
         return 2.0 * integrate_from_zero(u * q)
 
-    def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
-        require_same_grid(u, psi)
-        return GridFunction._trusted(self._solve(u.values, psi.values))
+    def solve_derivative(self, u, psi, ws=None, out=None):
+        return super().solve_derivative(u, psi, ws, out)
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return integrate_from_zero(GridFunction._trusted(u * u)).values
+    def _eval(self, u, out, ws):
+        return _integrate(np.multiply(u, u, out=ws.sq[0]), ws.dx, out, ws.trap)
 
-    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        if self._below_guard(u).any():
+    def _solve(self, u, psi, out, ws, sign=1.0):
+        # count_nonzero answers `any` at half its cost on a flow's one row
+        if np.count_nonzero(self._below_guard(u)):
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        return derivative(GridFunction._trusted(psi)).values / (2.0 * u)
+        # psi' / (-2u) is -(psi' / (2u)) exactly
+        div = np.multiply(u, 2.0 * sign, out=ws.div)
+        return np.divide(_derivative(psi, ws.dx, out), div, out=out)
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         return u.min(axis=-1) < self.u_min
@@ -136,21 +154,20 @@ class LinearSmoothing(ScaleOperator):
     delta: int = field(default=1, init=False)
 
     def eval(self, u: GridFunction) -> GridFunction:
-        return GridFunction._trusted(self._eval(u.values))
+        return integrate_from_zero(u)
 
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
         require_same_grid(u, q)
         return integrate_from_zero(q)
 
-    def solve_derivative(self, u: GridFunction, psi: GridFunction) -> GridFunction:
-        require_same_grid(u, psi)
-        return GridFunction._trusted(self._solve(u.values, psi.values))
+    def solve_derivative(self, u, psi, ws=None, out=None):
+        return super().solve_derivative(u, psi, ws, out)
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return integrate_from_zero(GridFunction._trusted(u)).values
+    def _eval(self, u, out, ws):
+        return _integrate(u, ws.dx, out, ws.trap)
 
-    def _solve(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return derivative(GridFunction._trusted(psi)).values
+    def _solve(self, u, psi, out, ws, sign=1.0):
+        return _derivative(psi, sign * ws.dx, out)
 
 
 @dataclass(frozen=True)
@@ -193,11 +210,31 @@ class ProblemSetup:
         return cls(operator, U, operator.eval(U), radius)
 
 
-def dsm_vector_field(p: ProblemSetup, u: GridFunction, h: GridFunction) -> GridFunction:
-    """The Newton-flow velocity -A(u)^{-1} (F(u) - h)."""
+def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
+                     out: np.ndarray | None = None):
+    """The Newton-flow velocity -A(u)^{-1} (F(u) - h).
+
+    Given a workspace, u and h are value arrays, F(u) - h is left in
+    ``ws.res[0]`` and the velocity is written into ``out``, which is returned;
+    otherwise a fresh grid function.
+    """
+    if ws is not None:
+        return _velocity(p, u, h, ws, out)
     require_same_grid(u, h)
-    op = p.operator
-    return GridFunction._trusted(-op._solve(u.values, op._eval(u.values) - h.values))
+    shape = np.broadcast(u.values, h.values).shape
+    return GridFunction._trusted(
+        _velocity(p, u.values, h.values, Workspace(shape), np.empty(shape)))
+
+
+def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
+    """F(u) - h on values, written into ``ws.res[0]``, which is returned."""
+    r = ws.res[0]
+    return np.subtract(p.operator._eval(u, r, ws), h, out=r)
+
+
+def _velocity(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace,
+              out: np.ndarray) -> np.ndarray:
+    return p.operator._solve(u, _residual_into(p, u, h, ws), out, ws, -1.0)
 
 
 OPERATOR_IDS = ("volterra-quadratic", "linear-smoothing")

@@ -149,42 +149,109 @@ def check_scale_index(a: int) -> int:
     return int(a)
 
 
+class Workspace:
+    """Value arrays of one shape, reused by every kernel call of a flow solve.
+
+    ``integrate_flow`` makes one per solve and computes each stage point,
+    velocity, residual and distance into it through ``out=``; a public step,
+    velocity, solve or residual called on grid functions makes its own. The
+    slots are allocated on first use, so a one-off call allocates only the
+    arrays its kernels touch, and a flow all of them in its first step:
+    fourteen arrays of the grid's shape, about 14 * 8n bytes per function.
+
+    - ``stage``: an RK4 stage point, or the Euler increment;
+    - ``k1``: A(u)^{-1}(F(u) - h) at the iterate u, the negated velocity,
+      then the running RK4 sum; ``k2``: the latest stage velocity;
+    - ``div``: the divisor of A(u)^{-1}; ``trap``: the trapezoids of an
+      integral, one fewer per row;
+    - the blocks of three, each function above its derivatives, so that one
+      ``_l2_squared`` call takes every term of a norm: ``res`` holds
+      F(x) - h at the point being evaluated (``res[0]``), ``dif`` the
+      difference whose distance is measured, and ``sq`` their squares, and
+      u * u inside F.
+    """
+
+    SLOTS = ("stage", "k1", "k2", "div", "trap")
+    BLOCKS = ("res", "dif", "sq")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.dx = 1.0 / (shape[-1] - 1)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a slot not yet allocated
+        if name in Workspace.BLOCKS:
+            shape = (3,) + self.shape
+        elif name in Workspace.SLOTS:
+            shape = self.shape[:-1] + (self.shape[-1] - (name == "trap"),)
+        else:
+            raise AttributeError(name)
+        array = np.empty(shape)
+        setattr(self, name, array)
+        return array
+
+
+def _derivative(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """``derivative`` on values: writes it into ``out`` and returns ``out``.
+
+    With dx negated it writes the negated derivative, exactly: each node
+    divides by 2 dx once.
+    """
+    h2 = 2.0 * dx
+    inner = out[..., 1:-1]
+    np.subtract(v[..., 2:], v[..., :-2], out=inner)
+    inner /= h2
+    # difference-first form of the one-sided stencils: exact zero on constants.
+    # vt[k] is node k of every row, a scalar for a single function.
+    vt, ot = v.T, out.T
+    ot[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / h2
+    ot[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / h2
+    return out
+
+
 def derivative(f: GridFunction) -> GridFunction:
     """Second-order discrete derivative.
 
     Central differences at interior nodes, one-sided three-point stencils at
     the boundary nodes; exact on polynomials of degree <= 2.
     """
-    v = f.values
-    h2 = 2.0 * f.dx
-    d = np.empty_like(v)
-    inner = d[..., 1:-1]
-    np.subtract(v[..., 2:], v[..., :-2], out=inner)
-    inner /= h2
-    # difference-first form of the one-sided stencils: exact zero on constants.
-    # vt[k] is node k of every row, a scalar for a single function.
-    vt, dt = v.T, d.T
-    dt[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / h2
-    dt[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / h2
-    return GridFunction._trusted(d)
+    return GridFunction._trusted(_derivative(f.values, f.dx, np.empty_like(f.values)))
+
+
+def _integrate(v: np.ndarray, dx: float, out: np.ndarray,
+               trap: np.ndarray | None = None) -> np.ndarray:
+    """``integrate_from_zero`` on values: writes it into ``out``, with the
+    trapezoids in ``trap`` (a fresh array if None), and returns ``out``."""
+    trap = np.add(v[..., 1:], v[..., :-1], out=trap)
+    trap *= dx / 2.0
+    out[..., 0] = 0.0
+    np.add.accumulate(trap, axis=-1, out=out[..., 1:])
+    return out
 
 
 def integrate_from_zero(f: GridFunction) -> GridFunction:
     """Cumulative trapezoid integral; the result vanishes at x = 0."""
-    v = f.values
-    out = np.zeros(v.shape)
-    step = np.add(v[..., 1:], v[..., :-1])
-    step *= f.dx / 2.0
-    np.add.accumulate(step, axis=-1, out=out[..., 1:])
-    return GridFunction._trusted(out)
+    return GridFunction._trusted(_integrate(f.values, f.dx, np.zeros(f.values.shape)))
 
 
-def _l2_squared(values: np.ndarray, dx: float):
-    sq = values * values
+def _l2_squared(values: np.ndarray, dx: float, sq: np.ndarray | None = None):
+    """Squared trapezoid L2 norm of each row; the squares go into ``sq`` (a
+    fresh array if None)."""
+    sq = np.multiply(values, values, out=sq)
     total = np.add.reduce(sq, axis=-1)
     # The trapezoid sum never exceeds the plain sum, except that it is
     # inf - inf = NaN once both end squares overflow: fmin keeps the inf.
-    return np.fmin(dx * (total - 0.5 * (sq.T[0] + sq.T[-1])), total)
+    return np.fmin(dx * (total - 0.5 * (sq[..., 0] + sq[..., -1])), total)
+
+
+def _root_sum(parts):
+    """Square root of the sum of the squared L2 norms ``parts`` of a
+    function and its derivatives, added in that order."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    norm = np.sqrt(total)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def sobolev_norm(f: GridFunction, a: int):
@@ -196,13 +263,20 @@ def sobolev_norm(f: GridFunction, a: int):
     """
     check_scale_index(a)
     dx = f.dx
-    total = _l2_squared(f.values, dx)
-    cur = f
+    parts = [_l2_squared(f.values, dx)]
     for _ in range(a):
-        cur = derivative(cur)
-        total += _l2_squared(cur.values, dx)
-    norm = np.sqrt(total)
-    return float(norm) if norm.ndim == 0 else norm
+        f = derivative(f)
+        parts.append(_l2_squared(f.values, dx))
+    return _root_sum(parts)
+
+
+def _norm(terms: np.ndarray, a: int, ws: Workspace):
+    """``sobolev_norm`` of the values in ``terms[0]``, with its derivatives
+    written into ``terms[1:a + 1]``; ``terms`` is a block of the workspace,
+    and ``a`` at most 2, as every ``ProblemSetup`` checks."""
+    for i in range(a):
+        _derivative(terms[i], ws.dx, terms[i + 1])
+    return _root_sum(_l2_squared(terms[:a + 1], ws.dx, ws.sq[:a + 1]))
 
 
 def _take_rows(f: GridFunction, keep: np.ndarray) -> GridFunction:
@@ -213,13 +287,7 @@ def _take_rows(f: GridFunction, keep: np.ndarray) -> GridFunction:
 
 def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:
     """Distance ||u - center||_a between two functions on the same grid."""
-    require_same_grid(u, center)
-    return _distance(u.values, center.values, a)
-
-
-def _distance(u: np.ndarray, v: np.ndarray, a: int):
-    """``ball_distance`` on the values of two functions on one grid."""
-    return sobolev_norm(GridFunction._trusted(u - v), a)
+    return sobolev_norm(u - center, a)
 
 
 def _write_csv_rows(path, header, rows) -> None:

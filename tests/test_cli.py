@@ -58,6 +58,17 @@ def test_solve_scaled_linear_family(tmp_path):
     assert lines[0] == "t,g,dist_u0,dist_U"
 
 
+def test_flow_reports_count_steps_and_velocities(tmp_path):
+    # the canonical run, h = 1.21 x at n = 201: 341 RK4 steps of 4 velocities
+    assert run("solve", "--h-family", "scaled-linear", "--param", 1.1,
+               "--out-dir", tmp_path) == 0
+    assert run("compare-newton", "--h-family", "scaled-linear", "--param", 1.1,
+               "--out-dir", tmp_path) == 0
+    for flow in (load(tmp_path / "solve_summary.json"),
+                 load(tmp_path / "newton_comparison.json")["flow"]):
+        assert (flow["steps"], flow["vf_evals"]) == (341, 1364)
+
+
 def test_solve_trivial_inputs_converge_immediately(tmp_path):
     n = 201
     op = QuadraticVolterra()
@@ -208,6 +219,20 @@ def test_classical_ift_constant_rhs(tmp_path):
 
 def test_classical_ift_rhs_too_large_is_usage_error(tmp_path):
     assert run("classical-ift", "--p", 0.2, "--out-dir", tmp_path) == 1
+
+
+@pytest.mark.parametrize("flags, code", [(("--p", 0.2, "--epsilon", 0.3), 1),
+                                         (("--p", 0.1, "--max-iter", 1), 2)])
+def test_classical_ift_creates_out_dir_only_for_a_report(tmp_path, flags, code):
+    out = tmp_path / "out"
+    assert run("classical-ift", *flags, "--out-dir", out) == code
+    if code == 1:  # rejected input: no report and no directory
+        assert not out.exists()
+    else:
+        summary = load(out / "classical_ift.json")
+        assert summary["solved"] is False
+        assert summary["reason"] == "no fixed point within 1 iterations"
+        assert sorted(p.name for p in out.iterdir()) == ["classical_ift.json"]
 
 
 # --- manifest and error handling ----------------------------------------------------

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmflow.flow as flow_module
+import dsmflow.operators as operators_module
 from dsmflow.flow import (
     MAX_STEPS,
+    SCHEMES,
     STOP_BALL_EXIT,
     STOP_CONVERGED,
     STOP_DEGENERATE,
@@ -30,7 +34,7 @@ from dsmflow.operators import (
     dsm_vector_field,
 )
 from dsmflow.sampling import sample_in_ball
-from dsmflow.scale import GridFunction, ball_distance, sobolev_norm
+from dsmflow.scale import GridFunction, Workspace, ball_distance, sobolev_norm
 
 from oracles import heron_sqrt
 
@@ -223,10 +227,10 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
         vf_calls.append(None)
         return original_vf(*args)
 
-    # F is evaluated on values by `_eval`, which the public `eval` wraps
-    def counting_eval(self, u):
+    # F is evaluated on values, into the flow's workspace, by `_eval`
+    def counting_eval(self, *args):
         eval_calls.append(None)
-        return original_eval(self, u)
+        return original_eval(self, *args)
 
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
     monkeypatch.setattr(QuadraticVolterra, "_eval", counting_eval)
@@ -236,6 +240,27 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     assert traj.stop_reason == STOP_HORIZON and len(traj.samples) == steps + 1
     assert len(vf_calls) == 3 * steps
     assert len(eval_calls) == 4 * steps + 1  # one more for g(0)
+
+
+@pytest.mark.parametrize("scheme, steps, stride", [("rk4", 341, 1), ("euler", 332, 3)])
+def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride):
+    h = scaled_linear_h(201, 1.1)
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme,
+                                                              record_stride=stride))
+    assert traj.stop_reason == STOP_CONVERGED
+    assert traj.steps == steps == round(traj.final_t / 0.05)
+    assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * steps
+
+
+def test_trajectory_counts_only_accepted_steps(setup201):
+    x = setup201.U.x
+    h = GridFunction(x - 2.0 * x * x)  # stops `degenerate` inside step 6
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4))
+    assert traj.stop_reason == STOP_DEGENERATE and traj.final_t == 0.25
+    assert (traj.steps, traj.vf_evals) == (5, 20)
+    assert traj.samples[-1].t == 0.2  # step 5 itself was not recorded
+    at_solution = integrate_flow(setup201, setup201.U, setup201.f)
+    assert (at_solution.steps, at_solution.vf_evals) == (0, 0)
 
 
 @pytest.mark.parametrize("scheme, step", [("rk4", rk4_step), ("euler", euler_step)])
@@ -322,13 +347,40 @@ def assert_flow_matches_reference(p, u0, h, cfg):
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
                                       pytest.param(LinearSmoothing(), id="linear")])
-@pytest.mark.parametrize("n", [201, 2001])
+@pytest.mark.parametrize("n", [201, 2001, 20001])
 def test_flow_is_bit_identical_to_grid_function_arithmetic(operator, scheme, n):
     p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
-    cfg = FlowConfig(scheme=scheme, eps_rel=1e-3, record_stride=3)
+    t_max, stop = (1.0, STOP_HORIZON) if n == 20001 else (30.0, STOP_CONVERGED)
+    cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3)
     traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
-    assert traj.stop_reason == STOP_CONVERGED
+    assert traj.stop_reason == stop
+
+
+def flow_problem(operator, n, family, param=0.0):
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
+    x = p.U.x
+    h = {"scaled-linear": (1.0 + param) ** 2 * x,
+         "quadratic-perturb": x + param * x * x,
+         "degenerate": x - 2.0 * x * x}[family]  # h' = 1 - 4x crosses zero
+    return p, GridFunction(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator=st.sampled_from([QuadraticVolterra(), LinearSmoothing()]),
+       scheme=st.sampled_from(SCHEMES), dt=st.floats(0.02, 0.5),
+       t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
+       enforce_ball=st.booleans(), radius=st.floats(0.0, 0.1),
+       family=st.sampled_from(["scaled-linear", "quadratic-perturb", "degenerate"]),
+       param=st.floats(-0.3, 0.3), n=st.sampled_from([21, 201]), seed=st.integers(0, 2**16))
+def test_flow_equals_the_reference_flow_on_drawn_problems(
+        operator, scheme, dt, t_max, record_stride, enforce_ball, radius, family, param, n,
+        seed):
+    p, h = flow_problem(operator, n, family, param)
+    u0 = sample_in_ball(np.random.default_rng(seed), p.U, radius, 1)
+    cfg = FlowConfig(scheme=scheme, dt=dt, t_max=max(t_max, dt), eps_rel=1e-2,
+                     record_stride=record_stride, enforce_ball=enforce_ball)
+    assert_flow_matches_reference(p, u0, h, cfg)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
@@ -341,6 +393,79 @@ def test_flow_failures_are_bit_identical_to_grid_function_arithmetic(
     cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball)
     traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
     assert traj.stop_reason == stop
+
+
+# --- workspaces ----------------------------------------------------------------
+
+def assert_same_trajectory(got, want):
+    assert (got.stop_reason, got.final_t, got.steps, got.vf_evals, got.samples) == (
+        want.stop_reason, want.final_t, want.steps, want.vf_evals, want.samples)
+    assert len(got.recorded_u) == len(want.recorded_u)
+    for a, b in zip(got.recorded_u + (got.final_u,), want.recorded_u + (want.final_u,)):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_interleaved_flows_equal_the_same_flows_run_alone(monkeypatch):
+    runs = []
+    for operator in (QuadraticVolterra(), LinearSmoothing()):
+        for n, family in ((201, "scaled-linear"), (41, "quadratic-perturb")):
+            p, h = flow_problem(operator, n, family, 0.1)
+            runs.append((p, p.U, h, FlowConfig(t_max=3.0, record_stride=4)))
+    # stops `degenerate` inside an RK4 stage, from U = 1 at t = 0.25
+    p, h = flow_problem(QuadraticVolterra(), 201, "degenerate")
+    runs.insert(1, (p, p.U, h, FlowConfig()))
+    alone = [integrate_flow(*run) for run in runs]
+    assert alone[1].stop_reason == STOP_DEGENERATE
+
+    # each flow starts inside the first stage velocity of the one before it
+    # and runs to its end there, between that flow's stages
+    original = flow_module.dsm_vector_field
+    pending, nested = list(runs[1:]), []
+
+    def interleaving(*args):
+        if pending:
+            run = pending.pop(0)
+            index = len(nested)
+            nested.append(None)
+            nested[index] = integrate_flow(*run)
+        return original(*args)
+
+    monkeypatch.setattr(flow_module, "dsm_vector_field", interleaving)
+    first = integrate_flow(*runs[0])
+    for got, want in zip([first] + nested, alone):
+        assert_same_trajectory(got, want)
+
+
+def test_public_step_results_are_their_own(setup201, monkeypatch):
+    workspaces = []
+
+    class Recording(Workspace):
+        def __init__(self, shape):
+            super().__init__(shape)
+            workspaces.append(self)
+
+    for module in (flow_module, operators_module):
+        monkeypatch.setattr(module, "Workspace", Recording)
+    rng = np.random.default_rng(5)
+    u = sample_in_ball(rng, setup201.U, 0.02, 1)
+    h = scaled_linear_h(201, 1.1)
+    results = [rk4_step(setup201, u, h, 0.05), euler_step(setup201, u, h, 0.05),
+               dsm_vector_field(setup201, u, h),
+               rk4_step(setup201, u, h, 0.05, dsm_vector_field(setup201, u, h))]
+    copies = [f.values.copy() for f in results]
+    # later calls, a flow among them, reuse nothing the results hold
+    integrate_flow(setup201, u, h, FlowConfig(t_max=1.0))
+    for f in results:
+        rk4_step(setup201, f, h, 0.05)
+        euler_step(setup201, f, h, 0.05)
+        dsm_vector_field(setup201, f, h)
+    assert len(workspaces) > len(results)
+    slots = [array for ws in workspaces for array in vars(ws).values()
+             if isinstance(array, np.ndarray)]
+    for f, copy in zip(results, copies):
+        assert not f.values.flags.writeable
+        assert not any(np.shares_memory(f.values, array) for array in slots)
+        assert np.array_equal(f.values, copy)
 
 
 # --- decay fit -----------------------------------------------------------------
