@@ -6,6 +6,10 @@ the report carries seed and sample count so every estimate is reproducible.
 The admissibility radius rho0 derived from the two-sided constants is the
 perturbation budget under which a flow solve is guaranteed to converge
 inside the working ball.
+
+``estimate_constants`` evaluates its samples in (rows, n) blocks of at
+least two rows: each kind of point and each norm of a block is one batched
+call into the public sampling, scale and operator functions.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ import numpy as np
 from .flow import residual
 from .operators import ProblemSetup
 from .sampling import (
+    BLOCK_ELEMENTS,
     DIRECTION_DRAWS,
     POINT_DRAWS,
-    _ball_points,
-    _sample_extremes,
+    sample_in_ball,
     unit_direction,
 )
-from .scale import GridFunction, _take_rows, ball_distance, sobolev_norm
+from .scale import GridFunction, ball_distance, sobolev_norm
 
 
 class EstimationError(RuntimeError):
@@ -90,22 +94,33 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
     then accumulates the min/max of the relevant norm ratios. Samples whose
     A^{-1} application trips the operator guard are skipped and counted.
     Draws are consumed in a fixed per-sample order, so for a fixed seed a
-    longer run extends a shorter one sample for sample. Samples are
-    evaluated a block at a time (see ``sampling._sample_extremes``). A
+    longer run extends a shorter one sample for sample.
+
+    Samples are evaluated a block of max(2, BLOCK_ELEMENTS // n) rows at a
+    time, drawn by one ``Generator.random`` call that consumes the same
+    numbers as drawing them one after another. Every block has the same
+    height, the last one padded, because a basis product's rounding depends
+    on its row count: so a longer run extends a shorter one exactly. Like
+    the builtins min and max, the reductions pass over NaN ratios. A
     constant that comes out non-finite, because the ball's norms overflow,
     raises ``ValueError`` naming it.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be at least 10")
     rng = np.random.default_rng(seed)
-    extremes, used = _sample_extremes(
-        rng, sample_count, _CONSTANTS_DRAWS, p.U.n,
-        lambda draws, live: _constants_ratios(p, draws, live))
-    if used == 0:
+    rows = max(2, BLOCK_ELEMENTS // p.U.n)
+    blocks = []
+    for start in range(0, sample_count, rows):
+        live = np.arange(rows) < sample_count - start
+        draws = rng.random((int(live.sum()), _CONSTANTS_DRAWS))
+        blocks.append(_constants_ratios(p, np.resize(draws, (rows, _CONSTANTS_DRAWS)), live))
+    two_sided, iso, lip = (np.concatenate(parts) for parts in zip(*blocks))
+    if two_sided.size == 0:
         raise EstimationError(f"all {sample_count} samples tripped the operator guard")
-    c0_lower, c0_upper = extremes["two_sided"]
-    constants = {"c0_lower": c0_lower, "c0_upper": c0_upper,
-                 "c_iso": extremes["iso"][1], "c_lip": extremes["lip"][1]}
+    c0_lower = float(np.fmin.reduce(two_sided, initial=np.inf))
+    c0_upper, c_iso, c_lip = (float(np.fmax.reduce(r, initial=-np.inf))
+                              for r in (two_sided, iso, lip))
+    constants = {"c0_lower": c0_lower, "c0_upper": c0_upper, "c_iso": c_iso, "c_lip": c_lip}
     for name, value in constants.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: {value!r}")
@@ -115,7 +130,7 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
         radius=p.R,
         sample_count=sample_count,
         seed=seed,
-        skipped=sample_count - used,
+        skipped=sample_count - two_sided.size,
     )
 
 
@@ -123,33 +138,34 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
 _CONSTANTS_DRAWS = 3 * POINT_DRAWS + DIRECTION_DRAWS
 
 
-def _constants_ratios(p: ProblemSetup, draws: np.ndarray,
-                      live: np.ndarray) -> dict[str, np.ndarray]:
-    """The constants' norm ratios of a block of samples (one per row of
-    `draws`, or a single 1-D sample), over the live samples whose u and v
-    pass the operator guard."""
+def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray):
+    """The two-sided, composed and Lipschitz ratios of a block of samples,
+    one per row of `draws`, over the live samples whose u and v pass the
+    operator guard."""
     op, a = p.operator, p.a
-    u, v, w = _ball_points(draws, 3, p.U, p.R, a)
-    q = unit_direction(draws[..., 3 * POINT_DRAWS:], p.U.n, a)
-    # norms are floats for a single sample: np.asarray lets `keep` index them
-    q_norm = np.asarray(sobolev_norm(q, a))
+    # one product with the basis per point: stacked into one, the arrays
+    # ran slower at n = 20001 and held more memory
+    u, v, w = (sample_in_ball(draws[:, i * POINT_DRAWS:(i + 1) * POINT_DRAWS], p.U, p.R, a)
+               for i in range(3))
+    q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
+    q_norm = sobolev_norm(q, a)
     a_u_q = op.apply_derivative(u, q)
-    two_sided = np.asarray(sobolev_norm(a_u_q, a + p.delta) / q_norm)
-    lip_denom = np.asarray(ball_distance(u, v, a) * q_norm)
+    two_sided = sobolev_norm(a_u_q, a + p.delta) / q_norm
+    lip_denom = ball_distance(u, v, a) * q_norm
     # An overflowed distance measures nothing: its ratio is NaN, which the
     # reduction passes over, so a ball whose distances all overflow has no
     # finite c_lip.
     lip_denom[np.isinf(lip_denom)] = np.nan
-    v_ok = live & ~op.below_guard(v)
+    v_ok = live & ~op._below_guard(v.values)
     if (v_ok & (lip_denom == 0.0)).any():
         raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
-    keep = v_ok & ~op.below_guard(u)
+    keep = v_ok & ~op._below_guard(u.values)
     if not keep.all():
-        u, v, w, q, a_u_q = (_take_rows(f, keep) for f in (u, v, w, q, a_u_q))
+        u, v, w, q, a_u_q = (GridFunction._trusted(f.values[keep]) for f in (u, v, w, q, a_u_q))
     iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a) / q_norm[keep]
     diff = a_u_q - op.apply_derivative(v, q)
     lip = sobolev_norm(op.solve_derivative(u, diff), a) / lip_denom[keep]
-    return {"two_sided": two_sided[keep], "iso": iso, "lip": lip}
+    return two_sided[keep], iso, lip
 
 
 def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,

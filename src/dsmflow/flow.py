@@ -144,29 +144,26 @@ def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
     return _norm(ws.dif, a, ws)
 
 
-def euler_step(p: ProblemSetup, u, h, dt: float, k1: GridFunction | None = None,
-               ws: Workspace | None = None):
+def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     """One explicit Euler step; with dt = 1 this is one Newton step.
 
-    ``k1``, when given, is the velocity at u, as ``dsm_vector_field`` would
-    compute it. ``integrate_flow`` passes its workspace instead: then u and
-    h are value arrays, ``ws.k1`` holds the negated velocity
-    A(u)^{-1}(F(u) - h), and the new iterate is returned as a fresh array.
+    ``integrate_flow`` passes its workspace: then u and h are value arrays,
+    ``ws.k1`` holds the negated velocity A(u)^{-1}(F(u) - h), and the new
+    iterate is returned as a fresh array.
     """
     if ws is None:
-        return _public_step(_euler, p, u, h, dt, k1)
+        return _public_step(_euler, p, u, h, dt)
     return _euler(p, u, h, dt, ws)
 
 
-def rk4_step(p: ProblemSetup, u, h, dt: float, k1: GridFunction | None = None,
-             ws: Workspace | None = None):
-    """One classical Runge-Kutta step; ``k1`` and ``ws`` as in ``euler_step``.
+def rk4_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
+    """One classical Runge-Kutta step; ``ws`` as in ``euler_step``.
 
     The stage points and the final combination are computed in the
     workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4).
     """
     if ws is None:
-        return _public_step(_rk4, p, u, h, dt, k1)
+        return _public_step(_rk4, p, u, h, dt)
     return _rk4(p, u, h, dt, ws)
 
 
@@ -174,13 +171,10 @@ _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
 _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 
 
-def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction, dt: float,
-                 k1: GridFunction | None) -> GridFunction:
+def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction,
+                 dt: float) -> GridFunction:
     """A step on grid functions, in a workspace of its own."""
-    require_same_grid(u, h)
-    if k1 is None:
-        k1 = dsm_vector_field(p, u, h)
-    require_same_grid(u, k1)
+    k1 = dsm_vector_field(p, u, h)
     ws = Workspace(k1.values.shape)
     np.negative(k1.values, out=ws.k1)
     return GridFunction._trusted(body(p, u.values, h.values, dt, ws))

@@ -174,11 +174,12 @@ class LossProbeResult:
 def smoothing_loss_probe(p: ProblemSetup, u: GridFunction, k_max: int) -> LossProbeResult:
     """Amplification of sine modes sin(k pi x) by A(u)^{-1}, k = 0 .. k_max.
 
-    Mode zero is the constant function. Requires k_max * pi * dx <= 0.5 so
-    the highest mode is resolved by the grid.
+    Mode zero is the constant function. Requires k_max >= 2, since the
+    exponent is a line fitted through k = 1..k_max, and k_max * pi * dx <=
+    0.5 so the highest mode is resolved by the grid.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2 to fit the exponent, got {k_max!r}")
     if k_max * math.pi * u.dx > 0.5:
         raise ValueError(
             f"mode {k_max} under-resolved at n = {u.n}; "

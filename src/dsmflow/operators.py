@@ -90,14 +90,9 @@ class ScaleOperator(ABC):
         returned; raises ``DegenerateCoefficient`` when a row of u trips the
         guard. ``sign`` is 1 or -1, and -1 gives exactly the negation."""
 
-    def below_guard(self, u: GridFunction) -> np.ndarray:
-        """Whether each row of u trips the guard on A(u)^{-1}: one bool for
-        a single function, one per row for a batch."""
-        return self._below_guard(u.values)
-
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
-        """``below_guard`` on values. No row trips it unless the operator
-        guards a division."""
+        """Whether each row of the values u trips the guard on A(u)^{-1}.
+        No row trips it unless the operator guards a division."""
         return np.zeros(u.shape[:-1], dtype=bool)
 
 
@@ -108,7 +103,7 @@ class QuadraticVolterra(ScaleOperator):
     ``u_min`` guards the pointwise division in A^{-1}: once the trajectory
     leaves the safe ball and u dips below the guard, ``solve_derivative``
     raises ``DegenerateCoefficient`` instead of silently blowing up. On a
-    batch it raises when any row dips below; ``below_guard`` says which.
+    batch it raises when any row dips below; ``_below_guard`` says which.
     """
 
     u_min: float = 0.1

@@ -279,12 +279,6 @@ def _norm(terms: np.ndarray, a: int, ws: Workspace):
     return _root_sum(_l2_squared(terms[:a + 1], ws.dx, ws.sq[:a + 1]))
 
 
-def _take_rows(f: GridFunction, keep: np.ndarray) -> GridFunction:
-    """The rows of `f` that the bool mask `keep` selects, as a batch (a
-    single function is one row, and `keep` then a single bool)."""
-    return GridFunction._trusted(f.values[keep])
-
-
 def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:
     """Distance ||u - center||_a between two functions on the same grid."""
     return sobolev_norm(u - center, a)

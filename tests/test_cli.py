@@ -156,6 +156,19 @@ def test_probe_loss_exponent_window(tmp_path):
     assert len(lines) == 34  # header + modes 0..32
 
 
+@pytest.mark.parametrize("operator", ["volterra-quadratic", "linear-smoothing"])
+def test_probe_loss_with_one_mode_exits_1_naming_k_max(tmp_path, capfd, operator):
+    out = tmp_path / "out"
+    code = run("probe-loss", "--k-max", 1, "--operator", operator, "--out-dir", out)
+    assert code == 1
+    # capfd sees the process's own streams, where LAPACK would complain
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "k_max" in err[0]
+    assert not out.exists()
+
+
 # --- compare-newton ---------------------------------------------------------------
 
 def test_compare_newton_heron_case(tmp_path):

@@ -277,13 +277,14 @@ OPERATORS = [pytest.param(QuadraticVolterra(), id="volterra"),
 
 @pytest.mark.parametrize("operator", OPERATORS)
 @pytest.mark.parametrize("n, samples", [
-    (201, 50),   # blocks of 40 rows: 40 + 10
-    (2001, 10),  # blocks of 4 rows: 4 + 4 + 2
-    (4097, 12),  # one-row blocks, evaluated as single samples
+    (201, 50),    # blocks of 40 rows: 40 + 10
+    (2001, 10),   # blocks of 4 rows: 4 + 4 + 2
+    (4097, 11),   # blocks of 2 rows: five of 2, then 1
+    (20001, 11),  # the grid of verify-large and sweep-large, as at 4097
 ])
 def test_block_estimate_matches_per_sample_loop(operator, n, samples):
-    rows = max(1, BLOCK_ELEMENTS // n)
-    assert rows == 1 or samples % rows != 0
+    rows = max(2, BLOCK_ELEMENTS // n)
+    assert samples % rows != 0  # the last block is padded
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     report = estimate_constants(setup, samples, 3)
     *want, skipped = reference_estimate_constants(setup, samples, 3)
@@ -319,22 +320,66 @@ def test_block_estimate_consumes_71_scalar_draws_per_sample(setup201, monkeypatc
     assert created[0].bit_generator.state == ref.bit_generator.state
 
 
-def test_a_sample_evaluates_the_same_in_a_longer_run(setup201, monkeypatch):
-    runs = []
+def _recording_ratios(monkeypatch, record):
+    """Make estimate_constants hand each block's draws, live mask and
+    ratios to ``record``."""
     original = conditions_module._constants_ratios
 
     def recording(p, draws, live):
         ratios = original(p, draws, live)
-        runs[-1].append(ratios["two_sided"])
+        record(draws, live, ratios)
         return ratios
 
     monkeypatch.setattr(conditions_module, "_constants_ratios", recording)
-    for samples in (50, 100):
-        runs.append([])
-        estimate_constants(setup201, samples, 5)
-    short, long = (np.concatenate(run) for run in runs)
-    assert short.size == 50 and long.size == 100
-    assert np.array_equal(short, long[:50])
+
+
+def test_a_sample_evaluates_the_same_in_a_longer_run(monkeypatch):
+    runs = []
+    _recording_ratios(monkeypatch, lambda draws, live, ratios: runs[-1].append(ratios))
+    # blocks of 40 rows at n = 201 and of 2 rows at n = 4097
+    for n, short, long in ((201, 50, 100), (4097, 11, 24)):
+        setup = ProblemSetup.from_reference(
+            QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
+        for samples in (short, long):
+            runs.append([])
+            estimate_constants(setup, samples, 5)
+        first, second = ([np.concatenate(parts) for parts in zip(*run)] for run in runs[-2:])
+        for a, b in zip(first, second):
+            assert a.size == short and b.size == long
+            assert np.array_equal(a, b[:short])
+
+
+@pytest.mark.parametrize("n", [4097, 20001])
+def test_large_grids_evaluate_blocks_of_two_rows(n, monkeypatch):
+    setup = ProblemSetup.from_reference(LinearSmoothing(), GridFunction.constant(1.0, n), 0.05)
+    shapes = []
+    _recording_ratios(monkeypatch,
+                      lambda draws, live, ratios: shapes.append((draws.shape, live.shape)))
+    estimate_constants(setup, 11, 2)
+    assert shapes == [((2, 71), (2,))] * 6
+
+
+def test_estimate_passes_over_nan_and_uses_each_draw_once(setup201, monkeypatch):
+    rows = BLOCK_ELEMENTS // 201
+    blocks = []
+
+    def record(draws, live, ratios):
+        for r in ratios:
+            r[0] = np.nan  # the reductions pass over it
+        blocks.append((draws[live], ratios))
+
+    _recording_ratios(monkeypatch, record)
+    report = estimate_constants(setup201, rows + 5, 17)
+    draws, ratios = zip(*blocks)
+    assert [d.shape for d in draws] == [(rows, 71), (5, 71)]
+    # every draw reaches one live row, in the order of one-at-a-time draws
+    assert np.array_equal(np.concatenate(draws),
+                          np.random.default_rng(17).random((rows + 5, 71)))
+    two_sided, iso, lip = (np.concatenate(parts) for parts in zip(*ratios))
+    assert np.isnan(two_sided).sum() == 2
+    assert (report.c0_lower, report.c0_upper, report.c_iso, report.c_lip) == (
+        np.nanmin(two_sided), np.nanmax(two_sided), np.nanmax(iso), np.nanmax(lip))
+    assert report.skipped == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

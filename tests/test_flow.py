@@ -450,8 +450,7 @@ def test_public_step_results_are_their_own(setup201, monkeypatch):
     u = sample_in_ball(rng, setup201.U, 0.02, 1)
     h = scaled_linear_h(201, 1.1)
     results = [rk4_step(setup201, u, h, 0.05), euler_step(setup201, u, h, 0.05),
-               dsm_vector_field(setup201, u, h),
-               rk4_step(setup201, u, h, 0.05, dsm_vector_field(setup201, u, h))]
+               dsm_vector_field(setup201, u, h)]
     copies = [f.values.copy() for f in results]
     # later calls, a flow among them, reuse nothing the results hold
     integrate_flow(setup201, u, h, FlowConfig(t_max=1.0))

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from dsmflow.sampling import (
-    BLOCK_ELEMENTS,
     MAX_FREQUENCY,
     POINT_DRAWS,
-    _sample_extremes,
     _trig_basis,
     sample_in_ball,
     trig_polynomial,
@@ -53,7 +51,7 @@ def test_sample_in_ball_consumes_one_more_draw():
 
 
 def test_cached_basis_is_read_only():
-    basis = _trig_basis(51, MAX_FREQUENCY)
+    basis = _trig_basis(51)
     assert basis.shape == (DRAWS, 51)
     with pytest.raises(ValueError):
         basis[0, 0] = 2.0
@@ -99,22 +97,3 @@ def test_single_polynomial_is_validated_and_a_batch_is_not(monkeypatch):
     trig_polynomial(np.random.default_rng(16).random((4, DRAWS)), 51)
     assert len(calls) == 1
 
-
-def test_sample_extremes_blocks_pass_over_nan_and_consume_each_draw_once():
-    rows = BLOCK_ELEMENTS // 201
-    seen = []
-
-    def evaluate(draws, live):
-        seen.append((draws.shape, int(live.sum())))
-        ratios = draws[:, 0].copy()
-        ratios[0] = np.nan  # the builtins min and max pass over it
-        return {"x": ratios[live]}
-
-    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    extremes, used = _sample_extremes(rng, rows + 5, 3, 201, evaluate)
-    assert seen == [((rows, 3), rows), ((rows, 3), 5)]
-    assert used == rows + 5
-    first = ref_rng.random((rows + 5, 3))[:, 0]
-    kept = np.concatenate([first[1:rows], first[rows + 1:]])
-    assert extremes == {"x": (kept.min(), kept.max())}
-    assert rng.bit_generator.state == ref_rng.bit_generator.state

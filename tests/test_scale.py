@@ -14,7 +14,7 @@ from dsmflow.scale import (
     write_grid_csv,
 )
 
-from dsmflow.sampling import MAX_FREQUENCY, _trig_basis, trig_polynomial
+from dsmflow.sampling import _trig_basis, trig_polynomial
 
 from oracles import trapezoid_l2
 
@@ -271,7 +271,7 @@ def test_internal_results_are_read_only_and_unshared(compute):
 def test_trig_polynomial_is_read_only_and_unshared_with_the_basis():
     d = trig_polynomial(np.random.default_rng(0), 201)
     assert not d.values.flags.writeable
-    assert not np.shares_memory(d.values, _trig_basis(201, MAX_FREQUENCY))
+    assert not np.shares_memory(d.values, _trig_basis(201))
 
 
 # --- CSV format ------------------------------------------------------------
