@@ -150,26 +150,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_problem(args):
     """Return ``(setup, h, u0, inputs)``; h = F(U) and u0 = U unless flags say
-    otherwise, and ``inputs`` maps each input read from a file to its path."""
+    otherwise, and ``inputs`` maps each input file, of --n nodes, to its path."""
     operator = make_operator(args.operator, u_min=args.u_min)
     setup = ProblemSetup.from_reference(
         operator, GridFunction.constant(1.0, args.n), args.radius)
-    h_file = getattr(args, "h_file", None)
     h_family = getattr(args, "h_family", None)
-    u0_file = getattr(args, "u0_file", None)
-    inputs: dict = {}
-    h, u0 = setup.f, setup.U
-    if h_file is not None and h_family is not None:
+    inputs = {key: getattr(args, f"{key}_file", None) for key in ("h", "u0")}
+    inputs = {key: path for key, path in inputs.items() if path is not None}
+    if "h" in inputs and h_family is not None:
         raise ValueError("--h-file and --h-family are mutually exclusive")
-    if h_file is not None:
-        inputs["h"] = h_file
-        h = read_grid_csv(h_file)
-    elif h_family is not None:
-        h = GridFunction(_FAMILIES[h_family]["h"](setup.U.x, args.param))
-    if u0_file is not None:
-        inputs["u0"] = u0_file
-        u0 = read_grid_csv(u0_file)
-    return setup, h, u0, inputs
+    data = {"h": setup.f, "u0": setup.U}
+    if h_family is not None:
+        data["h"] = GridFunction(_FAMILIES[h_family]["h"](setup.U.x, args.param))
+    for key, path in inputs.items():
+        data[key] = read_grid_csv(path)
+        if data[key].n != args.n:
+            raise ValueError(f"--{key}-file {path} has {data[key].n} nodes, but --n is {args.n}")
+    return setup, data["h"], data["u0"], inputs
 
 
 def _oracle(args, setup: ProblemSetup) -> GridFunction | None:

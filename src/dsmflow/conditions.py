@@ -107,6 +107,8 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
     """
     if sample_count < 10:
         raise ValueError("sample_count must be at least 10")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     rows = max(2, BLOCK_ELEMENTS // p.U.n)
     blocks = []

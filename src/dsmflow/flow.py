@@ -1,6 +1,6 @@
 """Time integration of the Newton flow and residual-decay analysis.
 
-The flow ``du/dt = -A(u)^{-1}(F(u) - h)`` drives the residual
+The flow ``du/dt = A(u)^{-1}(h - F(u))`` drives the residual
 ``g(t) = ||F(u(t)) - h||_{a+delta}`` down like exp(-t); the integrator here
 tracks that rate with fixed-step explicit schemes and records the trajectory
 for later verification of the decay and drift bounds.
@@ -133,7 +133,7 @@ def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
 
 
 def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
-    """``residual`` on values, with F(u) - h left in ``ws.res[0]``."""
+    """``residual`` on values, with h - F(u) left in ``ws.res[0]``."""
     _residual_into(p, u, h, ws)
     return _norm(ws.res, p.a + p.delta, ws)
 
@@ -148,8 +148,8 @@ def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     """One explicit Euler step; with dt = 1 this is one Newton step.
 
     ``integrate_flow`` passes its workspace: then u and h are value arrays,
-    ``ws.k1`` holds the negated velocity A(u)^{-1}(F(u) - h), and the new
-    iterate is returned as a fresh array.
+    ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), and the new iterate
+    is returned as a fresh array.
     """
     if ws is None:
         return _public_step(_euler, p, u, h, dt)
@@ -174,19 +174,16 @@ _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction,
                  dt: float) -> GridFunction:
     """A step on grid functions, in a workspace of its own."""
-    k1 = dsm_vector_field(p, u, h)
-    ws = Workspace(k1.values.shape)
-    np.negative(k1.values, out=ws.k1)
+    require_same_grid(u, h)
+    ws = Workspace(np.broadcast(u.values, h.values).shape)
+    dsm_vector_field(p, u.values, h.values, ws, ws.k1)
     return GridFunction._trusted(body(p, u.values, h.values, dt, ws))
 
-
-# The steps negate the stored -k1 exactly: (dt c) * (-s) is -((dt c) * s),
-# u + (-y) is u - y, and (-s) + y is y - s.
 
 def _euler(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
            ws: Workspace) -> np.ndarray:
     """u + dt k1."""
-    return np.subtract(u, np.multiply(ws.k1, dt, out=ws.stage))
+    return np.add(u, np.multiply(ws.k1, dt, out=ws.stage))
 
 
 def _rk4(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
@@ -194,11 +191,11 @@ def _rk4(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
     """u + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), the sum built up in ``ws.k1``
     as each stage velocity arrives in ``ws.k2``."""
     total, k, stage = ws.k1, ws.k2, ws.stage
-    np.subtract(u, np.multiply(total, dt / 2.0, out=stage), out=stage)  # u + dt/2 k1
+    np.add(u, np.multiply(total, dt / 2.0, out=stage), out=stage)       # u + dt/2 k1
     dsm_vector_field(p, stage, h, ws, k)                                # k2
     np.add(u, np.multiply(k, dt / 2.0, out=stage), out=stage)           # u + dt/2 k2
     k *= 2.0
-    np.subtract(k, total, out=total)                                    # k1 + 2 k2
+    total += k                                                          # k1 + 2 k2
     dsm_vector_field(p, stage, h, ws, k)                                # k3
     np.add(u, np.multiply(k, dt, out=stage), out=stage)                 # u + dt k3
     k *= 2.0
@@ -222,8 +219,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     ``ValueError``: the data overflow before the flow starts.
 
     Every accepted iterate has a finite residual, and so finite values. The
-    residual F(u) - h of each accepted step also gives the next step's
-    stage-one velocity -A(u)^{-1}(F(u) - h), so F is evaluated once less per
+    residual h - F(u) of each accepted step also gives the next step's
+    stage-one velocity A(u)^{-1}(h - F(u)), so F is evaluated once less per
     step with the same arithmetic. Everything runs in one ``Workspace``: the
     only array each step allocates is its new iterate, wrapped as a
     ``GridFunction`` when the trajectory records it.

@@ -67,10 +67,12 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     guard) sets ``diverged_at`` instead of raising. When an oracle iterate
     sequence's limit is supplied, the record tracks the distance to it. A
     non-finite starting residual raises ``ValueError``: the data overflow
-    before the first step. So does a negative ``max_iter``.
+    before the first step. So does a negative ``max_iter`` or ``tol``.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     u = u0
     steps: list[IterationStep] = []
     converged = False
@@ -117,6 +119,8 @@ class ClassicalIFTConfig:
             raise ValueError("m and epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if self.tol < 0.0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
 
 
 def contraction_solve(phi: Callable[[GridFunction], GridFunction],

@@ -84,11 +84,10 @@ class ScaleOperator(ABC):
         """F(u) on values, written into ``out``, which is returned."""
 
     @abstractmethod
-    def _solve(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray, ws: Workspace,
-               sign: float = 1.0) -> np.ndarray:
-        """``sign`` * A(u)^{-1} psi on values, written into ``out``, which is
-        returned; raises ``DegenerateCoefficient`` when a row of u trips the
-        guard. ``sign`` is 1 or -1, and -1 gives exactly the negation."""
+    def _solve(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray,
+               ws: Workspace) -> np.ndarray:
+        """A(u)^{-1} psi on values, written into ``out``, which is returned;
+        raises ``DegenerateCoefficient`` when a row of u trips the guard."""
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         """Whether each row of the values u trips the guard on A(u)^{-1}.
@@ -127,14 +126,13 @@ class QuadraticVolterra(ScaleOperator):
     def _eval(self, u, out, ws):
         return _integrate(np.multiply(u, u, out=ws.sq[0]), ws.dx, out, ws.trap)
 
-    def _solve(self, u, psi, out, ws, sign=1.0):
+    def _solve(self, u, psi, out, ws):
         # count_nonzero answers `any` at half its cost on a flow's one row
         if np.count_nonzero(self._below_guard(u)):
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        # psi' / (-2u) is -(psi' / (2u)) exactly
-        div = np.multiply(u, 2.0 * sign, out=ws.div)
+        div = np.multiply(u, 2.0, out=ws.div)
         return np.divide(_derivative(psi, ws.dx, out), div, out=out)
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
@@ -161,8 +159,8 @@ class LinearSmoothing(ScaleOperator):
     def _eval(self, u, out, ws):
         return _integrate(u, ws.dx, out, ws.trap)
 
-    def _solve(self, u, psi, out, ws, sign=1.0):
-        return _derivative(psi, sign * ws.dx, out)
+    def _solve(self, u, psi, out, ws):
+        return _derivative(psi, ws.dx, out)
 
 
 @dataclass(frozen=True)
@@ -207,9 +205,9 @@ class ProblemSetup:
 
 def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
                      out: np.ndarray | None = None):
-    """The Newton-flow velocity -A(u)^{-1} (F(u) - h).
+    """The Newton-flow velocity A(u)^{-1} (h - F(u)).
 
-    Given a workspace, u and h are value arrays, F(u) - h is left in
+    Given a workspace, u and h are value arrays, h - F(u) is left in
     ``ws.res[0]`` and the velocity is written into ``out``, which is returned;
     otherwise a fresh grid function.
     """
@@ -222,14 +220,15 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
 
 
 def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
-    """F(u) - h on values, written into ``ws.res[0]``, which is returned."""
+    """h - F(u) on values, written into ``ws.res[0]``, which is returned;
+    A(u)^{-1} of it is the flow's velocity."""
     r = ws.res[0]
-    return np.subtract(p.operator._eval(u, r, ws), h, out=r)
+    return np.subtract(h, p.operator._eval(u, r, ws), out=r)
 
 
 def _velocity(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace,
               out: np.ndarray) -> np.ndarray:
-    return p.operator._solve(u, _residual_into(p, u, h, ws), out, ws, -1.0)
+    return p.operator._solve(u, _residual_into(p, u, h, ws), out, ws)
 
 
 OPERATOR_IDS = ("volterra-quadratic", "linear-smoothing")

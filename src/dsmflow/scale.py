@@ -160,13 +160,13 @@ class Workspace:
     fourteen arrays of the grid's shape, about 14 * 8n bytes per function.
 
     - ``stage``: an RK4 stage point, or the Euler increment;
-    - ``k1``: A(u)^{-1}(F(u) - h) at the iterate u, the negated velocity,
-      then the running RK4 sum; ``k2``: the latest stage velocity;
+    - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
+      running RK4 sum; ``k2``: the latest stage velocity;
     - ``div``: the divisor of A(u)^{-1}; ``trap``: the trapezoids of an
       integral, one fewer per row;
     - the blocks of three, each function above its derivatives, so that one
       ``_l2_squared`` call takes every term of a norm: ``res`` holds
-      F(x) - h at the point being evaluated (``res[0]``), ``dif`` the
+      h - F(x) at the point being evaluated (``res[0]``), ``dif`` the
       difference whose distance is measured, and ``sq`` their squares, and
       u * u inside F.
     """
@@ -192,11 +192,7 @@ class Workspace:
 
 
 def _derivative(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """``derivative`` on values: writes it into ``out`` and returns ``out``.
-
-    With dx negated it writes the negated derivative, exactly: each node
-    divides by 2 dx once.
-    """
+    """``derivative`` on values: writes it into ``out`` and returns ``out``."""
     h2 = 2.0 * dx
     inner = out[..., 1:-1]
     np.subtract(v[..., 2:], v[..., :-2], out=inner)
@@ -304,26 +300,30 @@ def read_grid_csv(path) -> GridFunction:
     """Read the `x,value` format, rejecting anything but a uniform [0, 1] grid.
 
     The x column must list the uniform grid nodes in increasing order with
-    relative spacing deviation at most 1e-9.
+    relative spacing deviation at most 1e-9. Blank lines are skipped; any
+    other row must hold two numbers, or the error names its line.
     """
     path = Path(path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
         raise ValueError(f"{path}: expected header 'x,value'")
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed row: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
+    pairs = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < 2 and not "".join(row).strip():
+            continue  # a blank line
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+        try:
+            pairs.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: malformed row: {exc}") from None
+    if len(pairs) < 3:
         raise ValueError(f"{path}: need at least 3 rows of x,value pairs")
-    x, values = data[:, 0], data[:, 1]
-    n = x.size
-    dx = 1.0 / (n - 1)
-    expected = np.linspace(0.0, 1.0, n)
-    if np.max(np.abs(x - expected)) > UNIFORMITY_TOL:
+    x, values = np.array(pairs).T
+    dx = 1.0 / (x.size - 1)
+    if np.max(np.abs(x - np.linspace(0.0, 1.0, x.size))) > UNIFORMITY_TOL:
         raise ValueError(f"{path}: x column is not the uniform grid on [0, 1]")
-    spacing = np.diff(x)
-    if np.max(np.abs(spacing - dx)) > UNIFORMITY_TOL * dx:
+    if np.max(np.abs(np.diff(x) - dx)) > UNIFORMITY_TOL * dx:
         raise ValueError(f"{path}: non-uniform node spacing")
     return GridFunction(values)

@@ -316,6 +316,36 @@ def test_grid_size_mismatch_exits_1(tmp_path):
                "--h-family", "scaled-linear", "--out-dir", tmp_path) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "compare-newton"])
+@pytest.mark.parametrize("flag", ["--h-file", "--u0-file"])
+def test_input_file_off_the_grid_exits_1_naming_it(tmp_path, capsys, command, flag):
+    small = tmp_path / "small.csv"
+    write_grid_csv(GridFunction.constant(1.0, 101), small)
+    out = tmp_path / "out"
+    assert run(command, flag, small, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: {flag} {small} has 101 nodes, but --n is 201"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, "--seed", -1, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "dsmflow: error: seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare-newton", "classical-ift"])
+def test_negative_tol_exits_1_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(command, "--tol", -1, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "dsmflow: error: tol must be nonnegative, got -1.0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (("solve", "--t-max", "inf"), "t_max"),
     (("solve", "--dt", "nan"), "dt"),

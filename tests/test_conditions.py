@@ -162,6 +162,11 @@ def test_sample_count_floor(setup201):
         estimate_constants(setup201, 9, 0)
 
 
+def test_negative_seed_is_named(setup201):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        estimate_constants(setup201, 10, -1)
+
+
 def test_radius_too_small_to_separate_samples_raises():
     setup = ProblemSetup.from_reference(
         QuadraticVolterra(), GridFunction.constant(1.0, 21), 1e-300)

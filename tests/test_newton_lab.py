@@ -105,6 +105,15 @@ def test_newton_budget_must_be_nonnegative(setup201):
     assert [s.k for s in record.steps] == [0] and not record.converged
 
 
+def test_negative_tolerance_is_rejected(setup201):
+    # a negative tolerance can never be met: it would run out the budget
+    with pytest.raises(ValueError, match=r"^tol must be nonnegative, got -1\.0$"):
+        newton_solve(setup201, setup201.U, setup201.f, tol=-1.0)
+    with pytest.raises(ValueError, match=r"^tol must be nonnegative, got -1\.0$"):
+        ClassicalIFTConfig(tol=-1.0)
+    assert newton_solve(setup201, setup201.U, setup201.f, tol=0.0).converged
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_newton_non_finite_initial_residual_raises(setup201):
     h = GridFunction(1e160 * setup201.U.x)

@@ -162,6 +162,26 @@ def test_results_are_read_only_and_unshared(operator):
         assert not np.shares_memory(out.values, psi.values)
 
 
+# --- the velocity's sign --------------------------------------------------
+
+@pytest.mark.parametrize("operator", [pytest.param(QuadraticVolterra(), id="volterra"),
+                                      pytest.param(LinearSmoothing(), id="linear")])
+@pytest.mark.parametrize("shape", [(3,), (201,), (7, 201)], ids=["n3", "n201", "batch"])
+def test_velocity_is_the_inverse_of_h_minus_f_exactly(operator, shape):
+    # the flow stores A(u)^{-1}(h - F(u)) with its own sign; IEEE negation is
+    # exact, so A(u)^{-1} commutes with it bit for bit
+    rng = np.random.default_rng(17)
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, shape[-1]), 0.05)
+    u, psi, h = (GridFunction._trusted(v) for v in (
+        1.0 + 0.5 * rng.uniform(-1.0, 1.0, shape),
+        rng.uniform(-1.0, 1.0, shape),
+        rng.uniform(-1.0, 1.0, shape)))
+    solve = operator.solve_derivative
+    assert np.array_equal(solve(u, -psi).values, (-solve(u, psi)).values)
+    assert np.array_equal(dsm_vector_field(p, u, h).values,
+                          solve(u, h - operator.eval(u)).values)
+
+
 # --- consistency identities ------------------------------------------------
 
 def test_frechet_remainder_is_second_order(setup201):

@@ -313,6 +313,21 @@ def test_csv_rejects_malformed_rows(tmp_path):
         read_grid_csv(path)
 
 
+def test_csv_skips_a_trailing_blank_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("x,value\n0,1\n0.5,2\n1,3\n\n")
+    assert np.array_equal(read_grid_csv(path).values, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("row, fields", [("0.5,2,7", 3), ("0.5", 1)])
+def test_csv_names_the_line_of_a_row_without_two_fields(tmp_path, row, fields):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0,1\n{row}\n1,3\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_grid_csv(path)
+    assert str(excinfo.value) == f"{path}: line 3: expected 2 fields, got {fields}"
+
+
 def test_csv_rejects_too_few_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0,1\n1,1\n")
