@@ -97,6 +97,12 @@ def _add_input_flags(parser):
                         help="initial iterate as grid CSV (default: U)")
 
 
+def _add_dt_max(parser):
+    parser.add_argument("--dt-max", type=float, default=1.0,
+                        help="longest flow step; steps double from --dt up to it while "
+                             "the residual decays like exp(-t) (equal to --dt: fixed steps)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsmflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -107,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
     p.add_argument("--dt", type=float, default=0.05)
+    _add_dt_max(p)
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--eps-rel", type=float, default=0.0)
     p.add_argument("--eps-abs", type=float, default=1e-8)
@@ -132,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--max-iter", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-10)
+    _add_dt_max(p)
     p.set_defaults(func=cmd_compare_newton)
 
     p = sub.add_parser("classical-ift", help="contraction solve of the pointwise map z + z^2")
@@ -162,11 +170,18 @@ def _load_problem(args):
     data = {"h": setup.f, "u0": setup.U}
     if h_family is not None:
         data["h"] = GridFunction(_FAMILIES[h_family]["h"](setup.U.x, args.param))
-    for key, path in inputs.items():
-        data[key] = read_grid_csv(path)
-        if data[key].n != args.n:
-            raise ValueError(f"--{key}-file {path} has {data[key].n} nodes, but --n is {args.n}")
+    for key in inputs:
+        data[key] = _read_input(args, key)
     return setup, data["h"], data["u0"], inputs
+
+
+def _read_input(args, key: str) -> GridFunction:
+    """The grid CSV given by --{key}-file, which must have --n nodes."""
+    path = getattr(args, f"{key}_file")
+    f = read_grid_csv(path)
+    if f.n != args.n:
+        raise ValueError(f"--{key}-file {path} has {f.n} nodes, but --n is {args.n}")
+    return f
 
 
 def _oracle(args, setup: ProblemSetup) -> GridFunction | None:
@@ -220,6 +235,18 @@ def _flow_summary(traj) -> dict:
         "g_final": traj.g_final,
         "steps": traj.steps,
         "vf_evals": traj.vf_evals,
+        "decay_ratio": traj.decay_ratio,
+    }
+
+
+def _radius_summary(verdict) -> dict:
+    """How far u0 and h lie from the reference pair, and the working radius
+    that drift plus that distance need."""
+    return {
+        "dist_u0": verdict.dist_u0,
+        "dist_h": verdict.dist_h,
+        "R_required": verdict.R_required,
+        "radius_ok": verdict.radius_ok,
     }
 
 
@@ -227,7 +254,7 @@ def cmd_solve(args) -> int:
     cfg = FlowConfig(scheme=args.scheme, dt=args.dt, t_max=args.t_max,
                      eps_rel=args.eps_rel, eps_abs=args.eps_abs,
                      record_stride=args.record_stride,
-                     enforce_ball=args.enforce_ball)
+                     enforce_ball=args.enforce_ball, dt_max=args.dt_max)
     setup, h, u0, inputs = _load_problem(args)
     report = estimate_constants(setup, args.samples, args.seed)
     verdict = admissibility_check(setup, u0, h, report)
@@ -249,6 +276,7 @@ def cmd_solve(args) -> int:
         "admissible": verdict.admissible,
         "rho0": verdict.rho0,
         "margin": verdict.margin,
+        **_radius_summary(verdict),
     })
     return EXIT_OK if traj.stop_reason == STOP_CONVERGED else EXIT_FAILED
 
@@ -271,6 +299,7 @@ def cmd_verify(args) -> int:
         "skipped": report.skipped,
         "admissible": verdict.admissible,
         "margin": verdict.margin,
+        **_radius_summary(verdict),
     })
     return EXIT_OK
 
@@ -291,10 +320,11 @@ def cmd_probe_loss(args) -> int:
 
 
 def cmd_compare_newton(args) -> int:
+    cfg = FlowConfig(dt_max=args.dt_max)
     setup, h, u0, inputs = _load_problem(args)
     record = newton_solve(setup, u0, h, max_iter=args.max_iter, tol=args.tol,
                           oracle=_oracle(args, setup))
-    traj = integrate_flow(setup, u0, h, FlowConfig())
+    traj = integrate_flow(setup, u0, h, cfg)
 
     outputs = _outputs(args, iterations="newton_iterations.csv",
                        flow_trajectory="flow_trajectory.csv",
@@ -317,7 +347,7 @@ def cmd_classical_ift(args) -> int:
     inputs: dict = {}
     if args.p_file is not None:
         inputs["p"] = args.p_file
-        p_rhs = read_grid_csv(args.p_file)
+        p_rhs = _read_input(args, "p")
     else:
         p_rhs = GridFunction.constant(args.p, args.n)
     cfg = ClassicalIFTConfig(m=args.m, epsilon=args.epsilon,

@@ -2,8 +2,9 @@
 
 The flow ``du/dt = A(u)^{-1}(h - F(u))`` drives the residual
 ``g(t) = ||F(u(t)) - h||_{a+delta}`` down like exp(-t); the integrator here
-tracks that rate with fixed-step explicit schemes and records the trajectory
-for later verification of the decay and drift bounds.
+tracks that rate with explicit schemes, doubling the step while each step's
+g ratio follows exp(-dt), and records the trajectory for later verification
+of the decay and drift bounds.
 
 Failure modes (leaving the working ball, degenerate division coefficient)
 are recorded in ``Trajectory.stop_reason`` rather than raised: experiments
@@ -41,14 +42,29 @@ NOISE_FLOOR = 1e-12
 # Most steps one solve may ask for (t_max / dt); the defaults take 600.
 MAX_STEPS = 100_000
 
+# The next step doubles while g_k / g_{k-1} lies within this of exp(-dt_k),
+# the exact flow's ratio; otherwise it halves.
+GROW_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Integration parameters for one flow solve.
 
+    The first step is dt. After each accepted step of s, the next one is 2s
+    (at most dt_max and the time left) while that step's g_k / g_{k-1}
+    lies within ``GROW_TOL`` of exp(-s), and s / 2 otherwise, never below
+    dt. A step longer than dt that trips the operator guard, gives a
+    non-finite g or one that does not fall, or leaves the ball under
+    ``enforce_ball`` is retaken at dt from the same iterate, so the
+    ``degenerate`` and ``ball_exit`` stops are decided at dt. Every step is
+    a whole number of dt, and so is every time; ``dt_max = dt`` gives fixed
+    steps. ``record_stride`` counts accepted steps.
+
     Defaults: rk4 at dt = 0.05 tracks the unit decay rate to ~1e-8 per unit
-    time, and t_max = 30 leaves exp(-30) ~ 1e-13 of headroom below any
-    realistic stopping tolerance.
+    time; the steps then grow to 0.8, where RK4's g ratio misses exp(-0.8)
+    by about 5e-3, and alternate between 0.4 and 0.8. t_max = 30 leaves
+    exp(-30) ~ 1e-13 of headroom below any realistic stopping tolerance.
     """
 
     scheme: str = "rk4"
@@ -58,9 +74,10 @@ class FlowConfig:
     eps_abs: float = 1e-8
     record_stride: int = 1
     enforce_ball: bool = False
+    dt_max: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_max", "eps_rel", "eps_abs"):
+        for name in ("dt", "dt_max", "t_max", "eps_rel", "eps_abs"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -68,6 +85,9 @@ class FlowConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError("dt must lie in (0, 0.5] to track the decay rate")
+        if not self.dt <= self.dt_max <= 1.0:
+            raise ValueError(f"dt_max must lie in [dt, 1] = [{self.dt!r}, 1], "
+                             f"got {self.dt_max!r}")
         if not 0.0 <= self.eps_rel < 1.0:
             raise ValueError("eps_rel must lie in [0, 1)")
         if self.eps_abs < 0.0:
@@ -84,8 +104,14 @@ class FlowConfig:
 
     @property
     def steps(self) -> int:
-        """Number of steps from t = 0 to t_max."""
+        """Number of steps of dt from t = 0 to t_max."""
         return max(1, round(self.t_max / self.dt))
+
+    @property
+    def max_units(self) -> int:
+        """Longest step allowed, in steps of dt: dt_max / dt, rounded down
+        unless it falls short of a whole number by rounding alone."""
+        return math.floor(self.dt_max / self.dt * (1.0 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -103,8 +129,10 @@ class Trajectory:
     ``recorded_u`` keeps the iterate at each recorded sample so drift bounds
     against the limit can be re-checked after the fact; ``a`` is the scale
     index those distances are measured in. ``steps`` counts the accepted
-    steps and ``vf_evals`` the velocities they computed (four per RK4 step,
-    one per Euler step).
+    steps and ``vf_evals`` the velocities computed by them and by the longer
+    steps retaken at dt (four per RK4 step, one per Euler step).
+    ``decay_ratio`` is the last accepted step's g_k / g_{k-1} over
+    exp(-dt_k), 1 on the exact flow; None when no step was accepted.
     """
 
     samples: tuple[TrajectorySample, ...]
@@ -115,6 +143,7 @@ class Trajectory:
     a: int
     steps: int = 0
     vf_evals: int = 0
+    decay_ratio: float | None = None
 
     @property
     def g0(self) -> float:
@@ -221,7 +250,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     Every accepted iterate has a finite residual, and so finite values. The
     residual h - F(u) of each accepted step also gives the next step's
     stage-one velocity A(u)^{-1}(h - F(u)), so F is evaluated once less per
-    step with the same arithmetic. Everything runs in one ``Workspace``: the
+    step with the same arithmetic; a step retaken at dt (see ``FlowConfig``)
+    evaluates it once more. Everything runs in one ``Workspace``: the
     only array each step allocates is its new iterate, wrapped as a
     ``GridFunction`` when the trajectory records it.
     """
@@ -243,29 +273,42 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         return Trajectory(tuple(samples), tuple(recorded), u0, 0.0, STOP_CONVERGED, a)
 
     u = start
-    t = 0.0
-    steps = 0
+    g_prev = g0
+    ratio = None
+    steps = retaken = 0
+    done = 0  # steps of dt taken: the time is done * cfg.dt
+    units = 1
     stop = STOP_HORIZON
-    n_steps = cfg.steps
-    for k in range(1, n_steps + 1):
+    n_steps, max_units = cfg.steps, cfg.max_units
+    while done < n_steps:
+        units = min(units, n_steps - done)
+        size = units * cfg.dt
         try:
             solve(u, ws.res[0], ws, ws.k1)
-            u_next = step(p, u, hv, cfg.dt, ws=ws)
+            u_next = step(p, u, hv, size, ws=ws)
             g = _residual(p, u_next, hv, ws)
         except DegenerateCoefficient:
+            g = math.nan
+        failed = not math.isfinite(g)
+        if not failed:
+            dist_U = _distance(u_next, U, a, ws)
+            exited = cfg.enforce_ball and dist_U > p.R
+        if units > 1 and (failed or g >= g_prev or exited):
+            retaken += 1
+            units = 1
+            _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
+            continue
+        if failed:
             stop = STOP_DEGENERATE
             break
-        if not math.isfinite(g):
-            stop = STOP_DEGENERATE
-            break
-        t = k * cfg.dt
-        u = u_next
-        steps = k
-        dist_U = _distance(u, U, a, ws)
+        ratio = g / g_prev * math.exp(size)
+        done += units
+        steps += 1
+        u, g_prev = u_next, g
         converged = g <= threshold
-        exited = cfg.enforce_ball and dist_U > p.R
-        if k % cfg.record_stride == 0 or converged or exited or k == n_steps:
-            samples.append(TrajectorySample(t, g, _distance(u, start, a, ws), dist_U))
+        if steps % cfg.record_stride == 0 or converged or exited or done == n_steps:
+            samples.append(TrajectorySample(done * cfg.dt, g, _distance(u, start, a, ws),
+                                            dist_U))
             recorded.append(GridFunction._trusted(u))
         if converged:
             stop = STOP_CONVERGED
@@ -273,9 +316,10 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         if exited:
             stop = STOP_BALL_EXIT
             break
+        units = min(2 * units, max_units) if abs(ratio - 1.0) <= GROW_TOL else max(units // 2, 1)
     final_u = recorded[-1] if recorded[-1].values is u else GridFunction._trusted(u)
-    return Trajectory(tuple(samples), tuple(recorded), final_u, t, stop, a,
-                      steps, steps * _VELOCITIES_PER_STEP[cfg.scheme])
+    return Trajectory(tuple(samples), tuple(recorded), final_u, done * cfg.dt, stop, a,
+                      steps, (steps + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 
 
 def decay_fit(traj: Trajectory) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import dsmflow
 from dsmflow.cli import main
 from dsmflow.flow import MAX_STEPS
 from dsmflow.operators import QuadraticVolterra
+from dsmflow.sampling import sample_in_ball
 from dsmflow.scale import GridFunction, read_grid_csv, write_grid_csv
 
 from oracles import quadratic_formula_root
@@ -59,14 +60,48 @@ def test_solve_scaled_linear_family(tmp_path):
 
 
 def test_flow_reports_count_steps_and_velocities(tmp_path):
-    # the canonical run, h = 1.21 x at n = 201: 341 RK4 steps of 4 velocities
+    # h = 1.21 x at n = 201 in fixed steps of 0.05: 341 RK4 steps of 4 velocities
+    assert run("solve", "--h-family", "scaled-linear", "--param", 1.1,
+               "--dt-max", 0.05, "--out-dir", tmp_path) == 0
+    assert run("compare-newton", "--h-family", "scaled-linear", "--param", 1.1,
+               "--dt-max", 0.05, "--out-dir", tmp_path) == 0
+    for flow in (load(tmp_path / "solve_summary.json"),
+                 load(tmp_path / "newton_comparison.json")["flow"]):
+        assert (flow["steps"], flow["vf_evals"]) == (341, 1364)
+
+
+def test_flow_reports_grow_the_step_and_pin_the_decay_ratio(tmp_path):
+    # the same run with steps growing from 0.05: g falls by e^{-dt} per step
+    # to within GROW_TOL until the step reaches 0.8
     assert run("solve", "--h-family", "scaled-linear", "--param", 1.1,
                "--out-dir", tmp_path) == 0
     assert run("compare-newton", "--h-family", "scaled-linear", "--param", 1.1,
                "--out-dir", tmp_path) == 0
     for flow in (load(tmp_path / "solve_summary.json"),
                  load(tmp_path / "newton_comparison.json")["flow"]):
-        assert (flow["steps"], flow["vf_evals"]) == (341, 1364)
+        assert (flow["steps"], flow["vf_evals"]) == (31, 124)
+        assert flow["decay_ratio"] == pytest.approx(1.0053514, abs=1e-7)
+
+
+def test_stalled_solve_grows_the_step_and_reports_the_stall(tmp_path):
+    # h = F(V) for a V drawn at radius 0.02 stalls near g = 4e-7, above eps_abs
+    U = GridFunction.constant(1.0, 201)
+    V = sample_in_ball(np.random.default_rng(1), U, 0.02, 1)
+    write_grid_csv(QuadraticVolterra().eval(V), tmp_path / "h.csv")
+    flows = {}
+    for dt_max in (0.05, 1.0):
+        out = tmp_path / str(dt_max)
+        assert run("solve", "--h-file", tmp_path / "h.csv", "--dt-max", dt_max,
+                   "--out-dir", out) == 2
+        flows[dt_max] = load(out / "solve_summary.json")
+    fixed, grown = flows[0.05], flows[1.0]
+    for flow in (fixed, grown):
+        assert flow["stop_reason"] == "horizon" and flow["final_t"] == 30.0
+    assert fixed["steps"] == 600 and grown["steps"] < fixed["steps"]
+    assert grown["g_final"] == pytest.approx(fixed["g_final"], rel=1e-3)
+    # g has stopped falling like e^{-t}: the last step keeps 5% more of it
+    assert grown["decay_ratio"] == pytest.approx(fixed["decay_ratio"], rel=1e-3)
+    assert grown["decay_ratio"] == pytest.approx(1.0485, abs=1e-4)
 
 
 def test_solve_trivial_inputs_converge_immediately(tmp_path):
@@ -82,6 +117,7 @@ def test_solve_trivial_inputs_converge_immediately(tmp_path):
     assert summary["g0"] == 0.0
     assert summary["final_t"] == 0.0
     assert summary["decay_slope"] is None
+    assert summary["decay_ratio"] is None
 
 
 def test_solve_inadmissible_target_exits_2(tmp_path):
@@ -115,6 +151,28 @@ def test_verify_volterra_reference_run(tmp_path):
     assert 1.7 <= report["c0_lower"] <= 2.0
     assert 2.0 <= report["c0_upper"] <= 2.9
     assert report["r"] == 0.0 and report["admissible"] is True
+
+
+@pytest.mark.parametrize("command, report", [("solve", "solve_summary.json"),
+                                             ("verify", "constants.json")])
+def test_reports_carry_the_radius_check(tmp_path, command, report):
+    rng = np.random.default_rng(3)
+    U = GridFunction.constant(1.0, 201)
+    write_grid_csv(sample_in_ball(rng, U, 0.01, 1), tmp_path / "u0.csv")
+    write_grid_csv(QuadraticVolterra().eval(sample_in_ball(rng, U, 0.01, 1)),
+                   tmp_path / "h.csv")
+    out = tmp_path / "out"
+    assert run(command, "--samples", 50, "--u0-file", tmp_path / "u0.csv",
+               "--h-file", tmp_path / "h.csv", "--out-dir", out) in (0, 2)
+    got = load(out / report)
+    setup = dsmflow.ProblemSetup.from_reference(QuadraticVolterra(), U, 0.05)
+    verdict = dsmflow.admissibility_check(
+        setup, read_grid_csv(tmp_path / "u0.csv"), read_grid_csv(tmp_path / "h.csv"),
+        dsmflow.estimate_constants(setup, 50, 0))
+    want = {key: getattr(verdict, key)
+            for key in ("dist_u0", "dist_h", "R_required", "radius_ok", "margin")}
+    assert {key: got[key] for key in want} == want
+    assert 0.0 < got["dist_u0"] <= 0.01 and got["radius_ok"] is True
 
 
 def test_verify_linear_smoothing(tmp_path):
@@ -246,6 +304,18 @@ def test_classical_ift_creates_out_dir_only_for_a_report(tmp_path, flags, code):
         assert summary["solved"] is False
         assert summary["reason"] == "no fixed point within 1 iterations"
         assert sorted(p.name for p in out.iterdir()) == ["classical_ift.json"]
+
+
+def test_classical_ift_p_file_off_the_grid_exits_1_naming_it(tmp_path, capsys):
+    small = tmp_path / "p.csv"
+    write_grid_csv(GridFunction.constant(0.1, 51), small)
+    out = tmp_path / "out"
+    assert run("classical-ift", "--p-file", small, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: --p-file {small} has 51 nodes, but --n is 201"]
+    assert not out.exists()
+    assert run("classical-ift", "--p-file", small, "--n", 51, "--out-dir", out) == 0
+    assert load(out / "classical_ift.json")["manifest"]["n"] == 51
 
 
 # --- manifest and error handling ----------------------------------------------------
@@ -412,15 +482,17 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=30, deadline=None)
 @given(param=_flag_values(_FLOATS), radius=_flag_values(_FLOATS),
-       u_min=_flag_values(_FLOATS), dt=_flag_values(_FLOATS))
-def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt):
+       u_min=_flag_values(_FLOATS), dt=_flag_values(_FLOATS),
+       dt_max=_flag_values(st.floats(-2.0, 2.0)))
+def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt, dt_max):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         code = run("solve", "--n", 21, "--samples", 10, "--h-family", "scaled-linear",
                    f"--param={param!r}", f"--radius={radius!r}",
-                   f"--u-min={u_min!r}", f"--dt={dt!r}", "--out-dir", out)
+                   f"--u-min={u_min!r}", f"--dt={dt!r}", f"--dt-max={dt_max!r}",
+                   "--out-dir", out)
         assert code in (0, 1, 2)
-        if 0.0 < dt and 30.0 / dt > MAX_STEPS + 0.5:
+        if (0.0 < dt and 30.0 / dt > MAX_STEPS + 0.5) or not dt <= dt_max <= 1.0:
             assert code == 1
             assert not list(out.iterdir())
         for report in out.glob("*.json"):

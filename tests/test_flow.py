@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dsmflow.flow as flow_module
 import dsmflow.operators as operators_module
 from dsmflow.flow import (
+    GROW_TOL,
     MAX_STEPS,
     SCHEMES,
     STOP_BALL_EXIT,
@@ -25,6 +26,7 @@ from dsmflow.flow import (
     verify_trajectory_bounds,
     write_trajectory_csv,
 )
+from dsmflow.conditions import estimate_constants
 from dsmflow.newton_lab import newton_step
 from dsmflow.operators import (
     DegenerateCoefficient,
@@ -71,6 +73,19 @@ def test_flow_config_validation(kwargs):
 def test_flow_config_caps_the_step_count(dt):
     with pytest.raises(ValueError, match=r"^t_max 30\.0 / dt .* steps, more than"):
         FlowConfig(dt=dt, t_max=30.0)
+
+
+@pytest.mark.parametrize("dt_max", [math.nan, math.inf, -math.inf, 1e300, -1e300,
+                                    0.04, 1.0 + 1e-12])
+def test_flow_config_rejects_dt_max_outside_dt_to_one(dt_max):
+    with pytest.raises(ValueError, match="^dt_max must"):
+        FlowConfig(dt=0.05, dt_max=dt_max)
+
+
+@pytest.mark.parametrize("dt, dt_max, units", [(0.05, 1.0, 20), (0.05, 0.05, 1),
+                                               (0.1, 0.3, 3), (0.3, 0.5, 1), (0.5, 1.0, 2)])
+def test_flow_config_longest_step_in_steps_of_dt(dt, dt_max, units):
+    assert FlowConfig(dt=dt, dt_max=dt_max).max_units == units
 
 
 def test_flow_config_at_the_step_cap_is_valid():
@@ -142,7 +157,7 @@ def test_monotone_residual_along_trajectory(setup201):
 
 def test_rk4_tracks_exact_decay_rate_per_step(setup201):
     h = scaled_linear_h(201, 1.1)
-    cfg = FlowConfig()
+    cfg = FlowConfig(dt_max=0.05)
     traj = integrate_flow(setup201, setup201.U, h, cfg)
     lo = math.exp(-cfg.dt) * (1.0 - 10.0 * cfg.dt**4)
     hi = math.exp(-cfg.dt) * (1.0 + 10.0 * cfg.dt**4)
@@ -196,6 +211,69 @@ def test_non_finite_initial_residual_raises(setup201):
         integrate_flow(setup201, setup201.U, h, FlowConfig())
 
 
+# --- growing steps --------------------------------------------------------------
+
+def test_growing_steps_cut_velocities_and_keep_the_canonical_checks(setup201):
+    # the canonical run of c01-c04: h = x + 0.05 x^2 from U = 1
+    x = setup201.U.x
+    h = GridFunction(x + 0.05 * x * x)
+    fixed = integrate_flow(setup201, setup201.U, h, FlowConfig(dt_max=0.05))
+    grown = integrate_flow(setup201, setup201.U, h, FlowConfig())
+    assert (fixed.steps, fixed.vf_evals) == (326, 1304)
+    assert grown.stop_reason == STOP_CONVERGED
+    assert 3 * grown.vf_evals <= fixed.vf_evals
+    oracle = GridFunction(np.sqrt(1.0 + 0.1 * x))
+    assert ball_distance(grown.final_u, oracle, 1) <= 1e-3  # c01
+    slope, r_squared = decay_fit(grown)
+    assert abs(slope + 1.0) <= 0.01 and r_squared >= 0.999  # c02, tightened
+    c0_lower = estimate_constants(setup201, 200, 42).c0_lower
+    assert verify_trajectory_bounds(grown, grown.g0 / c0_lower) == []  # c03
+    gs = [s.g for s in grown.samples]
+    assert all(b <= a + 1e-10 for a, b in zip(gs, gs[1:]))  # c04
+    # steps grow to 0.8, whose g ratio misses exp(-0.8) by more than GROW_TOL,
+    # and then alternate between 0.4 and 0.8
+    assert grown.decay_ratio == pytest.approx(1.00537, abs=1e-5)
+    assert {round(b.t - a.t, 9) for a, b in zip(grown.samples[5:], grown.samples[6:])} == {
+        0.4, 0.8}
+
+
+@pytest.mark.parametrize("family, enforce_ball, stop, t, counts", [
+    # steps of 0.05, 0.1, 0.05 and 0.05, with three longer steps retaken
+    ("degenerate", False, STOP_DEGENERATE, 0.25, [(5, 20), (4, 28)]),
+    ("degenerate", True, STOP_BALL_EXIT, 0.05, [(1, 4), (1, 4)]),
+    # u = 1.1 lies 0.1 from U and the flow leaves the ball of 0.05 at t = 0.7;
+    # the steps of 0.4, 0.2 and 0.2 that would leave it earlier are retaken
+    ("scaled-linear", True, STOP_BALL_EXIT, 0.7, [(14, 56), (8, 44)]),
+])
+def test_grown_steps_stop_where_fixed_steps_stop(family, enforce_ball, stop, t, counts):
+    p, h = flow_problem(QuadraticVolterra(), 201, family, 0.1)
+    runs = [integrate_flow(p, p.U, h, FlowConfig(enforce_ball=enforce_ball, dt_max=dt_max))
+            for dt_max in (0.05, 1.0)]
+    for traj in runs:
+        assert traj.stop_reason == stop
+        assert traj.final_t == pytest.approx(t, abs=1e-12)
+        assert all(math.isfinite(s.g) for s in traj.samples)
+    assert [(traj.steps, traj.vf_evals) for traj in runs] == counts
+
+
+def test_a_longer_step_whose_g_does_not_fall_is_retaken(setup201, monkeypatch):
+    h = scaled_linear_h(201, 1.1)
+    fixed = integrate_flow(setup201, setup201.U, h, FlowConfig(dt_max=0.05))
+    rk4 = flow_module.rk4_step
+
+    def backwards_when_long(p, u, h, dt, ws=None):
+        u_next = rk4(p, u, h, dt, ws=ws)
+        return u_next if dt == 0.05 else 2.0 * u - u_next  # g rises
+
+    monkeypatch.setitem(flow_module._STEPPERS, "rk4", backwards_when_long)
+    grown = integrate_flow(setup201, setup201.U, h, FlowConfig())
+    # every accepted step is a step of 0.05, after the first each one retaking
+    # a step of 0.1
+    assert (grown.steps, grown.vf_evals) == (341, 4 * (2 * 341 - 1))
+    assert (grown.samples, grown.decay_ratio) == (fixed.samples, fixed.decay_ratio)
+    assert np.array_equal(grown.final_u.values, fixed.final_u.values)
+
+
 # --- work per step (exact counts, never timed) -------------------------------
 
 def test_grid_function_checks_do_not_grow_with_steps(setup201, monkeypatch):
@@ -235,7 +313,7 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
     monkeypatch.setattr(QuadraticVolterra, "_eval", counting_eval)
     h = scaled_linear_h(201, 1.1)
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0))
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0, dt_max=0.05))
     steps = 20
     assert traj.stop_reason == STOP_HORIZON and len(traj.samples) == steps + 1
     assert len(vf_calls) == 3 * steps
@@ -246,7 +324,8 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
 def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride):
     h = scaled_linear_h(201, 1.1)
     traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme,
-                                                              record_stride=stride))
+                                                              record_stride=stride,
+                                                              dt_max=0.05))
     assert traj.stop_reason == STOP_CONVERGED
     assert traj.steps == steps == round(traj.final_t / 0.05)
     assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * steps
@@ -255,7 +334,7 @@ def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride)
 def test_trajectory_counts_only_accepted_steps(setup201):
     x = setup201.U.x
     h = GridFunction(x - 2.0 * x * x)  # stops `degenerate` inside step 6
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4))
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4, dt_max=0.05))
     assert traj.stop_reason == STOP_DEGENERATE and traj.final_t == 0.25
     assert (traj.steps, traj.vf_evals) == (5, 20)
     assert traj.samples[-1].t == 0.2  # step 5 itself was not recorded
@@ -268,7 +347,7 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
     rng = np.random.default_rng(12)
     u0 = sample_in_ball(rng, setup201.U, 0.02, 1)
     h = scaled_linear_h(201, 1.1)
-    cfg = FlowConfig(scheme=scheme, t_max=1.0)
+    cfg = FlowConfig(scheme=scheme, t_max=1.0, dt_max=0.05)
     traj = integrate_flow(setup201, u0, h, cfg)
     u = u0
     for recorded in traj.recorded_u[1:]:
@@ -283,7 +362,12 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
 def reference_flow(p, u0, h, cfg):
     """``integrate_flow`` written in GridFunction arithmetic: the stage
     points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g and
-    the distances through the public operators, norms and distances."""
+    the distances through the public operators, norms and distances, with
+    the step-size rule restated from the ``FlowConfig`` docstring.
+
+    Returns the samples, the recorded iterates, the final iterate, the stop
+    reason and the trajectory's (final_t, steps, vf_evals, decay_ratio).
+    """
     op = p.operator
 
     def residual_field(u):
@@ -293,47 +377,66 @@ def reference_flow(p, u0, h, cfg):
     def velocity(u):
         return -op.solve_derivative(u, op.eval(u) - h)
 
-    dt = cfg.dt
+    def advance(u, r, dt):
+        k1 = -op.solve_derivative(u, r)
+        if cfg.scheme == "euler":
+            return u + dt * k1
+        k2 = velocity(u + (dt / 2.0) * k1)
+        k3 = velocity(u + (dt / 2.0) * k2)
+        k4 = velocity(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     r, g = residual_field(u0)
     threshold = cfg.eps_rel * g + cfg.eps_abs
     samples = [TrajectorySample(0.0, g, 0.0, ball_distance(u0, p.U, p.a))]
     recorded = [u0]
-    if g <= threshold:
-        return samples, recorded, u0, STOP_CONVERGED
     u = u0
-    for k in range(1, cfg.steps + 1):
+    stop = STOP_CONVERGED if g <= threshold else STOP_HORIZON
+    elapsed = 0  # in steps of cfg.dt
+    span = 1  # the next step, in steps of cfg.dt
+    accepted = retaken = 0
+    ratio = None
+    while stop == STOP_HORIZON and elapsed < cfg.steps:
+        span = min(span, cfg.steps - elapsed)
         try:
-            k1 = -op.solve_derivative(u, r)
-            if cfg.scheme == "euler":
-                u_next = u + dt * k1
-            else:
-                k2 = velocity(u + (dt / 2.0) * k1)
-                k3 = velocity(u + (dt / 2.0) * k2)
-                k4 = velocity(u + dt * k3)
-                u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            r, g = residual_field(u_next)
+            u_next = advance(u, r, span * cfg.dt)
+            r_next, g_next = residual_field(u_next)
         except DegenerateCoefficient:
-            return samples, recorded, u, STOP_DEGENERATE
-        if not math.isfinite(g):
-            return samples, recorded, u, STOP_DEGENERATE
-        u = u_next
-        dist_U = ball_distance(u, p.U, p.a)
-        converged = g <= threshold
-        exited = cfg.enforce_ball and dist_U > p.R
-        if k % cfg.record_stride == 0 or converged or exited or k == cfg.steps:
-            samples.append(TrajectorySample(k * dt, g, ball_distance(u, u0, p.a), dist_U))
+            g_next = math.nan
+        usable = math.isfinite(g_next)
+        outside = usable and cfg.enforce_ball and ball_distance(u_next, p.U, p.a) > p.R
+        if span > 1 and not (usable and g_next < g and not outside):
+            retaken += 1
+            span = 1
+            continue
+        if not usable:
+            stop = STOP_DEGENERATE
+            break
+        ratio = g_next / g * math.exp(span * cfg.dt)
+        elapsed += span
+        accepted += 1
+        u, r, g = u_next, r_next, g_next
+        if g <= threshold:
+            stop = STOP_CONVERGED
+        elif outside:
+            stop = STOP_BALL_EXIT
+        if accepted % cfg.record_stride == 0 or stop != STOP_HORIZON or elapsed == cfg.steps:
+            samples.append(TrajectorySample(elapsed * cfg.dt, g, ball_distance(u, u0, p.a),
+                                            ball_distance(u, p.U, p.a)))
             recorded.append(u)
-        if converged:
-            return samples, recorded, u, STOP_CONVERGED
-        if exited:
-            return samples, recorded, u, STOP_BALL_EXIT
-    return samples, recorded, u, STOP_HORIZON
+        if abs(ratio - 1.0) <= GROW_TOL:
+            span = min(2 * span, cfg.max_units)
+        else:
+            span = max(span // 2, 1)
+    vf_evals = (accepted + retaken) * (1 if cfg.scheme == "euler" else 4)
+    return samples, recorded, u, stop, (elapsed * cfg.dt, accepted, vf_evals, ratio)
 
 
 def assert_flow_matches_reference(p, u0, h, cfg):
     traj = integrate_flow(p, u0, h, cfg)
-    samples, recorded, final_u, stop = reference_flow(p, u0, h, cfg)
+    samples, recorded, final_u, stop, counts = reference_flow(p, u0, h, cfg)
     assert traj.stop_reason == stop
+    assert (traj.final_t, traj.steps, traj.vf_evals, traj.decay_ratio) == counts
     assert len(traj.samples) == len(samples) == len(traj.recorded_u) == len(recorded)
     for got, want in zip(traj.samples, samples):
         assert np.array_equal([got.t, got.g, got.dist_u0, got.dist_U],
@@ -352,9 +455,11 @@ def test_flow_is_bit_identical_to_grid_function_arithmetic(operator, scheme, n):
     p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
     t_max, stop = (1.0, STOP_HORIZON) if n == 20001 else (30.0, STOP_CONVERGED)
-    cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3)
-    traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
-    assert traj.stop_reason == stop
+    for dt_max in (0.05, 1.0):
+        cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3,
+                         dt_max=dt_max)
+        traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
+        assert traj.stop_reason == stop
 
 
 def flow_problem(operator, n, family, param=0.0):
@@ -369,17 +474,18 @@ def flow_problem(operator, n, family, param=0.0):
 @settings(max_examples=60, deadline=None)
 @given(operator=st.sampled_from([QuadraticVolterra(), LinearSmoothing()]),
        scheme=st.sampled_from(SCHEMES), dt=st.floats(0.02, 0.5),
-       t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
+       dt_max=st.one_of(st.none(), st.floats(0.02, 1.0)), t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
        enforce_ball=st.booleans(), radius=st.floats(0.0, 0.1),
        family=st.sampled_from(["scaled-linear", "quadratic-perturb", "degenerate"]),
        param=st.floats(-0.3, 0.3), n=st.sampled_from([21, 201]), seed=st.integers(0, 2**16))
 def test_flow_equals_the_reference_flow_on_drawn_problems(
-        operator, scheme, dt, t_max, record_stride, enforce_ball, radius, family, param, n,
-        seed):
+        operator, scheme, dt, dt_max, t_max, record_stride, enforce_ball, radius, family,
+        param, n, seed):
     p, h = flow_problem(operator, n, family, param)
     u0 = sample_in_ball(np.random.default_rng(seed), p.U, radius, 1)
     cfg = FlowConfig(scheme=scheme, dt=dt, t_max=max(t_max, dt), eps_rel=1e-2,
-                     record_stride=record_stride, enforce_ball=enforce_ball)
+                     record_stride=record_stride, enforce_ball=enforce_ball,
+                     dt_max=dt if dt_max is None else max(dt, dt_max))
     assert_flow_matches_reference(p, u0, h, cfg)
 
 
@@ -390,9 +496,10 @@ def test_flow_failures_are_bit_identical_to_grid_function_arithmetic(
         setup201, scheme, enforce_ball, stop):
     x = setup201.U.x
     h = GridFunction(x - 2.0 * x * x)  # h' = 1 - 4x crosses zero
-    cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball)
-    traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
-    assert traj.stop_reason == stop
+    for dt_max in (0.05, 1.0):
+        cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball, dt_max=dt_max)
+        traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
+        assert traj.stop_reason == stop
 
 
 # --- workspaces ----------------------------------------------------------------
