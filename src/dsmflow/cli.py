@@ -97,12 +97,6 @@ def _add_input_flags(parser):
                         help="initial iterate as grid CSV (default: U)")
 
 
-def _add_dt_max(parser):
-    parser.add_argument("--dt-max", type=float, default=1.0,
-                        help="longest flow step; steps double from --dt up to it while "
-                             "the residual decays like exp(-t) (equal to --dt: fixed steps)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsmflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -113,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
     p.add_argument("--dt", type=float, default=0.05)
-    _add_dt_max(p)
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--eps-rel", type=float, default=0.0)
     p.add_argument("--eps-abs", type=float, default=1e-8)
@@ -139,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--max-iter", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_dt_max(p)
     p.set_defaults(func=cmd_compare_newton)
 
     p = sub.add_parser("classical-ift", help="contraction solve of the pointwise map z + z^2")
@@ -254,7 +246,7 @@ def cmd_solve(args) -> int:
     cfg = FlowConfig(scheme=args.scheme, dt=args.dt, t_max=args.t_max,
                      eps_rel=args.eps_rel, eps_abs=args.eps_abs,
                      record_stride=args.record_stride,
-                     enforce_ball=args.enforce_ball, dt_max=args.dt_max)
+                     enforce_ball=args.enforce_ball)
     setup, h, u0, inputs = _load_problem(args)
     report = estimate_constants(setup, args.samples, args.seed)
     verdict = admissibility_check(setup, u0, h, report)
@@ -320,11 +312,10 @@ def cmd_probe_loss(args) -> int:
 
 
 def cmd_compare_newton(args) -> int:
-    cfg = FlowConfig(dt_max=args.dt_max)
     setup, h, u0, inputs = _load_problem(args)
     record = newton_solve(setup, u0, h, max_iter=args.max_iter, tol=args.tol,
                           oracle=_oracle(args, setup))
-    traj = integrate_flow(setup, u0, h, cfg)
+    traj = integrate_flow(setup, u0, h, FlowConfig())
 
     outputs = _outputs(args, iterations="newton_iterations.csv",
                        flow_trajectory="flow_trajectory.csv",

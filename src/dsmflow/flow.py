@@ -43,8 +43,12 @@ NOISE_FLOOR = 1e-12
 MAX_STEPS = 100_000
 
 # The next step doubles while g_k / g_{k-1} lies within this of exp(-dt_k),
-# the exact flow's ratio; otherwise it halves.
+# the exact flow's ratio; otherwise it halves. A negative value keeps every
+# step at dt.
 GROW_TOL = 1e-3
+
+# Longest step: at dt = 1 an Euler step is a Newton step.
+DT_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -52,19 +56,21 @@ class FlowConfig:
     """Integration parameters for one flow solve.
 
     The first step is dt. After each accepted step of s, the next one is 2s
-    (at most dt_max and the time left) while that step's g_k / g_{k-1}
-    lies within ``GROW_TOL`` of exp(-s), and s / 2 otherwise, never below
-    dt. A step longer than dt that trips the operator guard, gives a
-    non-finite g or one that does not fall, or leaves the ball under
-    ``enforce_ball`` is retaken at dt from the same iterate, so the
-    ``degenerate`` and ``ball_exit`` stops are decided at dt. Every step is
-    a whole number of dt, and so is every time; ``dt_max = dt`` gives fixed
-    steps. ``record_stride`` counts accepted steps.
+    (at most the time left and the most whole steps of dt that 1 / dt
+    rounds down to, see ``DT_MAX``) while that step's g_k / g_{k-1} lies
+    within ``GROW_TOL`` of exp(-s), and s / 2 otherwise, never below dt. A
+    step longer than dt that trips the operator guard, gives a non-finite g
+    or one that does not fall, or leaves the ball under ``enforce_ball`` is
+    retaken at dt from the same iterate, so the ``degenerate`` and
+    ``ball_exit`` stops are decided at dt. Every step is a whole number of
+    dt, and so is every time. ``record_stride`` counts accepted steps.
 
     Defaults: rk4 at dt = 0.05 tracks the unit decay rate to ~1e-8 per unit
     time; the steps then grow to 0.8, where RK4's g ratio misses exp(-0.8)
-    by about 5e-3, and alternate between 0.4 and 0.8. t_max = 30 leaves
-    exp(-30) ~ 1e-13 of headroom below any realistic stopping tolerance.
+    by about 5e-3, and alternate between 0.4 and 0.8. Euler's ratio misses
+    exp(-dt) by O(dt^2), 1.3e-3 at dt = 0.05, so at the default dt its
+    steps stay at dt. t_max = 30 leaves exp(-30) ~ 1e-13 of headroom below
+    any realistic stopping tolerance.
     """
 
     scheme: str = "rk4"
@@ -74,10 +80,9 @@ class FlowConfig:
     eps_abs: float = 1e-8
     record_stride: int = 1
     enforce_ball: bool = False
-    dt_max: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "dt_max", "t_max", "eps_rel", "eps_abs"):
+        for name in ("dt", "t_max", "eps_rel", "eps_abs"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -85,9 +90,6 @@ class FlowConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError("dt must lie in (0, 0.5] to track the decay rate")
-        if not self.dt <= self.dt_max <= 1.0:
-            raise ValueError(f"dt_max must lie in [dt, 1] = [{self.dt!r}, 1], "
-                             f"got {self.dt_max!r}")
         if not 0.0 <= self.eps_rel < 1.0:
             raise ValueError("eps_rel must lie in [0, 1)")
         if self.eps_abs < 0.0:
@@ -107,12 +109,6 @@ class FlowConfig:
         """Number of steps of dt from t = 0 to t_max."""
         return max(1, round(self.t_max / self.dt))
 
-    @property
-    def max_units(self) -> int:
-        """Longest step allowed, in steps of dt: dt_max / dt, rounded down
-        unless it falls short of a whole number by rounding alone."""
-        return math.floor(self.dt_max / self.dt * (1.0 + 1e-12))
-
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -129,8 +125,10 @@ class Trajectory:
     ``recorded_u`` keeps the iterate at each recorded sample so drift bounds
     against the limit can be re-checked after the fact; ``a`` is the scale
     index those distances are measured in. ``steps`` counts the accepted
-    steps and ``vf_evals`` the velocities computed by them and by the longer
-    steps retaken at dt (four per RK4 step, one per Euler step).
+    steps and ``vf_evals`` the velocities of the steps that ran all their
+    stages, accepted or retaken at dt (four per RK4 step, one per Euler
+    step); a step the operator guard stopped, and the step that stopped the
+    flow, count none.
     ``decay_ratio`` is the last accepted step's g_k / g_{k-1} over
     exp(-dt_k), 1 on the exact flow; None when no step was accepted.
     """
@@ -279,7 +277,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     done = 0  # steps of dt taken: the time is done * cfg.dt
     units = 1
     stop = STOP_HORIZON
-    n_steps, max_units = cfg.steps, cfg.max_units
+    n_steps, max_units = cfg.steps, int(DT_MAX / cfg.dt)
     while done < n_steps:
         units = min(units, n_steps - done)
         size = units * cfg.dt
@@ -288,13 +286,13 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             u_next = step(p, u, hv, size, ws=ws)
             g = _residual(p, u_next, hv, ws)
         except DegenerateCoefficient:
-            g = math.nan
+            u_next, g = None, math.nan
         failed = not math.isfinite(g)
         if not failed:
             dist_U = _distance(u_next, U, a, ws)
             exited = cfg.enforce_ball and dist_U > p.R
         if units > 1 and (failed or g >= g_prev or exited):
-            retaken += 1
+            retaken += u_next is not None
             units = 1
             _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
             continue

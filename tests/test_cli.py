@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmflow
+import dsmflow.flow as flow_module
 from dsmflow.cli import main
 from dsmflow.flow import MAX_STEPS
 from dsmflow.operators import QuadraticVolterra
@@ -59,12 +60,13 @@ def test_solve_scaled_linear_family(tmp_path):
     assert lines[0] == "t,g,dist_u0,dist_U"
 
 
-def test_flow_reports_count_steps_and_velocities(tmp_path):
+def test_flow_reports_count_steps_and_velocities(tmp_path, monkeypatch):
     # h = 1.21 x at n = 201 in fixed steps of 0.05: 341 RK4 steps of 4 velocities
+    monkeypatch.setattr(flow_module, "GROW_TOL", -1.0)  # no step grows
     assert run("solve", "--h-family", "scaled-linear", "--param", 1.1,
-               "--dt-max", 0.05, "--out-dir", tmp_path) == 0
+               "--out-dir", tmp_path) == 0
     assert run("compare-newton", "--h-family", "scaled-linear", "--param", 1.1,
-               "--dt-max", 0.05, "--out-dir", tmp_path) == 0
+               "--out-dir", tmp_path) == 0
     for flow in (load(tmp_path / "solve_summary.json"),
                  load(tmp_path / "newton_comparison.json")["flow"]):
         assert (flow["steps"], flow["vf_evals"]) == (341, 1364)
@@ -88,13 +90,14 @@ def test_stalled_solve_grows_the_step_and_reports_the_stall(tmp_path):
     U = GridFunction.constant(1.0, 201)
     V = sample_in_ball(np.random.default_rng(1), U, 0.02, 1)
     write_grid_csv(QuadraticVolterra().eval(V), tmp_path / "h.csv")
-    flows = {}
-    for dt_max in (0.05, 1.0):
-        out = tmp_path / str(dt_max)
-        assert run("solve", "--h-file", tmp_path / "h.csv", "--dt-max", dt_max,
-                   "--out-dir", out) == 2
-        flows[dt_max] = load(out / "solve_summary.json")
-    fixed, grown = flows[0.05], flows[1.0]
+    flows = []
+    for grow_tol in (-1.0, flow_module.GROW_TOL):  # no step grows, then the default
+        out = tmp_path / str(grow_tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow_module, "GROW_TOL", grow_tol)
+            assert run("solve", "--h-file", tmp_path / "h.csv", "--out-dir", out) == 2
+        flows.append(load(out / "solve_summary.json"))
+    fixed, grown = flows
     for flow in (fixed, grown):
         assert flow["stop_reason"] == "horizon" and flow["final_t"] == 30.0
     assert fixed["steps"] == 600 and grown["steps"] < fixed["steps"]
@@ -482,17 +485,15 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=30, deadline=None)
 @given(param=_flag_values(_FLOATS), radius=_flag_values(_FLOATS),
-       u_min=_flag_values(_FLOATS), dt=_flag_values(_FLOATS),
-       dt_max=_flag_values(st.floats(-2.0, 2.0)))
-def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt, dt_max):
+       u_min=_flag_values(_FLOATS), dt=_flag_values(_FLOATS))
+def test_solve_flags_exit_cleanly_with_strict_json(param, radius, u_min, dt):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         code = run("solve", "--n", 21, "--samples", 10, "--h-family", "scaled-linear",
                    f"--param={param!r}", f"--radius={radius!r}",
-                   f"--u-min={u_min!r}", f"--dt={dt!r}", f"--dt-max={dt_max!r}",
-                   "--out-dir", out)
+                   f"--u-min={u_min!r}", f"--dt={dt!r}", "--out-dir", out)
         assert code in (0, 1, 2)
-        if (0.0 < dt and 30.0 / dt > MAX_STEPS + 0.5) or not dt <= dt_max <= 1.0:
+        if 0.0 < dt and 30.0 / dt > MAX_STEPS + 0.5:
             assert code == 1
             assert not list(out.iterdir())
         for report in out.glob("*.json"):

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 import dsmflow.flow as flow_module
 import dsmflow.operators as operators_module
 from dsmflow.flow import (
-    GROW_TOL,
     MAX_STEPS,
     SCHEMES,
     STOP_BALL_EXIT,
@@ -52,6 +52,16 @@ def scaled_linear_h(n, lam):
     return GridFunction(lam * lam * x)
 
 
+@contextmanager
+def fixed_steps(on=True):
+    """Every step of the flows run inside is dt: no g ratio lies within a
+    negative GROW_TOL, so no step grows."""
+    with pytest.MonkeyPatch.context() as patch:
+        if on:
+            patch.setattr(flow_module, "GROW_TOL", -1.0)
+        yield
+
+
 # --- config validation -------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
@@ -73,19 +83,6 @@ def test_flow_config_validation(kwargs):
 def test_flow_config_caps_the_step_count(dt):
     with pytest.raises(ValueError, match=r"^t_max 30\.0 / dt .* steps, more than"):
         FlowConfig(dt=dt, t_max=30.0)
-
-
-@pytest.mark.parametrize("dt_max", [math.nan, math.inf, -math.inf, 1e300, -1e300,
-                                    0.04, 1.0 + 1e-12])
-def test_flow_config_rejects_dt_max_outside_dt_to_one(dt_max):
-    with pytest.raises(ValueError, match="^dt_max must"):
-        FlowConfig(dt=0.05, dt_max=dt_max)
-
-
-@pytest.mark.parametrize("dt, dt_max, units", [(0.05, 1.0, 20), (0.05, 0.05, 1),
-                                               (0.1, 0.3, 3), (0.3, 0.5, 1), (0.5, 1.0, 2)])
-def test_flow_config_longest_step_in_steps_of_dt(dt, dt_max, units):
-    assert FlowConfig(dt=dt, dt_max=dt_max).max_units == units
 
 
 def test_flow_config_at_the_step_cap_is_valid():
@@ -157,8 +154,9 @@ def test_monotone_residual_along_trajectory(setup201):
 
 def test_rk4_tracks_exact_decay_rate_per_step(setup201):
     h = scaled_linear_h(201, 1.1)
-    cfg = FlowConfig(dt_max=0.05)
-    traj = integrate_flow(setup201, setup201.U, h, cfg)
+    cfg = FlowConfig()
+    with fixed_steps():
+        traj = integrate_flow(setup201, setup201.U, h, cfg)
     lo = math.exp(-cfg.dt) * (1.0 - 10.0 * cfg.dt**4)
     hi = math.exp(-cfg.dt) * (1.0 + 10.0 * cfg.dt**4)
     for a, b in zip(traj.samples, traj.samples[1:]):
@@ -217,7 +215,8 @@ def test_growing_steps_cut_velocities_and_keep_the_canonical_checks(setup201):
     # the canonical run of c01-c04: h = x + 0.05 x^2 from U = 1
     x = setup201.U.x
     h = GridFunction(x + 0.05 * x * x)
-    fixed = integrate_flow(setup201, setup201.U, h, FlowConfig(dt_max=0.05))
+    with fixed_steps():
+        fixed = integrate_flow(setup201, setup201.U, h, FlowConfig())
     grown = integrate_flow(setup201, setup201.U, h, FlowConfig())
     assert (fixed.steps, fixed.vf_evals) == (326, 1304)
     assert grown.stop_reason == STOP_CONVERGED
@@ -237,9 +236,23 @@ def test_growing_steps_cut_velocities_and_keep_the_canonical_checks(setup201):
         0.4, 0.8}
 
 
+@pytest.mark.parametrize("dt, steps", [
+    (0.05, [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0, 1.0, 0.45]),
+    (0.3, [0.3, 0.6, 0.9, 0.9, 0.9, 0.9, 0.9, 0.6]),  # 1 / 0.3 rounds down to 3
+])
+def test_steps_grow_to_the_most_whole_steps_of_dt_within_one(setup201, monkeypatch, dt,
+                                                             steps):
+    monkeypatch.setattr(flow_module, "GROW_TOL", math.inf)  # every step doubles
+    h = scaled_linear_h(201, 1.1)
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(dt=dt, t_max=6.0, eps_abs=0.0))
+    assert traj.stop_reason == STOP_HORIZON and traj.final_t == pytest.approx(6.0)
+    assert [round(b.t - a.t, 9) for a, b in zip(traj.samples, traj.samples[1:])] == steps
+
+
 @pytest.mark.parametrize("family, enforce_ball, stop, t, counts", [
-    # steps of 0.05, 0.1, 0.05 and 0.05, with three longer steps retaken
-    ("degenerate", False, STOP_DEGENERATE, 0.25, [(5, 20), (4, 28)]),
+    # steps of 0.05, 0.1, 0.05 and 0.05; the three longer steps retaken were
+    # stopped by the guard and count no velocities
+    ("degenerate", False, STOP_DEGENERATE, 0.25, [(5, 20), (4, 16)]),
     ("degenerate", True, STOP_BALL_EXIT, 0.05, [(1, 4), (1, 4)]),
     # u = 1.1 lies 0.1 from U and the flow leaves the ball of 0.05 at t = 0.7;
     # the steps of 0.4, 0.2 and 0.2 that would leave it earlier are retaken
@@ -247,8 +260,10 @@ def test_growing_steps_cut_velocities_and_keep_the_canonical_checks(setup201):
 ])
 def test_grown_steps_stop_where_fixed_steps_stop(family, enforce_ball, stop, t, counts):
     p, h = flow_problem(QuadraticVolterra(), 201, family, 0.1)
-    runs = [integrate_flow(p, p.U, h, FlowConfig(enforce_ball=enforce_ball, dt_max=dt_max))
-            for dt_max in (0.05, 1.0)]
+    runs = []
+    for fixed in (True, False):
+        with fixed_steps(fixed):
+            runs.append(integrate_flow(p, p.U, h, FlowConfig(enforce_ball=enforce_ball)))
     for traj in runs:
         assert traj.stop_reason == stop
         assert traj.final_t == pytest.approx(t, abs=1e-12)
@@ -258,7 +273,8 @@ def test_grown_steps_stop_where_fixed_steps_stop(family, enforce_ball, stop, t, 
 
 def test_a_longer_step_whose_g_does_not_fall_is_retaken(setup201, monkeypatch):
     h = scaled_linear_h(201, 1.1)
-    fixed = integrate_flow(setup201, setup201.U, h, FlowConfig(dt_max=0.05))
+    with fixed_steps():
+        fixed = integrate_flow(setup201, setup201.U, h, FlowConfig())
     rk4 = flow_module.rk4_step
 
     def backwards_when_long(p, u, h, dt, ws=None):
@@ -313,7 +329,8 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
     monkeypatch.setattr(QuadraticVolterra, "_eval", counting_eval)
     h = scaled_linear_h(201, 1.1)
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0, dt_max=0.05))
+    with fixed_steps():
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0))
     steps = 20
     assert traj.stop_reason == STOP_HORIZON and len(traj.samples) == steps + 1
     assert len(vf_calls) == 3 * steps
@@ -323,9 +340,9 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
 @pytest.mark.parametrize("scheme, steps, stride", [("rk4", 341, 1), ("euler", 332, 3)])
 def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride):
     h = scaled_linear_h(201, 1.1)
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme,
-                                                              record_stride=stride,
-                                                              dt_max=0.05))
+    with fixed_steps():
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme,
+                                                                  record_stride=stride))
     assert traj.stop_reason == STOP_CONVERGED
     assert traj.steps == steps == round(traj.final_t / 0.05)
     assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * steps
@@ -334,7 +351,8 @@ def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride)
 def test_trajectory_counts_only_accepted_steps(setup201):
     x = setup201.U.x
     h = GridFunction(x - 2.0 * x * x)  # stops `degenerate` inside step 6
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4, dt_max=0.05))
+    with fixed_steps():
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4))
     assert traj.stop_reason == STOP_DEGENERATE and traj.final_t == 0.25
     assert (traj.steps, traj.vf_evals) == (5, 20)
     assert traj.samples[-1].t == 0.2  # step 5 itself was not recorded
@@ -347,8 +365,9 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
     rng = np.random.default_rng(12)
     u0 = sample_in_ball(rng, setup201.U, 0.02, 1)
     h = scaled_linear_h(201, 1.1)
-    cfg = FlowConfig(scheme=scheme, t_max=1.0, dt_max=0.05)
-    traj = integrate_flow(setup201, u0, h, cfg)
+    cfg = FlowConfig(scheme=scheme, t_max=1.0)
+    with fixed_steps():
+        traj = integrate_flow(setup201, u0, h, cfg)
     u = u0
     for recorded in traj.recorded_u[1:]:
         u = step(setup201, u, h, cfg.dt)
@@ -363,7 +382,8 @@ def reference_flow(p, u0, h, cfg):
     """``integrate_flow`` written in GridFunction arithmetic: the stage
     points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g and
     the distances through the public operators, norms and distances, with
-    the step-size rule restated from the ``FlowConfig`` docstring.
+    the step-size rule restated from the ``FlowConfig`` docstring and the
+    module's current ``GROW_TOL`` and ``DT_MAX``.
 
     Returns the samples, the recorded iterates, the final iterate, the stop
     reason and the trajectory's (final_t, steps, vf_evals, decay_ratio).
@@ -394,19 +414,22 @@ def reference_flow(p, u0, h, cfg):
     stop = STOP_CONVERGED if g <= threshold else STOP_HORIZON
     elapsed = 0  # in steps of cfg.dt
     span = 1  # the next step, in steps of cfg.dt
+    longest = int(flow_module.DT_MAX / cfg.dt)
     accepted = retaken = 0
     ratio = None
     while stop == STOP_HORIZON and elapsed < cfg.steps:
         span = min(span, cfg.steps - elapsed)
+        ran = False
         try:
             u_next = advance(u, r, span * cfg.dt)
+            ran = True
             r_next, g_next = residual_field(u_next)
         except DegenerateCoefficient:
             g_next = math.nan
         usable = math.isfinite(g_next)
         outside = usable and cfg.enforce_ball and ball_distance(u_next, p.U, p.a) > p.R
         if span > 1 and not (usable and g_next < g and not outside):
-            retaken += 1
+            retaken += ran
             span = 1
             continue
         if not usable:
@@ -424,8 +447,8 @@ def reference_flow(p, u0, h, cfg):
             samples.append(TrajectorySample(elapsed * cfg.dt, g, ball_distance(u, u0, p.a),
                                             ball_distance(u, p.U, p.a)))
             recorded.append(u)
-        if abs(ratio - 1.0) <= GROW_TOL:
-            span = min(2 * span, cfg.max_units)
+        if abs(ratio - 1.0) <= flow_module.GROW_TOL:
+            span = min(2 * span, longest)
         else:
             span = max(span // 2, 1)
     vf_evals = (accepted + retaken) * (1 if cfg.scheme == "euler" else 4)
@@ -455,10 +478,10 @@ def test_flow_is_bit_identical_to_grid_function_arithmetic(operator, scheme, n):
     p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
     t_max, stop = (1.0, STOP_HORIZON) if n == 20001 else (30.0, STOP_CONVERGED)
-    for dt_max in (0.05, 1.0):
-        cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3,
-                         dt_max=dt_max)
-        traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
+    cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3)
+    for fixed in (True, False):
+        with fixed_steps(fixed):
+            traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
         assert traj.stop_reason == stop
 
 
@@ -474,19 +497,19 @@ def flow_problem(operator, n, family, param=0.0):
 @settings(max_examples=60, deadline=None)
 @given(operator=st.sampled_from([QuadraticVolterra(), LinearSmoothing()]),
        scheme=st.sampled_from(SCHEMES), dt=st.floats(0.02, 0.5),
-       dt_max=st.one_of(st.none(), st.floats(0.02, 1.0)), t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
+       fixed=st.booleans(), t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
        enforce_ball=st.booleans(), radius=st.floats(0.0, 0.1),
        family=st.sampled_from(["scaled-linear", "quadratic-perturb", "degenerate"]),
        param=st.floats(-0.3, 0.3), n=st.sampled_from([21, 201]), seed=st.integers(0, 2**16))
 def test_flow_equals_the_reference_flow_on_drawn_problems(
-        operator, scheme, dt, dt_max, t_max, record_stride, enforce_ball, radius, family,
+        operator, scheme, dt, fixed, t_max, record_stride, enforce_ball, radius, family,
         param, n, seed):
     p, h = flow_problem(operator, n, family, param)
     u0 = sample_in_ball(np.random.default_rng(seed), p.U, radius, 1)
     cfg = FlowConfig(scheme=scheme, dt=dt, t_max=max(t_max, dt), eps_rel=1e-2,
-                     record_stride=record_stride, enforce_ball=enforce_ball,
-                     dt_max=dt if dt_max is None else max(dt, dt_max))
-    assert_flow_matches_reference(p, u0, h, cfg)
+                     record_stride=record_stride, enforce_ball=enforce_ball)
+    with fixed_steps(fixed):
+        assert_flow_matches_reference(p, u0, h, cfg)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
@@ -496,9 +519,10 @@ def test_flow_failures_are_bit_identical_to_grid_function_arithmetic(
         setup201, scheme, enforce_ball, stop):
     x = setup201.U.x
     h = GridFunction(x - 2.0 * x * x)  # h' = 1 - 4x crosses zero
-    for dt_max in (0.05, 1.0):
-        cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball, dt_max=dt_max)
-        traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
+    cfg = FlowConfig(scheme=scheme, enforce_ball=enforce_ball)
+    for fixed in (True, False):
+        with fixed_steps(fixed):
+            traj = assert_flow_matches_reference(setup201, setup201.U, h, cfg)
         assert traj.stop_reason == stop
 
 
