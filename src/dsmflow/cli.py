@@ -161,7 +161,11 @@ def _load_problem(args):
         raise ValueError("--h-file and --h-family are mutually exclusive")
     data = {"h": setup.f, "u0": setup.U}
     if h_family is not None:
-        data["h"] = GridFunction(_FAMILIES[h_family]["h"](setup.U.x, args.param))
+        values = _FAMILIES[h_family]["h"](setup.U.x, args.param)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"--param {args.param!r} makes the {h_family} right-hand "
+                             "side overflow")
+        data["h"] = GridFunction(values)
     for key in inputs:
         data[key] = _read_input(args, key)
     return setup, data["h"], data["u0"], inputs
@@ -375,6 +379,8 @@ def cmd_classical_ift(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.n < 3:
+            raise ValueError(f"--n must be at least 3, got {args.n}")
         for name in _UNCHECKED_FLOATS:
             value = getattr(args, name, 0.0)
             if not math.isfinite(value):

@@ -2,9 +2,9 @@
 
 The flow ``du/dt = A(u)^{-1}(h - F(u))`` drives the residual
 ``g(t) = ||F(u(t)) - h||_{a+delta}`` down like exp(-t); the integrator here
-tracks that rate with explicit schemes, doubling the step while each step's
-g ratio follows exp(-dt), and records the trajectory for later verification
-of the decay and drift bounds.
+tracks that rate with explicit schemes, doubling the RK4 step while the
+error estimate of its embedded third-order pair stays small against g, and
+records the trajectory for later verification of the decay and drift bounds.
 
 Failure modes (leaving the working ball, degenerate division coefficient)
 are recorded in ``Trajectory.stop_reason`` rather than raised: experiments
@@ -42,8 +42,8 @@ NOISE_FLOOR = 1e-12
 # Most steps one solve may ask for (t_max / dt); the defaults take 600.
 MAX_STEPS = 100_000
 
-# The next step doubles while g_k / g_{k-1} lies within this of exp(-dt_k),
-# the exact flow's ratio; otherwise it halves. A negative value keeps every
+# The next RK4 step doubles while the last step's local error estimate is
+# at most this times its g; otherwise it halves. A negative value keeps every
 # step at dt.
 GROW_TOL = 1e-3
 
@@ -55,10 +55,16 @@ DT_MAX = 1.0
 class FlowConfig:
     """Integration parameters for one flow solve.
 
-    The first step is dt. After each accepted step of s, the next one is 2s
-    (at most the time left and the most whole steps of dt that 1 / dt
-    rounds down to, see ``DT_MAX``) while that step's g_k / g_{k-1} lies
-    within ``GROW_TOL`` of exp(-s), and s / 2 otherwise, never below dt. A
+    The first step is dt. Each later RK4 step starts from the velocity k1'
+    at the iterate the last step, of s, accepted. That is the last stage
+    of RK4's embedded third-order companion (first same as last), u + s(k1
+    + 2k2 + 2k3 + k1') / 6, so est = (s / 6) ||k4 - k1'|| estimates the last
+    step's local error at no extra cost. The next step is 2s (at most the
+    time left and the most whole steps of dt that 1 / dt rounds down to,
+    see ``DT_MAX``) while est <= ``GROW_TOL`` * g_k, and s / 2 otherwise,
+    never below dt. est is an L2 norm: in H1 the rounding in k4 - k1'
+    swamps it on fine grids (59 steps instead of 31 on the canonical solve
+    at n = 20001). Euler has no embedded pair, so its steps stay at dt. A
     step longer than dt that trips the operator guard, gives a non-finite g
     or one that does not fall, or leaves the ball under ``enforce_ball`` is
     retaken at dt from the same iterate, so the ``degenerate`` and
@@ -66,11 +72,11 @@ class FlowConfig:
     dt, and so is every time. ``record_stride`` counts accepted steps.
 
     Defaults: rk4 at dt = 0.05 tracks the unit decay rate to ~1e-8 per unit
-    time; the steps then grow to 0.8, where RK4's g ratio misses exp(-0.8)
-    by about 5e-3, and alternate between 0.4 and 0.8. Euler's ratio misses
-    exp(-dt) by O(dt^2), 1.3e-3 at dt = 0.05, so at the default dt its
-    steps stay at dt. t_max = 30 leaves exp(-30) ~ 1e-13 of headroom below
-    any realistic stopping tolerance.
+    time; on the canonical solve the steps grow to 0.8 and alternate
+    between 0.4 and 0.8, 31 steps at n = 201, 2001 and 20001. Where g
+    stalls, the estimate stays small and the steps grow to 1. t_max = 30
+    leaves exp(-30) ~ 1e-13 of headroom below any realistic stopping
+    tolerance.
     """
 
     scheme: str = "rk4"
@@ -130,7 +136,8 @@ class Trajectory:
     step); a step the operator guard stopped, and the step that stopped the
     flow, count none.
     ``decay_ratio`` is the last accepted step's g_k / g_{k-1} over
-    exp(-dt_k), 1 on the exact flow; None when no step was accepted.
+    exp(-dt_k), a diagnostic the step size does not read: 1 on the exact
+    flow, above 1 where g stalls; None when no step was accepted.
     """
 
     samples: tuple[TrajectorySample, ...]
@@ -249,7 +256,10 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     residual h - F(u) of each accepted step also gives the next step's
     stage-one velocity A(u)^{-1}(h - F(u)), so F is evaluated once less per
     step with the same arithmetic; a step retaken at dt (see ``FlowConfig``)
-    evaluates it once more. Everything runs in one ``Workspace``: the
+    evaluates it once more. That velocity is computed before the step's
+    size is chosen, and the error estimate that chooses it costs one
+    difference and one L2 norm; a guard trip there stops the flow
+    ``degenerate``. Everything runs in one ``Workspace``: the
     only array each step allocates is its new iterate, wrapped as a
     ``GridFunction`` when the trajectory records it.
     """
@@ -276,13 +286,26 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     steps = retaken = 0
     done = 0  # steps of dt taken: the time is done * cfg.dt
     units = 1
+    estimate = False  # ws.k2 holds the k4 of the step just accepted
     stop = STOP_HORIZON
     n_steps, max_units = cfg.steps, int(DT_MAX / cfg.dt)
     while done < n_steps:
+        try:
+            solve(u, ws.res[0], ws, ws.k1)
+        except DegenerateCoefficient:
+            stop = STOP_DEGENERATE
+            break
+        if estimate:
+            # k1 at u is the last step's FSAL stage: its local error is about
+            # (s / 6) ||k4 - k1||, measured in L2 (see FlowConfig)
+            np.subtract(ws.k2, ws.k1, out=ws.dif[0])
+            if size / 6.0 * _norm(ws.dif, 0, ws) <= GROW_TOL * g_prev:
+                units = min(2 * units, max_units)
+            else:
+                units = max(units // 2, 1)
         units = min(units, n_steps - done)
         size = units * cfg.dt
         try:
-            solve(u, ws.res[0], ws, ws.k1)
             u_next = step(p, u, hv, size, ws=ws)
             g = _residual(p, u_next, hv, ws)
         except DegenerateCoefficient:
@@ -294,6 +317,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         if units > 1 and (failed or g >= g_prev or exited):
             retaken += u_next is not None
             units = 1
+            estimate = False
             _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
             continue
         if failed:
@@ -302,6 +326,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         ratio = g / g_prev * math.exp(size)
         done += units
         steps += 1
+        estimate = cfg.scheme == "rk4"  # Euler has no embedded error estimate
         u, g_prev = u_next, g
         converged = g <= threshold
         if steps % cfg.record_stride == 0 or converged or exited or done == n_steps:
@@ -314,7 +339,6 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         if exited:
             stop = STOP_BALL_EXIT
             break
-        units = min(2 * units, max_units) if abs(ratio - 1.0) <= GROW_TOL else max(units // 2, 1)
     final_u = recorded[-1] if recorded[-1].values is u else GridFunction._trusted(u)
     return Trajectory(tuple(samples), tuple(recorded), final_u, done * cfg.dt, stop, a,
                       steps, (steps + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)

@@ -167,7 +167,8 @@ class Workspace:
     - the blocks of three, each function above its derivatives, so that one
       ``_l2_squared`` call takes every term of a norm: ``res`` holds
       h - F(x) at the point being evaluated (``res[0]``), ``dif`` the
-      difference whose distance is measured, and ``sq`` their squares, and
+      difference whose norm is measured (a distance, or the flow's error
+      estimate), and ``sq`` their squares, and
       u * u inside F.
     """
 

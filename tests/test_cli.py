@@ -73,8 +73,8 @@ def test_flow_reports_count_steps_and_velocities(tmp_path, monkeypatch):
 
 
 def test_flow_reports_grow_the_step_and_pin_the_decay_ratio(tmp_path):
-    # the same run with steps growing from 0.05: g falls by e^{-dt} per step
-    # to within GROW_TOL until the step reaches 0.8
+    # the same run with steps growing from 0.05 while the error estimate is at
+    # most GROW_TOL * g; at 0.8 it is not, and the steps alternate 0.4 and 0.8
     assert run("solve", "--h-family", "scaled-linear", "--param", 1.1,
                "--out-dir", tmp_path) == 0
     assert run("compare-newton", "--h-family", "scaled-linear", "--param", 1.1,
@@ -86,7 +86,7 @@ def test_flow_reports_grow_the_step_and_pin_the_decay_ratio(tmp_path):
 
 
 def test_stalled_solve_grows_the_step_and_reports_the_stall(tmp_path):
-    # h = F(V) for a V drawn at radius 0.02 stalls near g = 4e-7, above eps_abs
+    # h = F(V) for a V drawn at radius 0.02 stalls near g = 1.5e-7, above eps_abs
     U = GridFunction.constant(1.0, 201)
     V = sample_in_ball(np.random.default_rng(1), U, 0.02, 1)
     write_grid_csv(QuadraticVolterra().eval(V), tmp_path / "h.csv")
@@ -100,11 +100,11 @@ def test_stalled_solve_grows_the_step_and_reports_the_stall(tmp_path):
     fixed, grown = flows
     for flow in (fixed, grown):
         assert flow["stop_reason"] == "horizon" and flow["final_t"] == 30.0
-    assert fixed["steps"] == 600 and grown["steps"] < fixed["steps"]
+    # the error estimate keeps growing the step where g no longer falls
+    assert fixed["steps"] == 600 and grown["steps"] <= 45
     assert grown["g_final"] == pytest.approx(fixed["g_final"], rel=1e-3)
-    # g has stopped falling like e^{-t}: the last step keeps 5% more of it
-    assert grown["decay_ratio"] == pytest.approx(fixed["decay_ratio"], rel=1e-3)
-    assert grown["decay_ratio"] == pytest.approx(1.0485, abs=1e-4)
+    # g has stopped falling like e^{-t}, and the report shows it
+    assert grown["decay_ratio"] > 1.0 + flow_module.GROW_TOL
 
 
 def test_solve_trivial_inputs_converge_immediately(tmp_path):
@@ -407,6 +407,29 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
     assert run(command, "--seed", -1, "--out-dir", out) == 1
     assert capsys.readouterr().err.splitlines() == [
         "dsmflow: error: seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "probe-loss", "compare-newton",
+                                     "classical-ift"])
+@pytest.mark.parametrize("n", [-5, 0, 2])
+def test_grid_below_three_nodes_exits_1_naming_n(tmp_path, capsys, command, n):
+    out = tmp_path / "out"
+    assert run(command, "--n", n, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: --n must be at least 3, got {n}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare-newton"])
+@pytest.mark.parametrize("param", ["1e200", "-1e200"])
+def test_overflowing_family_parameter_exits_1_naming_param(tmp_path, capsys, command, param):
+    out = tmp_path / "out"
+    assert run(command, "--h-family", "scaled-linear", f"--param={param}",
+               "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: --param {float(param)!r} makes the scaled-linear right-hand "
+        "side overflow"]
     assert not out.exists()
 
 

@@ -54,8 +54,8 @@ def scaled_linear_h(n, lam):
 
 @contextmanager
 def fixed_steps(on=True):
-    """Every step of the flows run inside is dt: no g ratio lies within a
-    negative GROW_TOL, so no step grows."""
+    """Every step of the flows run inside is dt: no error estimate is at
+    most a negative GROW_TOL times g, so no step grows."""
     with pytest.MonkeyPatch.context() as patch:
         if on:
             patch.setattr(flow_module, "GROW_TOL", -1.0)
@@ -229,8 +229,8 @@ def test_growing_steps_cut_velocities_and_keep_the_canonical_checks(setup201):
     assert verify_trajectory_bounds(grown, grown.g0 / c0_lower) == []  # c03
     gs = [s.g for s in grown.samples]
     assert all(b <= a + 1e-10 for a, b in zip(gs, gs[1:]))  # c04
-    # steps grow to 0.8, whose g ratio misses exp(-0.8) by more than GROW_TOL,
-    # and then alternate between 0.4 and 0.8
+    # steps grow to 0.8, whose error estimate exceeds GROW_TOL * g, and then
+    # alternate between 0.4 and 0.8
     assert grown.decay_ratio == pytest.approx(1.00537, abs=1e-5)
     assert {round(b.t - a.t, 9) for a, b in zip(grown.samples[5:], grown.samples[6:])} == {
         0.4, 0.8}
@@ -269,6 +269,19 @@ def test_grown_steps_stop_where_fixed_steps_stop(family, enforce_ball, stop, t, 
         assert traj.final_t == pytest.approx(t, abs=1e-12)
         assert all(math.isfinite(s.g) for s in traj.samples)
     assert [(traj.steps, traj.vf_evals) for traj in runs] == counts
+
+
+@pytest.mark.parametrize("n", [201, 2001, 20001])
+def test_canonical_solve_takes_the_same_steps_on_every_grid(n):
+    # the paper's flow lives in function space, so its step count should not
+    # depend on the grid; at n = 20001 g is within a factor of a few of its
+    # rounding floor. (The random h = F(V) half of this check waits for an
+    # exact A(u)^{-1}: at n = 201 that solve stalls above eps_abs.)
+    p, h = flow_problem(QuadraticVolterra(), n, "quadratic-perturb", 0.05)
+    traj = integrate_flow(p, p.U, h, FlowConfig())
+    assert traj.stop_reason == STOP_CONVERGED
+    assert (traj.steps, traj.vf_evals) == (31, 124)
+    assert traj.final_t == pytest.approx(17.15, abs=1e-12)
 
 
 def test_a_longer_step_whose_g_does_not_fall_is_retaken(setup201, monkeypatch):
@@ -337,6 +350,40 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     assert len(eval_calls) == 4 * steps + 1  # one more for g(0)
 
 
+def test_the_error_estimate_costs_no_velocity(monkeypatch):
+    vf_calls, solve_calls, steps_run = [], [], []
+    original_vf = flow_module.dsm_vector_field
+    original_solve = QuadraticVolterra._solve
+    rk4 = flow_module.rk4_step
+
+    def counting_step(*args, **kwargs):
+        u_next = rk4(*args, **kwargs)
+        steps_run.append(None)
+        return u_next
+
+    def counting_vf(*args):
+        vf_calls.append(None)
+        return original_vf(*args)
+
+    # every velocity, k1 included, reaches A(u)^{-1} through `_solve`
+    def counting_solve(self, *args):
+        solve_calls.append(None)
+        return original_solve(self, *args)
+
+    monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
+    monkeypatch.setattr(QuadraticVolterra, "_solve", counting_solve)
+    monkeypatch.setitem(flow_module._STEPPERS, "rk4", counting_step)
+    # the solution u = 1.1 lies 0.1 from U, outside the ball of 0.05: longer
+    # steps that would leave the ball early are retaken at dt
+    p, h = flow_problem(QuadraticVolterra(), 201, "scaled-linear", 0.1)
+    traj = integrate_flow(p, p.U, h, FlowConfig(enforce_ball=True))
+    ran = len(steps_run)
+    assert traj.stop_reason == STOP_BALL_EXIT and ran > traj.steps  # some were retaken
+    assert traj.vf_evals == 4 * ran
+    assert len(vf_calls) == 3 * ran  # stages two to four
+    assert len(solve_calls) - len(vf_calls) == ran  # one k1 per step that ran
+
+
 @pytest.mark.parametrize("scheme, steps, stride", [("rk4", 341, 1), ("euler", 332, 3)])
 def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride):
     h = scaled_linear_h(201, 1.1)
@@ -380,10 +427,10 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
 
 def reference_flow(p, u0, h, cfg):
     """``integrate_flow`` written in GridFunction arithmetic: the stage
-    points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g and
-    the distances through the public operators, norms and distances, with
-    the step-size rule restated from the ``FlowConfig`` docstring and the
-    module's current ``GROW_TOL`` and ``DT_MAX``.
+    points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g, the
+    distances and the error estimate through the public operators, norms
+    and distances, with the step-size rule restated from the ``FlowConfig``
+    docstring and the module's current ``GROW_TOL`` and ``DT_MAX``.
 
     Returns the samples, the recorded iterates, the final iterate, the stop
     reason and the trajectory's (final_t, steps, vf_evals, decay_ratio).
@@ -397,14 +444,14 @@ def reference_flow(p, u0, h, cfg):
     def velocity(u):
         return -op.solve_derivative(u, op.eval(u) - h)
 
-    def advance(u, r, dt):
-        k1 = -op.solve_derivative(u, r)
+    def advance(u, k1, dt):
+        """The next iterate and, for RK4, the step's last stage k4."""
         if cfg.scheme == "euler":
-            return u + dt * k1
+            return u + dt * k1, None
         k2 = velocity(u + (dt / 2.0) * k1)
         k3 = velocity(u + (dt / 2.0) * k2)
         k4 = velocity(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
 
     r, g = residual_field(u0)
     threshold = cfg.eps_rel * g + cfg.eps_abs
@@ -417,11 +464,25 @@ def reference_flow(p, u0, h, cfg):
     longest = int(flow_module.DT_MAX / cfg.dt)
     accepted = retaken = 0
     ratio = None
+    k4 = None  # the last stage of the step just accepted, if RK4
     while stop == STOP_HORIZON and elapsed < cfg.steps:
+        try:
+            k1 = -op.solve_derivative(u, r)
+        except DegenerateCoefficient:
+            stop = STOP_DEGENERATE
+            break
+        if k4 is not None:
+            # k1 is the FSAL stage of the step just accepted, of length s:
+            # the embedded third-order pair differs from it by (s / 6)(k4 - k1)
+            s = span * cfg.dt
+            if (s / 6.0) * sobolev_norm(k4 - k1, 0) <= flow_module.GROW_TOL * g:
+                span = min(2 * span, longest)
+            else:
+                span = max(span // 2, 1)
         span = min(span, cfg.steps - elapsed)
         ran = False
         try:
-            u_next = advance(u, r, span * cfg.dt)
+            u_next, k4 = advance(u, k1, span * cfg.dt)
             ran = True
             r_next, g_next = residual_field(u_next)
         except DegenerateCoefficient:
@@ -431,6 +492,7 @@ def reference_flow(p, u0, h, cfg):
         if span > 1 and not (usable and g_next < g and not outside):
             retaken += ran
             span = 1
+            k4 = None
             continue
         if not usable:
             stop = STOP_DEGENERATE
@@ -447,10 +509,6 @@ def reference_flow(p, u0, h, cfg):
             samples.append(TrajectorySample(elapsed * cfg.dt, g, ball_distance(u, u0, p.a),
                                             ball_distance(u, p.U, p.a)))
             recorded.append(u)
-        if abs(ratio - 1.0) <= flow_module.GROW_TOL:
-            span = min(2 * span, longest)
-        else:
-            span = max(span // 2, 1)
     vf_evals = (accepted + retaken) * (1 if cfg.scheme == "euler" else 4)
     return samples, recorded, u, stop, (elapsed * cfg.dt, accepted, vf_evals, ratio)
 
