@@ -270,7 +270,7 @@ def sobolev_norm(f: GridFunction, a: int):
 def _norm(terms: np.ndarray, a: int, ws: Workspace):
     """``sobolev_norm`` of the values in ``terms[0]``, with its derivatives
     written into ``terms[1:a + 1]``; ``terms`` is a block of the workspace,
-    and ``a`` at most 2, as every ``ProblemSetup`` checks."""
+    and ``a`` at most 2: ``ProblemSetup`` checks a and a + delta."""
     for i in range(a):
         _derivative(terms[i], ws.dx, terms[i + 1])
     return _root_sum(_l2_squared(terms[:a + 1], ws.dx, ws.sq[:a + 1]))
@@ -302,7 +302,7 @@ def read_grid_csv(path) -> GridFunction:
 
     The x column must list the uniform grid nodes in increasing order with
     relative spacing deviation at most 1e-9. Blank lines are skipped; any
-    other row must hold two numbers, or the error names its line.
+    other row must hold two finite numbers, or the error names its line.
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -316,9 +316,12 @@ def read_grid_csv(path) -> GridFunction:
         if len(row) != 2:
             raise ValueError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
         try:
-            pairs.append([float(c) for c in row])
+            pair = [float(c) for c in row]
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: malformed row: {exc}") from None
+        if not np.all(np.isfinite(pair)):
+            raise ValueError(f"{path}: line {line}: non-finite entry in {','.join(row)}")
+        pairs.append(pair)
     if len(pairs) < 3:
         raise ValueError(f"{path}: need at least 3 rows of x,value pairs")
     x, values = np.array(pairs).T

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmflow
+import dsmflow.cli as cli_module
 import dsmflow.flow as flow_module
 from dsmflow.cli import main
 from dsmflow.flow import MAX_STEPS
@@ -358,6 +359,24 @@ def test_manifest_embedded_in_reports(tmp_path, argv, report, fields):
         assert manifest["parameters"]["samples"] == 50
 
 
+def test_main_reuses_its_parser_and_dispatches_through_the_command_table(monkeypatch):
+    # a wrapper rebound in COMMANDS, as the traced benchmark installs, is
+    # the function main calls
+    def rebuilt():
+        raise AssertionError("main built a new parser")
+
+    seen = []
+
+    def verify(args):
+        seen.append(args.samples)
+        return 0
+
+    monkeypatch.setattr(cli_module, "build_parser", rebuilt)
+    monkeypatch.setitem(cli_module.COMMANDS, "verify", verify)
+    assert run("verify", "--samples", 7) == 0
+    assert seen == [7]
+
+
 def test_missing_input_file_exits_1(tmp_path):
     assert run("solve", "--h-file", tmp_path / "nope.csv",
                "--out-dir", tmp_path) == 1
@@ -367,6 +386,16 @@ def test_malformed_csv_exits_1(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,value\n0,1\n0.7,2\n1,3\n")
     assert run("solve", "--h-file", bad, "--out-dir", tmp_path) == 1
+
+
+def test_csv_with_a_nan_node_exits_1_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,value\n0,0\n0.25,0.25\nnan,0.5\n0.75,0.75\n1,1\n")
+    out = tmp_path / "out"
+    assert run("solve", "--n", 5, "--h-file", bad, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: {bad}: line 4: non-finite entry in nan,0.5"]
+    assert not out.exists()
 
 
 def test_conflicting_h_flags_exit_1(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -269,19 +270,40 @@ def test_linear_smoothing_roundtrip_near_identity():
 
 # --- problem setup ---------------------------------------------------------
 
-def test_setup_rejects_inconsistent_cache():
-    op = QuadraticVolterra()
-    U = GridFunction.constant(1.0, 101)
-    wrong_f = GridFunction.constant(0.5, 101)
-    with pytest.raises(ValueError, match="cached f"):
-        ProblemSetup(op, U, wrong_f, 0.1)
-
-
 def test_setup_requires_positive_radius():
     op = QuadraticVolterra()
     U = GridFunction.constant(1.0, 101)
     with pytest.raises(ValueError):
-        ProblemSetup(op, U, op.eval(U), 0.0)
+        ProblemSetup(op, U, 0.0)
+
+
+def test_from_reference_evaluates_f_once(monkeypatch):
+    calls = []
+    original = QuadraticVolterra.eval
+
+    def counted(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(QuadraticVolterra, "eval", counted)
+    U = GridFunction.constant(1.0, 101)
+    setup = ProblemSetup.from_reference(QuadraticVolterra(), U, 0.05)
+    assert len(calls) == 1 and calls[0] is U
+    assert np.array_equal(setup.f.values, original(setup.operator, U).values)
+
+
+@dataclass(frozen=True)
+class _ShiftedSmoothing(LinearSmoothing):
+    """LinearSmoothing with other declared indices, for the setup's checks."""
+
+    a: int = 1
+    delta: int = 1
+
+
+@pytest.mark.parametrize("a, delta", [(1, 2), (-1, 1), (3, -1)])
+def test_setup_rejects_an_unsupported_scale_index(a, delta):
+    with pytest.raises(ValueError, match="unsupported scale index"):
+        ProblemSetup(_ShiftedSmoothing(a, delta), GridFunction.constant(1.0, 101), 0.05)
 
 
 def test_make_operator_ids():

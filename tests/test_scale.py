@@ -328,6 +328,16 @@ def test_csv_names_the_line_of_a_row_without_two_fields(tmp_path, row, fields):
     assert str(excinfo.value) == f"{path}: line 3: expected 2 fields, got {fields}"
 
 
+@pytest.mark.parametrize("row", ["nan,0.5", "0.5,nan", "0.5,-inf", "inf,0.5"])
+def test_csv_names_the_line_of_a_non_finite_entry(tmp_path, row):
+    # a NaN node passes the uniformity checks, whose comparisons are False
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0,1\n0.25,1\n{row}\n0.75,1\n1,1\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_grid_csv(path)
+    assert str(excinfo.value) == f"{path}: line 4: non-finite entry in {row}"
+
+
 def test_csv_rejects_too_few_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0,1\n1,1\n")
