@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--eps-rel", type=float, default=0.0)
     p.add_argument("--eps-abs", type=float, default=1e-8)
-    p.add_argument("--record-stride", type=int, default=1)
     p.add_argument("--enforce-ball", action="store_true")
     p.add_argument("--samples", type=int, default=200,
                    help="sample count for the constants estimate")
@@ -242,7 +241,6 @@ def _radius_summary(verdict) -> dict:
 def cmd_solve(args) -> int:
     cfg = FlowConfig(scheme=args.scheme, dt=args.dt, t_max=args.t_max,
                      eps_rel=args.eps_rel, eps_abs=args.eps_abs,
-                     record_stride=args.record_stride,
                      enforce_ball=args.enforce_ball)
     setup, h, u0, inputs = _load_problem(args)
     report = estimate_constants(setup, args.samples, args.seed)

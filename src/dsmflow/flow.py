@@ -69,7 +69,7 @@ class FlowConfig:
     or one that does not fall, or leaves the ball under ``enforce_ball`` is
     retaken at dt from the same iterate, so the ``degenerate`` and
     ``ball_exit`` stops are decided at dt. Every step is a whole number of
-    dt, and so is every time. ``record_stride`` counts accepted steps.
+    dt, and so is every time; no run passes t_max (see ``steps``).
 
     Defaults: rk4 at dt = 0.05 tracks the unit decay rate to ~1e-8 per unit
     time; on the canonical solve the steps grow to 0.8 and alternate
@@ -84,7 +84,6 @@ class FlowConfig:
     t_max: float = 30.0
     eps_rel: float = 0.0
     eps_abs: float = 1e-8
-    record_stride: int = 1
     enforce_ball: bool = False
 
     def __post_init__(self) -> None:
@@ -102,18 +101,17 @@ class FlowConfig:
             raise ValueError("eps_abs must be nonnegative")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step")
-        if self.t_max / self.dt > MAX_STEPS + 0.5:  # rounds to more steps
+        quotient = self.t_max / self.dt  # inf at dt = 5e-324: test it before the floor
+        if quotient > MAX_STEPS + 1 or self.steps > MAX_STEPS:
             raise ValueError(
                 f"t_max {self.t_max!r} / dt {self.dt!r} asks for "
-                f"{self.t_max / self.dt:.3g} steps, more than {MAX_STEPS}"
+                f"{quotient:.3g} steps, more than {MAX_STEPS}"
             )
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be a positive integer")
 
     @property
     def steps(self) -> int:
-        """Number of steps of dt from t = 0 to t_max."""
-        return max(1, round(self.t_max / self.dt))
+        """Whole steps of dt in t_max, less 1e-12 of rounding (0.3 / 0.1 is 3)."""
+        return math.floor(self.t_max / self.dt * (1.0 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -126,15 +124,16 @@ class TrajectorySample:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded flow history plus the final iterate.
+    """Recorded flow history: a sample and an iterate at t = 0 and after
+    each accepted step. The run ends at its last record, which gives
+    ``final_u``, ``final_t``, ``g_final`` and ``steps``.
 
-    ``recorded_u`` keeps the iterate at each recorded sample so drift bounds
-    against the limit can be re-checked after the fact; ``a`` is the scale
-    index those distances are measured in. ``steps`` counts the accepted
-    steps and ``vf_evals`` the velocities of the steps that ran all their
-    stages, accepted or retaken at dt (four per RK4 step, one per Euler
-    step); a step the operator guard stopped, and the step that stopped the
-    flow, count none.
+    ``recorded_u`` keeps the iterate of each sample so drift bounds against
+    the limit can be re-checked after the fact; ``a`` is the scale index
+    those distances are measured in. ``vf_evals`` counts the velocities of
+    the steps that ran all their stages, accepted or retaken at dt (four
+    per RK4 step, one per Euler step); a step the operator guard stopped,
+    and the step that stopped the flow, count none.
     ``decay_ratio`` is the last accepted step's g_k / g_{k-1} over
     exp(-dt_k), a diagnostic the step size does not read: 1 on the exact
     flow, above 1 where g stalls; None when no step was accepted.
@@ -142,13 +141,22 @@ class Trajectory:
 
     samples: tuple[TrajectorySample, ...]
     recorded_u: tuple[GridFunction, ...]
-    final_u: GridFunction
-    final_t: float
     stop_reason: str
     a: int
-    steps: int = 0
     vf_evals: int = 0
     decay_ratio: float | None = None
+
+    @property
+    def final_u(self) -> GridFunction:
+        return self.recorded_u[-1]
+
+    @property
+    def final_t(self) -> float:
+        return self.samples[-1].t
+
+    @property
+    def steps(self) -> int:
+        return len(self.samples) - 1
 
     @property
     def g0(self) -> float:
@@ -260,8 +268,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     size is chosen, and the error estimate that chooses it costs one
     difference and one L2 norm; a guard trip there stops the flow
     ``degenerate``. Everything runs in one ``Workspace``: the
-    only array each step allocates is its new iterate, wrapped as a
-    ``GridFunction`` when the trajectory records it.
+    only array each step allocates is its new iterate, which the trajectory
+    records with its sample; the last record is where the run ended.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -278,12 +286,11 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     samples = [TrajectorySample(0.0, g0, 0.0, _distance(start, U, a, ws))]
     recorded = [u0]
     if g0 <= threshold:
-        return Trajectory(tuple(samples), tuple(recorded), u0, 0.0, STOP_CONVERGED, a)
+        return Trajectory(tuple(samples), tuple(recorded), STOP_CONVERGED, a)
 
-    u = start
-    g_prev = g0
+    u, g_prev = start, g0
     ratio = None
-    steps = retaken = 0
+    retaken = 0
     done = 0  # steps of dt taken: the time is done * cfg.dt
     units = 1
     estimate = False  # ws.k2 holds the k4 of the step just accepted
@@ -325,23 +332,18 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             break
         ratio = g / g_prev * math.exp(size)
         done += units
-        steps += 1
         estimate = cfg.scheme == "rk4"  # Euler has no embedded error estimate
         u, g_prev = u_next, g
-        converged = g <= threshold
-        if steps % cfg.record_stride == 0 or converged or exited or done == n_steps:
-            samples.append(TrajectorySample(done * cfg.dt, g, _distance(u, start, a, ws),
-                                            dist_U))
-            recorded.append(GridFunction._trusted(u))
-        if converged:
+        samples.append(TrajectorySample(done * cfg.dt, g, _distance(u, start, a, ws), dist_U))
+        recorded.append(GridFunction._trusted(u))
+        if g <= threshold:
             stop = STOP_CONVERGED
             break
         if exited:
             stop = STOP_BALL_EXIT
             break
-    final_u = recorded[-1] if recorded[-1].values is u else GridFunction._trusted(u)
-    return Trajectory(tuple(samples), tuple(recorded), final_u, done * cfg.dt, stop, a,
-                      steps, (steps + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
+    return Trajectory(tuple(samples), tuple(recorded), stop, a,
+                      (len(samples) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 
 
 def decay_fit(traj: Trajectory) -> tuple[float, float]:

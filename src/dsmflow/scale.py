@@ -32,13 +32,13 @@ class GridMismatchError(ValueError):
     """Two grid functions that should share a grid do not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real-valued function sampled on the uniform grid over [0, 1].
 
     Instances are immutable values: arithmetic returns new instances and the
     stored array is read-only, so trajectories can hold references without
-    defensive copies.
+    defensive copies. They compare and hash by identity, so setups can too.
 
     The constructor copies its input and checks it (finite, at least 3
     nodes): it guards every array from outside the package. The results of

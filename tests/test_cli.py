@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -411,6 +414,16 @@ def test_unknown_operator_exits_1(tmp_path, capsys):
     assert excinfo.value.code == 1
 
 
+def test_record_stride_is_not_a_flag(tmp_path, capsys):
+    # the trajectory records every accepted step; no flag thins it
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        run("solve", "--record-stride", 3, "--out-dir", out)
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --record-stride 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_size_mismatch_exits_1(tmp_path):
     small = tmp_path / "u0.csv"
     write_grid_csv(GridFunction.constant(1.0, 101), small)
@@ -661,3 +674,34 @@ def test_classical_ift_flags_exit_cleanly_with_strict_json(p, epsilon, m, tol, m
                    "--out-dir", out)
         # exit 2 is an iterate that escaped or ran out of iterations, and is reported
         _reports_after(code, out, (0, 2))
+
+
+# --- README ------------------------------------------------------------------
+
+def _readme_cli_section():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_every_cli_flag():
+    # whole tokens only: --p must not count as mentioned inside --p-file
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", _readme_cli_section()))
+    parser = cli_module._PARSER
+    known = {s for a in parser._actions for s in a.option_strings}  # --version, --help
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in sub.choices.items():
+        flags = {s for a in subparser._actions for s in a.option_strings if s.startswith("--")}
+        assert flags <= mentioned, (command, sorted(flags - mentioned))
+        known |= flags
+    assert mentioned <= known, sorted(mentioned - known)
+
+
+def test_readme_examples_run(tmp_path):
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dsmflow ")]
+    assert len(examples) == 5
+    for i, argv in enumerate(examples):
+        argv = argv[1:]
+        argv[argv.index("--out-dir") + 1] = str(tmp_path / str(i))
+        assert main(argv) == 0, argv

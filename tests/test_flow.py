@@ -71,7 +71,6 @@ def fixed_steps(on=True):
     dict(eps_rel=-0.1),
     dict(eps_abs=-1e-9),
     dict(t_max=0.01, dt=0.05),
-    dict(record_stride=0),
     dict(scheme="rk45"),
 ])
 def test_flow_config_validation(kwargs):
@@ -88,6 +87,21 @@ def test_flow_config_caps_the_step_count(dt):
 def test_flow_config_at_the_step_cap_is_valid():
     assert FlowConfig(dt=30.0 / MAX_STEPS, t_max=30.0).steps == MAX_STEPS
     assert FlowConfig().steps == 600
+
+
+@pytest.mark.parametrize("dt, t_max, steps", [
+    (0.5, 0.75, 1),  # rounding 1.5 steps to 2 would end at t = 1.0
+    (0.3, 0.45, 1),
+    (0.4, 1.0, 2),
+    (0.1, 0.3, 3),  # 0.3 / 0.1 = 2.9999999999999996
+])
+def test_flow_config_takes_the_whole_steps_that_fit_in_t_max(setup201, dt, t_max, steps):
+    cfg = FlowConfig(dt=dt, t_max=t_max, eps_abs=0.0)
+    assert cfg.steps == steps
+    with fixed_steps():
+        traj = integrate_flow(setup201, setup201.U, scaled_linear_h(201, 1.1), cfg)
+    assert traj.stop_reason == STOP_HORIZON and traj.steps == steps
+    assert traj.final_t <= t_max * (1.0 + 1e-12)
 
 
 # --- residual ----------------------------------------------------------------
@@ -129,7 +143,7 @@ def test_flow_reaches_scaled_constant_solution(setup201):
 
 def test_trajectory_time_strictly_increasing(setup201):
     h = scaled_linear_h(201, 1.1)
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=7))
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig())
     ts = [s.t for s in traj.samples]
     assert ts[0] == 0.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -384,12 +398,11 @@ def test_the_error_estimate_costs_no_velocity(monkeypatch):
     assert len(solve_calls) - len(vf_calls) == ran  # one k1 per step that ran
 
 
-@pytest.mark.parametrize("scheme, steps, stride", [("rk4", 341, 1), ("euler", 332, 3)])
-def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps, stride):
+@pytest.mark.parametrize("scheme, steps", [("rk4", 341), ("euler", 332)])
+def test_trajectory_counts_steps_and_velocities(setup201, scheme, steps):
     h = scaled_linear_h(201, 1.1)
     with fixed_steps():
-        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme,
-                                                                  record_stride=stride))
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(scheme=scheme))
     assert traj.stop_reason == STOP_CONVERGED
     assert traj.steps == steps == round(traj.final_t / 0.05)
     assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * steps
@@ -399,10 +412,10 @@ def test_trajectory_counts_only_accepted_steps(setup201):
     x = setup201.U.x
     h = GridFunction(x - 2.0 * x * x)  # stops `degenerate` inside step 6
     with fixed_steps():
-        traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=4))
+        traj = integrate_flow(setup201, setup201.U, h, FlowConfig())
     assert traj.stop_reason == STOP_DEGENERATE and traj.final_t == 0.25
     assert (traj.steps, traj.vf_evals) == (5, 20)
-    assert traj.samples[-1].t == 0.2  # step 5 itself was not recorded
+    assert traj.samples[-1].t == 0.25  # step 5 is the last record
     at_solution = integrate_flow(setup201, setup201.U, setup201.f)
     assert (at_solution.steps, at_solution.vf_evals) == (0, 0)
 
@@ -432,8 +445,9 @@ def reference_flow(p, u0, h, cfg):
     and distances, with the step-size rule restated from the ``FlowConfig``
     docstring and the module's current ``GROW_TOL`` and ``DT_MAX``.
 
-    Returns the samples, the recorded iterates, the final iterate, the stop
-    reason and the trajectory's (final_t, steps, vf_evals, decay_ratio).
+    Records every accepted step. Returns the samples, the recorded iterates,
+    the final iterate, the stop reason and the trajectory's (final_t, steps,
+    vf_evals, decay_ratio).
     """
     op = p.operator
 
@@ -505,10 +519,9 @@ def reference_flow(p, u0, h, cfg):
             stop = STOP_CONVERGED
         elif outside:
             stop = STOP_BALL_EXIT
-        if accepted % cfg.record_stride == 0 or stop != STOP_HORIZON or elapsed == cfg.steps:
-            samples.append(TrajectorySample(elapsed * cfg.dt, g, ball_distance(u, u0, p.a),
-                                            ball_distance(u, p.U, p.a)))
-            recorded.append(u)
+        samples.append(TrajectorySample(elapsed * cfg.dt, g, ball_distance(u, u0, p.a),
+                                        ball_distance(u, p.U, p.a)))
+        recorded.append(u)
     vf_evals = (accepted + retaken) * (1 if cfg.scheme == "euler" else 4)
     return samples, recorded, u, stop, (elapsed * cfg.dt, accepted, vf_evals, ratio)
 
@@ -519,6 +532,11 @@ def assert_flow_matches_reference(p, u0, h, cfg):
     assert traj.stop_reason == stop
     assert (traj.final_t, traj.steps, traj.vf_evals, traj.decay_ratio) == counts
     assert len(traj.samples) == len(samples) == len(traj.recorded_u) == len(recorded)
+    # one record per accepted step, and the run ends at the last one
+    assert len(traj.samples) == len(traj.recorded_u) == traj.steps + 1
+    assert traj.samples[-1].t == traj.final_t
+    assert traj.recorded_u[-1] is traj.final_u
+    assert traj.g_final == residual(p, traj.final_u, h)
     for got, want in zip(traj.samples, samples):
         assert np.array_equal([got.t, got.g, got.dist_u0, got.dist_U],
                               [want.t, want.g, want.dist_u0, want.dist_U])
@@ -536,7 +554,7 @@ def test_flow_is_bit_identical_to_grid_function_arithmetic(operator, scheme, n):
     p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
     t_max, stop = (1.0, STOP_HORIZON) if n == 20001 else (30.0, STOP_CONVERGED)
-    cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3, record_stride=3)
+    cfg = FlowConfig(scheme=scheme, t_max=t_max, eps_rel=1e-3)
     for fixed in (True, False):
         with fixed_steps(fixed):
             traj = assert_flow_matches_reference(p, u0, scaled_linear_h(n, 1.1), cfg)
@@ -555,17 +573,17 @@ def flow_problem(operator, n, family, param=0.0):
 @settings(max_examples=60, deadline=None)
 @given(operator=st.sampled_from([QuadraticVolterra(), LinearSmoothing()]),
        scheme=st.sampled_from(SCHEMES), dt=st.floats(0.02, 0.5),
-       fixed=st.booleans(), t_max=st.floats(0.5, 6.0), record_stride=st.integers(1, 7),
+       fixed=st.booleans(), t_max=st.floats(0.5, 6.0),
        enforce_ball=st.booleans(), radius=st.floats(0.0, 0.1),
        family=st.sampled_from(["scaled-linear", "quadratic-perturb", "degenerate"]),
        param=st.floats(-0.3, 0.3), n=st.sampled_from([21, 201]), seed=st.integers(0, 2**16))
 def test_flow_equals_the_reference_flow_on_drawn_problems(
-        operator, scheme, dt, fixed, t_max, record_stride, enforce_ball, radius, family,
+        operator, scheme, dt, fixed, t_max, enforce_ball, radius, family,
         param, n, seed):
     p, h = flow_problem(operator, n, family, param)
     u0 = sample_in_ball(np.random.default_rng(seed), p.U, radius, 1)
     cfg = FlowConfig(scheme=scheme, dt=dt, t_max=max(t_max, dt), eps_rel=1e-2,
-                     record_stride=record_stride, enforce_ball=enforce_ball)
+                     enforce_ball=enforce_ball)
     with fixed_steps(fixed):
         assert_flow_matches_reference(p, u0, h, cfg)
 
@@ -599,7 +617,7 @@ def test_interleaved_flows_equal_the_same_flows_run_alone(monkeypatch):
     for operator in (QuadraticVolterra(), LinearSmoothing()):
         for n, family in ((201, "scaled-linear"), (41, "quadratic-perturb")):
             p, h = flow_problem(operator, n, family, 0.1)
-            runs.append((p, p.U, h, FlowConfig(t_max=3.0, record_stride=4)))
+            runs.append((p, p.U, h, FlowConfig(t_max=3.0)))
     # stops `degenerate` inside an RK4 stage, from U = 1 at t = 0.25
     p, h = flow_problem(QuadraticVolterra(), 201, "degenerate")
     runs.insert(1, (p, p.U, h, FlowConfig()))
@@ -661,7 +679,7 @@ def test_public_step_results_are_their_own(setup201, monkeypatch):
 def synthetic_trajectory(ts, gs):
     u = GridFunction.zeros(11)
     samples = tuple(TrajectorySample(t, g, 0.0, 0.0) for t, g in zip(ts, gs))
-    return Trajectory(samples, (u,) * len(samples), u, ts[-1], STOP_CONVERGED, 1)
+    return Trajectory(samples, (u,) * len(samples), STOP_CONVERGED, 1)
 
 
 def test_decay_fit_unit_rate():
@@ -724,7 +742,7 @@ def test_bounds_report_constructed_violation():
         TrajectorySample(1.0, 0.4, 0.2, 0.0),  # dist_u0 = 2r
         TrajectorySample(2.0, 0.1, 0.05, 0.0),
     )
-    traj = Trajectory(samples, (u, u, u), u, 2.0, STOP_CONVERGED, 1)
+    traj = Trajectory(samples, (u, u, u), STOP_CONVERGED, 1)
     violations = verify_trajectory_bounds(traj, 0.1)
     assert len(violations) == 1
     assert violations[0].index == 1
@@ -734,7 +752,7 @@ def test_bounds_report_constructed_violation():
 def test_bounds_require_converged_trajectory():
     u = GridFunction.zeros(11)
     samples = (TrajectorySample(0.0, 1.0, 0.0, 0.0),)
-    traj = Trajectory(samples, (u,), u, 0.0, STOP_HORIZON, 1)
+    traj = Trajectory(samples, (u,), STOP_HORIZON, 1)
     with pytest.raises(ValueError):
         verify_trajectory_bounds(traj, 1.0)
 
@@ -819,7 +837,7 @@ def test_pair_ratio_matches_the_per_pair_math(setup201):
 
 def test_trajectory_csv_format(tmp_path, setup201):
     h = scaled_linear_h(201, 1.1)
-    traj = integrate_flow(setup201, setup201.U, h, FlowConfig(record_stride=20))
+    traj = integrate_flow(setup201, setup201.U, h, FlowConfig())
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()

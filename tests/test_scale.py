@@ -14,6 +14,7 @@ from dsmflow.scale import (
     write_grid_csv,
 )
 
+from dsmflow.operators import ProblemSetup, QuadraticVolterra
 from dsmflow.sampling import _trig_basis, trig_polynomial
 
 from oracles import trapezoid_l2
@@ -219,6 +220,17 @@ def test_nonfinite_values_rejected():
         GridFunction([0.0, np.nan, 1.0])
     with pytest.raises(ValueError):
         GridFunction([0.0, np.inf, 1.0])
+
+
+def test_grid_functions_and_setups_compare_and_hash_by_identity():
+    f, g = GridFunction.constant(1.0, 5), GridFunction.constant(1.0, 5)
+    assert f == f and f != g  # equal values, but distinct functions
+    assert f in [g, f] and g not in [f]
+    assert hash(f) == hash(f) and len({f, g, f}) == 2
+    p = ProblemSetup.from_reference(QuadraticVolterra(), f, 0.05)
+    q = ProblemSetup.from_reference(QuadraticVolterra(), g, 0.05)
+    assert p == p and p != q
+    assert p in [q, p] and hash(p) == hash(p) and len({p, q, p}) == 2
 
 
 def test_arithmetic_requires_matching_grids():
