@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-abs", type=float, default=1e-8)
     p.add_argument("--enforce-ball", action="store_true")
     p.add_argument("--samples", type=int, default=200,
-                   help="sample count for the constants estimate")
+                   help="sample count for the two-sided constants estimate")
 
     p = sub.add_parser("verify", help="estimate condition constants on the working ball")
     _add_common(p)
@@ -243,7 +243,8 @@ def cmd_solve(args) -> int:
                      eps_rel=args.eps_rel, eps_abs=args.eps_abs,
                      enforce_ball=args.enforce_ball)
     setup, h, u0, inputs = _load_problem(args)
-    report = estimate_constants(setup, args.samples, args.seed)
+    # solve reports only what the two-sided bracket gives: rho0 and r
+    report = estimate_constants(setup, args.samples, args.seed, bracket_only=True)
     verdict = admissibility_check(setup, u0, h, report)
     traj = integrate_flow(setup, u0, h, cfg)
     try:

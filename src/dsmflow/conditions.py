@@ -9,7 +9,10 @@ inside the working ball.
 
 ``estimate_constants`` evaluates its samples in (rows, n) blocks of at
 least two rows: each kind of point and each norm of a block is one batched
-call into the public sampling, scale and operator functions.
+call into the public sampling, scale and operator functions. With
+``bracket_only`` it computes the two-sided ratios alone, from the same
+draws, so its bracket and rho0 equal the full estimate's bit for bit; its
+report's ``c_iso`` and ``c_lip`` are then None.
 """
 
 from __future__ import annotations
@@ -41,14 +44,15 @@ class ConstantsReport:
 
     ``c0_lower``/``c0_upper`` bracket ||A(u)q||_{a+delta} / ||q||_a over the
     samples; ``c_iso`` is the largest composed ratio ||A^{-1}(v)A(w)q||_a /
-    ||q||_a and ``c_lip`` the largest derivative-difference ratio. ``rho0``
-    is the admissibility radius derived from the bracket.
+    ||q||_a and ``c_lip`` the largest derivative-difference ratio, both None
+    on a bracket-only report. ``rho0`` is the admissibility radius derived
+    from the bracket.
     """
 
     c0_lower: float
     c0_upper: float
-    c_iso: float
-    c_lip: float
+    c_iso: float | None
+    c_lip: float | None
     rho0: float
     radius: float
     sample_count: int
@@ -86,8 +90,8 @@ def r_bound(g0: float, c0: float) -> float:
     return g0 / c0
 
 
-def estimate_constants(p: ProblemSetup, sample_count: int = 200,
-                       seed: int = 0) -> ConstantsReport:
+def estimate_constants(p: ProblemSetup, sample_count: int = 200, seed: int = 0,
+                       bracket_only: bool = False) -> ConstantsReport:
     """Estimate the condition constants by sampling the working ball.
 
     Each sample draws points u, v, w from the ball and a unit direction q,
@@ -104,6 +108,11 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
     the builtins min and max, the reductions pass over NaN ratios. A
     constant that comes out non-finite, because the ball's norms overflow,
     raises ``ValueError`` naming it.
+
+    ``bracket_only`` skips w, both A^{-1} applications and the u - v
+    distance: the report holds the same bracket, rho0 and skipped count,
+    with ``c_iso`` and ``c_lip`` None, and no check on the skipped
+    quantities can fail.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be at least 10")
@@ -115,20 +124,21 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
     for start in range(0, sample_count, rows):
         live = np.arange(rows) < sample_count - start
         draws = rng.random((int(live.sum()), _CONSTANTS_DRAWS))
-        blocks.append(_constants_ratios(p, np.resize(draws, (rows, _CONSTANTS_DRAWS)), live))
-    two_sided, iso, lip = (np.concatenate(parts) for parts in zip(*blocks))
+        blocks.append(_constants_ratios(
+            p, np.resize(draws, (rows, _CONSTANTS_DRAWS)), live, bracket_only))
+    ratios = [np.concatenate(parts) for parts in zip(*blocks)]
+    two_sided = ratios[0]
     if two_sided.size == 0:
         raise EstimationError(f"all {sample_count} samples tripped the operator guard")
-    c0_lower = float(np.fmin.reduce(two_sided, initial=np.inf))
-    c0_upper, c_iso, c_lip = (float(np.fmax.reduce(r, initial=-np.inf))
-                              for r in (two_sided, iso, lip))
-    constants = {"c0_lower": c0_lower, "c0_upper": c0_upper, "c_iso": c_iso, "c_lip": c_lip}
+    constants = {"c0_lower": float(np.fmin.reduce(two_sided, initial=np.inf))}
+    for name, r in zip(("c0_upper", "c_iso", "c_lip"), ratios):
+        constants[name] = float(np.fmax.reduce(r, initial=-np.inf))
     for name, value in constants.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: {value!r}")
     return ConstantsReport(
-        **constants,
-        rho0=rho_max(p.R, c0_lower, c0_upper),
+        **{"c_iso": None, "c_lip": None, **constants},
+        rho0=rho_max(p.R, constants["c0_lower"], constants["c0_upper"]),
         radius=p.R,
         sample_count=sample_count,
         seed=seed,
@@ -140,28 +150,35 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200,
 _CONSTANTS_DRAWS = 3 * POINT_DRAWS + DIRECTION_DRAWS
 
 
-def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray):
+def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
+                      bracket_only: bool):
     """The two-sided, composed and Lipschitz ratios of a block of samples,
     one per row of `draws`, over the live samples whose u and v pass the
-    operator guard."""
+    operator guard; the two-sided ratios alone if `bracket_only`."""
     op, a = p.operator, p.a
+
+    def point(i):
+        return sample_in_ball(draws[:, i * POINT_DRAWS:(i + 1) * POINT_DRAWS], p.U, p.R, a)
+
     # one product with the basis per point: stacked into one, the arrays
     # ran slower at n = 20001 and held more memory
-    u, v, w = (sample_in_ball(draws[:, i * POINT_DRAWS:(i + 1) * POINT_DRAWS], p.U, p.R, a)
-               for i in range(3))
+    u, v = point(0), point(1)
     q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
     q_norm = sobolev_norm(q, a)
     a_u_q = op.apply_derivative(u, q)
     two_sided = sobolev_norm(a_u_q, a + p.delta) / q_norm
+    v_ok = live & ~op._below_guard(v.values)
+    keep = v_ok & ~op._below_guard(u.values)
+    if bracket_only:
+        return (two_sided[keep],)
+    w = point(2)
     lip_denom = ball_distance(u, v, a) * q_norm
     # An overflowed distance measures nothing: its ratio is NaN, which the
     # reduction passes over, so a ball whose distances all overflow has no
     # finite c_lip.
     lip_denom[np.isinf(lip_denom)] = np.nan
-    v_ok = live & ~op._below_guard(v.values)
     if (v_ok & (lip_denom == 0.0)).any():
         raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
-    keep = v_ok & ~op._below_guard(u.values)
     if not keep.all():
         u, v, w, q, a_u_q = (GridFunction._trusted(f.values[keep]) for f in (u, v, w, q, a_u_q))
     iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a) / q_norm[keep]

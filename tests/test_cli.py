@@ -622,6 +622,49 @@ def test_verify_non_finite_constant_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    # ||u - v|| overflows: verify exits 1 naming c_lip, which solve does not report
+    ("--operator", "linear-smoothing", "--radius", 1e300),
+    # sampled u and v coincide: only the Lipschitz ratio divides by their distance
+    ("--radius", 1e-300),
+], ids=["huge-radius", "tiny-radius"])
+def test_solve_does_not_fail_on_constants_it_does_not_report(tmp_path, flags):
+    assert run("solve", "--n", 21, *flags, "--out-dir", tmp_path) == 0
+    summary = load_strict(tmp_path / "solve_summary.json")
+    assert summary["admissible"] and 0.0 < summary["rho0"] < float(flags[-1])
+    assert "c_lip" not in summary and "c_iso" not in summary
+
+
+@pytest.mark.parametrize("command, kwargs, samples_inverted", [
+    ("solve", {"bracket_only": True}, False),
+    ("verify", {}, True),
+])
+def test_only_verify_pays_for_inverses_in_its_constants(tmp_path, monkeypatch, command,
+                                                        kwargs, samples_inverted):
+    calls, inverses, inside = [], [], []
+    estimate = cli_module.estimate_constants
+    solve_derivative = QuadraticVolterra.solve_derivative
+
+    def recording_estimate(*args, **kw):
+        calls.append(kw)
+        inside.append(True)
+        try:
+            return estimate(*args, **kw)
+        finally:
+            inside.pop()
+
+    def counting_solve(self, *args, **kw):
+        if inside:
+            inverses.append(1)
+        return solve_derivative(self, *args, **kw)
+
+    monkeypatch.setattr(cli_module, "estimate_constants", recording_estimate)
+    monkeypatch.setattr(QuadraticVolterra, "solve_derivative", counting_solve)
+    assert run(command, "--n", 201, "--samples", 50, "--out-dir", tmp_path) == 0
+    assert calls == [kwargs]
+    assert bool(inverses) == samples_inverted
+
+
 # --- property: probe-loss, compare-newton and classical-ift never fail with a
 # traceback; a report is written only on the exits that promise one ----------
 

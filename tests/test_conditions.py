@@ -330,8 +330,8 @@ def _recording_ratios(monkeypatch, record):
     ratios to ``record``."""
     original = conditions_module._constants_ratios
 
-    def recording(p, draws, live):
-        ratios = original(p, draws, live)
+    def recording(p, draws, live, *rest):
+        ratios = original(p, draws, live, *rest)
         record(draws, live, ratios)
         return ratios
 
@@ -352,6 +352,45 @@ def test_a_sample_evaluates_the_same_in_a_longer_run(monkeypatch):
         for a, b in zip(first, second):
             assert a.size == short and b.size == long
             assert np.array_equal(a, b[:short])
+
+
+BRACKET_CASES = [
+    pytest.param(operator, n, samples, 0.05, id=f"{name}-{n}")
+    for operator, name in ((QuadraticVolterra(), "volterra"), (LinearSmoothing(), "linear"))
+    for n, samples in (
+        (21, 400),    # blocks of 390 rows: 390 + 10
+        (201, 50),    # blocks of 40 rows: 40 + 10
+        (2001, 10),   # blocks of 4 rows: 4 + 4 + 2
+        (4097, 11),   # blocks of 2 rows: five of 2, then 1
+    )
+] + [
+    # u_min = 0.95 inside a ball of radius 0.5 around U = 1: some samples trip
+    pytest.param(QuadraticVolterra(u_min=0.95), 201, 60, 0.5, id="volterra-201-guarded"),
+]
+
+
+@pytest.mark.parametrize("operator, n, samples, radius", BRACKET_CASES)
+def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, monkeypatch):
+    rows = max(2, BLOCK_ELEMENTS // n)
+    assert samples % rows != 0  # the last block is padded
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), radius)
+    runs = []
+    _recording_ratios(monkeypatch, lambda draws, live, ratios: runs[-1].append(ratios[0]))
+    reports = []
+    for count, bracket_only in ((samples, False), (samples, True), (samples + rows, True)):
+        runs.append([])
+        reports.append(estimate_constants(setup, count, 3, bracket_only=bracket_only))
+    full, bracket, longer = reports
+    for name in ("c0_lower", "c0_upper", "rho0", "skipped", "sample_count", "seed"):
+        assert getattr(bracket, name) == getattr(full, name)
+    assert full.c_iso is not None and full.c_lip is not None
+    assert bracket.c_iso is None and bracket.c_lip is None
+    assert (full.skipped > 0) == (radius == 0.5)
+    # the same two-sided ratio per sample, and a longer run extends a shorter one
+    full_ratios, bracket_ratios, longer_ratios = (np.concatenate(run) for run in runs)
+    assert np.array_equal(bracket_ratios, full_ratios)
+    assert np.array_equal(longer_ratios[:bracket_ratios.size], bracket_ratios)
+    assert longer.c0_lower <= bracket.c0_lower <= bracket.c0_upper <= longer.c0_upper
 
 
 @pytest.mark.parametrize("n", [4097, 20001])
@@ -411,8 +450,21 @@ def _count_calls(monkeypatch, counts, name, owners):
         monkeypatch.setattr(owner, name, counting)
 
 
-@pytest.mark.parametrize("operator", OPERATORS)
-def test_estimate_calls_each_layer_once_per_block(operator, monkeypatch):
+FULL_CALLS = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
+              "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 9}
+# no w, no A^{-1}, no u - v distance
+BRACKET_CALLS = {"trig_polynomial": 3, "sample_in_ball": 2, "unit_direction": 1,
+                 "apply_derivative": 1, "solve_derivative": 0, "sobolev_norm": 5}
+
+
+@pytest.mark.parametrize("operator, bracket_only, per_block", [
+    pytest.param(QuadraticVolterra(), False, FULL_CALLS, id="volterra"),
+    pytest.param(LinearSmoothing(), False, FULL_CALLS, id="linear"),
+    pytest.param(QuadraticVolterra(), True, BRACKET_CALLS, id="volterra-bracket"),
+    pytest.param(LinearSmoothing(), True, BRACKET_CALLS, id="linear-bracket"),
+])
+def test_estimate_calls_each_layer_once_per_block(operator, bracket_only, per_block,
+                                                  monkeypatch):
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 201), 0.05)
     counts = collections.Counter()
     modules = (dsmflow.scale, dsmflow.sampling, conditions_module, dsmflow.operators)
@@ -421,12 +473,10 @@ def test_estimate_calls_each_layer_once_per_block(operator, monkeypatch):
     for name in ("apply_derivative", "solve_derivative"):
         _count_calls(monkeypatch, counts, name, (type(operator),))
     assert BLOCK_ELEMENTS // 201 == 40
-    per_block = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
-                 "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 9}
     for samples, blocks in ((20, 1), (40, 1), (80, 2)):
         counts.clear()
-        estimate_constants(setup, samples, 1)
-        assert dict(counts) == {name: blocks * c for name, c in per_block.items()}
+        estimate_constants(setup, samples, 1, bracket_only=bracket_only)
+        assert dict(counts) == {name: blocks * c for name, c in per_block.items() if c}
 
 
 def test_guarded_coinciding_samples_are_skipped_not_too_small():

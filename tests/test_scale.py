@@ -297,6 +297,19 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_csv_writes_17_significant_digits_of_each_float64(tmp_path):
+    rng = np.random.default_rng(8)
+    # magnitudes from 1e-300 to 1e300, both signs, and exact zeros and integers
+    values = rng.uniform(-1.0, 1.0, size=201) * 10.0 ** rng.integers(-300, 300, size=201)
+    values[:4] = (0.0, -0.0, 1.0, -3.0)
+    f = GridFunction(values)
+    path = tmp_path / "f.csv"
+    write_grid_csv(f, path)
+    rows = [f"{x:.17g},{v:.17g}\r\n" for x, v in zip(f.x, f.values)]
+    assert isinstance(f.values[0], np.float64)
+    assert path.read_bytes() == ("x,value\r\n" + "".join(rows)).encode()
+
+
 def test_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n0.5,1\n1,1\n")
