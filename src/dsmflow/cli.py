@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .conditions import admissibility_check, estimate_constants
 from .flow import (
+    SCHEMES,
     STOP_CONVERGED,
     FlowConfig,
     decay_fit,
@@ -64,8 +65,10 @@ _FAMILIES = {
 }
 H_FAMILIES = tuple(_FAMILIES)
 
-# Float flags that reach no config object in some command.
-_UNCHECKED_FLOATS = ("u_min", "param", "p", "tol")
+# Record fields that the JSON reports copy under their own names.
+_FLOW_FIELDS = ("stop_reason", "final_t", "g0", "g_final", "steps", "vf_evals", "decay_ratio")
+_VERDICT_FIELDS = ("rho0", "admissible", "margin", "dist_u0", "dist_h", "R_required", "radius_ok")
+_CONSTANTS_FIELDS = ("c0_lower", "c0_upper", "c_iso", "c_lip", "sample_count", "seed", "skipped")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="integrate the Newton flow for one right-hand side")
     _add_common(p)
     _add_input_flags(p)
-    p.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
+    p.add_argument("--scheme", choices=SCHEMES, default="rk4")
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--eps-rel", type=float, default=0.0)
@@ -215,27 +218,8 @@ def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) ->
     _write_json(outputs[key], payload)
 
 
-def _flow_summary(traj) -> dict:
-    return {
-        "stop_reason": traj.stop_reason,
-        "final_t": traj.final_t,
-        "g0": traj.g0,
-        "g_final": traj.g_final,
-        "steps": traj.steps,
-        "vf_evals": traj.vf_evals,
-        "decay_ratio": traj.decay_ratio,
-    }
-
-
-def _radius_summary(verdict) -> dict:
-    """How far u0 and h lie from the reference pair, and the working radius
-    that drift plus that distance need."""
-    return {
-        "dist_u0": verdict.dist_u0,
-        "dist_h": verdict.dist_h,
-        "R_required": verdict.R_required,
-        "radius_ok": verdict.radius_ok,
-    }
+def _fields(record, names) -> dict:
+    return {name: getattr(record, name) for name in names}
 
 
 def cmd_solve(args) -> int:
@@ -257,14 +241,11 @@ def cmd_solve(args) -> int:
     write_trajectory_csv(traj, outputs["trajectory"])
     write_grid_csv(traj.final_u, outputs["final_u"])
     _write_report(args, inputs, outputs, "summary", {
-        **_flow_summary(traj),
+        **_fields(traj, _FLOW_FIELDS),
+        **_fields(verdict, _VERDICT_FIELDS),
         "decay_slope": slope,
         "decay_r_squared": r_squared,
         "r_bound": verdict.r,
-        "admissible": verdict.admissible,
-        "rho0": verdict.rho0,
-        "margin": verdict.margin,
-        **_radius_summary(verdict),
     })
     return EXIT_OK if traj.stop_reason == STOP_CONVERGED else EXIT_FAILED
 
@@ -276,18 +257,8 @@ def cmd_verify(args) -> int:
 
     outputs = _outputs(args, constants="constants.json")
     _write_report(args, inputs, outputs, "constants", {
-        "c0_lower": report.c0_lower,
-        "c0_upper": report.c0_upper,
-        "c_iso": report.c_iso,
-        "c_lip": report.c_lip,
-        "rho0": report.rho0,
-        "r": verdict.r,
-        "sample_count": report.sample_count,
-        "seed": report.seed,
-        "skipped": report.skipped,
-        "admissible": verdict.admissible,
-        "margin": verdict.margin,
-        **_radius_summary(verdict),
+        **_fields(report, _CONSTANTS_FIELDS),
+        **_fields(verdict, ("r", *_VERDICT_FIELDS)),
     })
     return EXIT_OK
 
@@ -325,7 +296,7 @@ def cmd_compare_newton(args) -> int:
             "final_residual": record.steps[-1].residual,
             "diverged_at": record.diverged_at,
         },
-        "flow": _flow_summary(traj),
+        "flow": _fields(traj, _FLOW_FIELDS),
     })
     return EXIT_OK if record.converged else EXIT_FAILED
 
@@ -384,9 +355,8 @@ def main(argv=None) -> int:
     try:
         if args.n < 3:
             raise ValueError(f"--n must be at least 3, got {args.n}")
-        for name in _UNCHECKED_FLOATS:
-            value = getattr(args, name, 0.0)
-            if not math.isfinite(value):
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         # Overflowing data surface as the named non-finite quantity that the
         # commands check for, not as numpy warnings.

@@ -182,6 +182,27 @@ def test_reports_carry_the_radius_check(tmp_path, command, report):
     assert 0.0 < got["dist_u0"] <= 0.01 and got["radius_ok"] is True
 
 
+FLOW_KEYS = {"stop_reason", "final_t", "g0", "g_final", "steps", "vf_evals", "decay_ratio"}
+RADIUS_KEYS = {"dist_u0", "dist_h", "R_required", "radius_ok"}
+
+
+def test_reports_hold_exactly_their_keys(tmp_path):
+    assert run("solve", "--samples", 10, "--out-dir", tmp_path) == 0
+    assert run("verify", "--samples", 10, "--out-dir", tmp_path) == 0
+    assert run("compare-newton", "--out-dir", tmp_path) == 0
+    solve = load(tmp_path / "solve_summary.json")
+    assert set(solve) == FLOW_KEYS | RADIUS_KEYS | {
+        "decay_slope", "decay_r_squared", "r_bound", "admissible", "rho0", "margin",
+        "manifest"}
+    assert set(load(tmp_path / "constants.json")) == CONTRACT_KEYS | RADIUS_KEYS | {
+        "manifest"}
+    comparison = load(tmp_path / "newton_comparison.json")
+    assert set(comparison) == {"newton", "flow", "manifest"}
+    assert set(comparison["newton"]) == {"converged", "iterations", "final_residual",
+                                         "diverged_at"}
+    assert set(comparison["flow"]) == FLOW_KEYS
+
+
 def test_verify_linear_smoothing(tmp_path):
     code = run("verify", "--operator", "linear-smoothing", "--samples", 50,
                "--seed", 1, "--out-dir", tmp_path)
@@ -401,6 +422,19 @@ def test_csv_with_a_nan_node_exits_1_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_csv_with_uneven_spacing_exits_1_naming_it(tmp_path, capsys):
+    # node 100 off by 1e-10 passes the 1e-9 position check, not the spacing check
+    x = np.linspace(0.0, 1.0, 201)
+    x[100] += 1e-10
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,value\n" + "".join(f"{v:.17g},1\n" for v in x))
+    out = tmp_path / "out"
+    assert run("solve", "--h-file", bad, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: {bad}: non-uniform node spacing"]
+    assert not out.exists()
+
+
 def test_conflicting_h_flags_exit_1(tmp_path):
     good = tmp_path / "h.csv"
     write_grid_csv(GridFunction.constant(1.0, 201), good)
@@ -490,7 +524,7 @@ def test_negative_tol_exits_1_naming_it(tmp_path, capsys, command):
     (("solve", "--eps-rel", "nan"), "eps_rel"),
     (("solve", "--eps-abs", "nan"), "eps_abs"),
     (("solve", "--u-min", "nan"), "u_min"),
-    (("verify", "--radius", "nan"), "R"),
+    (("verify", "--radius", "nan"), "radius"),
     (("classical-ift", "--m", "inf"), "m"),
     (("classical-ift", "--epsilon", "nan"), "epsilon"),
     (("classical-ift", "--tol", "nan"), "tol"),
@@ -505,6 +539,30 @@ def test_non_finite_flag_exits_1_naming_field(tmp_path, capsys, argv, field):
     assert err.startswith("dsmflow: error: ")
     assert f"{field} must be" in err
     assert not list(tmp_path.iterdir())
+
+
+def _subparsers():
+    """Each command's name mapped to its parser."""
+    return next(a for a in cli_module.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _float_flags():
+    """(command, flag, dest) for every float-typed flag of every command."""
+    return [(command, action.option_strings[0], action.dest)
+            for command, subparser in _subparsers().items()
+            for action in subparser._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, dest", _float_flags())
+def test_every_float_flag_rejects_non_finite_values(tmp_path, capsys, command, flag, dest,
+                                                    value):
+    out = tmp_path / "out"
+    assert run(command, flag, value, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dsmflow: error: {dest} must be finite, got {float(value)!r}"]
+    assert not out.exists()
 
 
 # --- overflowing data ----------------------------------------------------------
@@ -737,6 +795,21 @@ def test_readme_names_every_cli_flag():
         assert flags <= mentioned, (command, sorted(flags - mentioned))
         known |= flags
     assert mentioned <= known, sorted(mentioned - known)
+
+
+def test_readme_flag_table_lists_each_command_flags():
+    after = _readme_cli_section().split("Flags, with their defaults", 1)[1]
+    table = after.split("\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[2:]:  # past the header and its rule
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            listed.setdefault(command, set()).update(
+                re.findall(r"(?<![\w-])--[a-z][\w-]*", flags))
+    parsed = {command: {s for a in subparser._actions for s in a.option_strings
+                        if s.startswith("--") and s != "--help"}
+              for command, subparser in _subparsers().items()}
+    assert listed == parsed
 
 
 def test_readme_examples_run(tmp_path):

@@ -730,6 +730,21 @@ def test_bounds_hold_on_converged_run(setup201):
     assert verify_trajectory_bounds(traj, r) == []
 
 
+def test_bounds_report_tail_violations_on_the_canonical_run(setup201):
+    # with r = g0 / c0_lower (seed 42) the canonical run has no violation (c03);
+    # at r / 2 the tail bound fails first, from t = 0, and drift from index 5
+    x = setup201.U.x
+    traj = integrate_flow(setup201, setup201.U, GridFunction(x + 0.05 * x * x), FlowConfig())
+    r = traj.g0 / estimate_constants(setup201, 200, 42).c0_lower / 2.0
+    violations = verify_trajectory_bounds(traj, r)
+    assert [(v.index, v.kind) for v in violations[:6]] == [
+        (0, "tail"), (1, "tail"), (2, "tail"), (3, "tail"), (4, "tail"), (5, "drift")]
+    for v in violations:
+        bound = r * math.exp(-v.t) if v.kind == "tail" else r
+        assert v.limit == pytest.approx(bound * 1.05, rel=1e-15)
+        assert v.limit < v.value
+
+
 def test_bounds_trivial_single_sample(setup201):
     traj = integrate_flow(setup201, setup201.U, setup201.f, FlowConfig())
     assert verify_trajectory_bounds(traj, 0.0) == []

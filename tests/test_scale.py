@@ -254,6 +254,19 @@ def test_from_callable_copies_an_array_the_caller_keeps():
     assert np.array_equal(f.values, expected)
 
 
+def test_from_callable_broadcasts_a_scalar():
+    f = GridFunction.from_callable(lambda x: 2.5, 11)
+    assert f.n == 11 and np.array_equal(f.values, np.full(11, 2.5))
+
+
+def test_arithmetic_with_a_non_number_raises_type_error():
+    f = GridFunction.zeros(11)
+    with pytest.raises(TypeError):
+        f + "a"
+    with pytest.raises(TypeError):
+        "a" - f
+
+
 INTERNAL_RESULTS = {
     "add": lambda f, g: f + g,
     "radd": lambda f, g: 1.0 + f,
@@ -322,6 +335,17 @@ def test_csv_rejects_nonuniform_spacing(tmp_path):
     path.write_text("x,value\n0,1\n0.4,1\n1,1\n")
     with pytest.raises(ValueError):
         read_grid_csv(path)
+
+
+def test_csv_rejects_uneven_spacing_within_the_position_tolerance(tmp_path):
+    # node 100 off by 1e-10 passes the 1e-9 position check, not the spacing check
+    x = np.linspace(0.0, 1.0, 201)
+    x[100] += 1e-10
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + "".join(f"{v:.17g},1\n" for v in x))
+    with pytest.raises(ValueError) as excinfo:
+        read_grid_csv(path)
+    assert str(excinfo.value) == f"{path}: non-uniform node spacing"
 
 
 def test_csv_rejects_wrong_domain(tmp_path):
