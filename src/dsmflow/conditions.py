@@ -8,8 +8,12 @@ perturbation budget under which a flow solve is guaranteed to converge
 inside the working ball.
 
 ``estimate_constants`` evaluates its samples in (rows, n) blocks of at
-least two rows: each kind of point and each norm of a block is one batched
-call into the public sampling, scale and operator functions. With
+least two rows: each kind of point of a block is one batched call into the
+public sampling and operator functions, and so is each norm of a function
+outside the sampling span (an operator image or the distance u - v), which
+``scale.sobolev_norm`` takes on the grid. The norms of the sampled points
+and directions themselves come from their coefficients through the
+sampler's cached span factor. With
 ``bracket_only`` it computes the two-sided ratios alone, from the same
 draws, so its bracket and rho0 equal the full estimate's bit for bit; its
 report's ``c_iso`` and ``c_lip`` are then None.
@@ -28,6 +32,8 @@ from .sampling import (
     BLOCK_ELEMENTS,
     DIRECTION_DRAWS,
     POINT_DRAWS,
+    _coefficients,
+    _span_norm,
     sample_in_ball,
     unit_direction,
 )
@@ -163,8 +169,12 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
     # one product with the basis per point: stacked into one, the arrays
     # ran slower at n = 20001 and held more memory
     u, v = point(0), point(1)
-    q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
-    q_norm = sobolev_norm(q, a)
+    q_draws = draws[:, 3 * POINT_DRAWS:]
+    q = unit_direction(q_draws, p.U.n, a)
+    # q's coefficients, scaled as unit_direction scales its values
+    q_coeffs = _coefficients(q_draws)
+    q_coeffs *= (1.0 / _span_norm(q_coeffs, p.U.n, a))[:, np.newaxis]
+    q_norm = _span_norm(q_coeffs, p.U.n, a)
     a_u_q = op.apply_derivative(u, q)
     two_sided = sobolev_norm(a_u_q, a + p.delta) / q_norm
     v_ok = live & ~op._below_guard(v.values)
@@ -172,6 +182,8 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
     if bracket_only:
         return (two_sided[keep],)
     w = point(2)
+    # from the rounded values, not the coefficients: the points A(u) and
+    # A(v) see may coincide although their coefficients differ
     lip_denom = ball_distance(u, v, a) * q_norm
     # An overflowed distance measures nothing: its ratio is NaN, which the
     # reduction passes over, so a ball whose distances all overflow has no

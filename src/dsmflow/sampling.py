@@ -9,6 +9,16 @@ The (2K+1, n) cos/sin basis is built once per grid and kept in a small
 cache, so one draw costs a single coefficient-times-basis product. It
 holds 17 * n * 8 bytes (2.7 MB at n = 20001).
 
+Every sample is a coefficient row c times that basis, so its discrete H_a
+norm is a quadratic form in c: a 17 x 17 factor F of the basis's H_a Gram
+matrix, cached per (n, a), gives it as ||c @ F||_2 without touching the
+grid. Each factor holds 17 * 17 * 8 bytes (2.3 kB) whatever n is, and is
+built from slices of GRAM_COLUMNS basis columns, so building it makes no
+array of the basis's size. The samplers take their normalising norms from
+it. Norms of anything computed from the rounded values, such as operator
+images or the distance between two points, stay with
+``scale.sobolev_norm``.
+
 Draw order: ``trig_polynomial`` consumes 2K+1 uniform(-1, 1) draws, the
 cosine coefficients for k = 0..K followed by the sine coefficients for
 k = 1..K; ``sample_in_ball`` consumes one further uniform(0, 1) draw. A
@@ -28,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scale import GridFunction, sobolev_norm
+from .scale import GridFunction, _derivative, check_scale_index
 
 MAX_FREQUENCY = 8
 
@@ -55,6 +65,53 @@ def _trig_basis(n: int) -> np.ndarray:
     return basis
 
 
+# Grid columns per slice of the basis while a span factor is built.
+GRAM_COLUMNS = 2048
+
+
+@lru_cache(maxsize=8)
+def _span_factor(n: int, a: int) -> np.ndarray:
+    """Read-only 17 x 17 F with ||c @ F||_2 the discrete H_a norm of c @ B,
+    for the cached basis B of ``_trig_basis(n)``.
+
+    F F^T is the Gram matrix sum over j <= a of (D^j B) diag(w) (D^j B)^T,
+    with w the trapezoid weights and D the grid derivative. F comes from
+    its eigendecomposition, V sqrt(max(lambda, 0)), because below 17 nodes
+    the Gram matrix is singular and Cholesky would fail.
+    """
+    check_scale_index(a)
+    dx = 1.0 / (n - 1)
+    weights = np.full(n, dx)
+    weights[[0, -1]] = dx / 2.0
+    basis = _trig_basis(n)
+    gram = np.zeros((DIRECTION_DRAWS, DIRECTION_DRAWS))
+    # The derivatives are taken a slice of columns at a time, so no
+    # basis-sized array is made. Each slice carries three extra columns per
+    # side, as far as a second derivative reads (one-sided at the last
+    # node); its values there, and at its cut edges, are dropped.
+    for start in range(0, n, GRAM_COLUMNS):
+        stop = min(start + GRAM_COLUMNS, n)
+        lo, hi = max(start - 3, 0), min(stop + 3, n)
+        f = basis[:, lo:hi]
+        for j in range(a + 1):
+            if j:
+                f = _derivative(f, dx, np.empty_like(f))
+            part = f[:, start - lo:stop - lo]
+            # einsum reduces without the weighted copy a matrix product needs
+            gram += np.einsum("in,jn,n->ij", part, part, weights[start:stop])
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    factor = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
+    factor.flags.writeable = False
+    return factor
+
+
+def _span_norm(coeffs: np.ndarray, n: int, a: int):
+    """Discrete H_a norm of ``coeffs @ _trig_basis(n)``, one per row of
+    `coeffs` (a scalar for a single row), from the cached span factor."""
+    y = coeffs @ _span_factor(n, a)
+    return np.sqrt(np.einsum("...i,...i->...", y, y))
+
+
 def _draws(rng: np.random.Generator | np.ndarray, count: int) -> np.ndarray:
     """`count` uniform [0, 1) numbers from a Generator, or the given batch
     of draws, `count` per row."""
@@ -70,13 +127,17 @@ def _scale_rows(f: GridFunction, factor) -> GridFunction:
     return GridFunction._trusted(f.values * np.asarray(factor)[..., np.newaxis])
 
 
+def _coefficients(draws: np.ndarray) -> np.ndarray:
+    """Coefficients uniform in [-1, 1] from uniform [0, 1) draws."""
+    # low + (high - low) * d, as Generator.uniform maps its draws
+    return -1.0 + 2.0 * draws
+
+
 def trig_polynomial(rng: np.random.Generator | np.ndarray, n: int) -> GridFunction:
     """Random trigonometric polynomial with coefficients uniform in [-1, 1]."""
-    # low + (high - low) * d, as Generator.uniform maps its draws
-    coeffs = -1.0 + 2.0 * _draws(rng, DIRECTION_DRAWS)
-    values = coeffs @ _trig_basis(n)
+    values = _coefficients(_draws(rng, DIRECTION_DRAWS)) @ _trig_basis(n)
     # A single function keeps the public constructor, whose calls the
-    # benchmark counts (ROADMAP item 6); only `_trusted` can wrap a batch.
+    # benchmark counts (ROADMAP item 4); only `_trusted` can wrap a batch.
     if values.ndim == 1:
         return GridFunction(values)
     return GridFunction._trusted(values)
@@ -90,11 +151,13 @@ def sample_in_ball(rng: np.random.Generator | np.ndarray, center: GridFunction,
     radius, so draws fill the ball rather than its boundary.
     """
     draws = _draws(rng, POINT_DRAWS)
-    d = trig_polynomial(draws[..., :DIRECTION_DRAWS], center.n)
-    return center + _scale_rows(d, radius * draws[..., DIRECTION_DRAWS] / sobolev_norm(d, a))
+    coeff_draws = draws[..., :DIRECTION_DRAWS]
+    d = trig_polynomial(coeff_draws, center.n)
+    norm = _span_norm(_coefficients(coeff_draws), center.n, a)
+    return center + _scale_rows(d, radius * draws[..., DIRECTION_DRAWS] / norm)
 
 
 def unit_direction(rng: np.random.Generator | np.ndarray, n: int, a: int) -> GridFunction:
     """Random direction with H_a norm one."""
-    d = trig_polynomial(rng, n)
-    return _scale_rows(d, 1.0 / sobolev_norm(d, a))
+    draws = _draws(rng, DIRECTION_DRAWS)
+    return _scale_rows(trig_polynomial(draws, n), 1.0 / _span_norm(_coefficients(draws), n, a))

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ def test_sample_monotonicity_under_extension(setup201):
     assert large.c_lip >= small.c_lip
 
 
+def test_a_second_estimate_builds_no_new_span_factor():
+    setup = ProblemSetup.from_reference(
+        QuadraticVolterra(), GridFunction.constant(1.0, 203), 0.05)
+    misses = dsmflow.sampling._span_factor.cache_info().misses
+    first = estimate_constants(setup, 10, 0)
+    # one factor, for the ball's index a, serves points and directions alike
+    assert dsmflow.sampling._span_factor.cache_info().misses == misses + 1
+    assert estimate_constants(setup, 10, 0) == first
+    assert dsmflow.sampling._span_factor.cache_info().misses == misses + 1
+
+
 def test_sample_count_floor(setup201):
     with pytest.raises(ValueError):
         estimate_constants(setup201, 9, 0)
@@ -168,10 +180,14 @@ def test_negative_seed_is_named(setup201):
 
 
 def test_radius_too_small_to_separate_samples_raises():
-    setup = ProblemSetup.from_reference(
-        QuadraticVolterra(), GridFunction.constant(1.0, 21), 1e-300)
-    with pytest.raises(ValueError, match="too small"):
-        estimate_constants(setup, 10, 0)
+    # At 1e-20 the sampled points round to U although their coefficients
+    # differ: only a distance taken from the rounded values sees them coincide.
+    for n, radius in ((21, 1e-300), (201, 1e-20)):
+        setup = ProblemSetup.from_reference(
+            QuadraticVolterra(), GridFunction.constant(1.0, n), radius)
+        message = f"ball radius {radius!r} is too small: sampled points coincide"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_constants(setup, 10, 0)
 
 
 def test_all_guarded_samples_raise():
@@ -450,11 +466,13 @@ def _count_calls(monkeypatch, counts, name, owners):
         monkeypatch.setattr(owner, name, counting)
 
 
+# sobolev_norm only off the sampling span: A(u)q, the u - v distance and the
+# two A^{-1} images; the samples' own norms come from their coefficients
 FULL_CALLS = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
-              "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 9}
+              "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 4}
 # no w, no A^{-1}, no u - v distance
 BRACKET_CALLS = {"trig_polynomial": 3, "sample_in_ball": 2, "unit_direction": 1,
-                 "apply_derivative": 1, "solve_derivative": 0, "sobolev_norm": 5}
+                 "apply_derivative": 1, "solve_derivative": 0, "sobolev_norm": 1}
 
 
 @pytest.mark.parametrize("operator, bracket_only, per_block", [

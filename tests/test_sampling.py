@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsmflow.sampling import (
     MAX_FREQUENCY,
     POINT_DRAWS,
+    _span_factor,
+    _span_norm,
     _trig_basis,
     sample_in_ball,
     trig_polynomial,
     unit_direction,
 )
-from dsmflow.scale import GridFunction
+from dsmflow.scale import GridFunction, sobolev_norm
 
 DRAWS = 2 * MAX_FREQUENCY + 1
 
@@ -97,3 +101,45 @@ def test_single_polynomial_is_validated_and_a_batch_is_not(monkeypatch):
     trig_polynomial(np.random.default_rng(16).random((4, DRAWS)), 51)
     assert len(calls) == 1
 
+
+# --- norms from coefficients -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 21, 201, 2001, 2049, 20001])
+def test_span_norm_equals_the_norm_of_the_values(n):
+    # below 17 nodes the Gram matrix is singular; n = 2049 ends the factor's
+    # last column slice on one node; at n = 20001 and a = 2 the values' own
+    # second differences round to about 5e-13
+    coeffs = -1.0 + 2.0 * np.random.default_rng(n).random((200, DRAWS))
+    for a in (0, 1, 2):
+        got = _span_norm(coeffs, n, a)
+        for rows in np.array_split(np.arange(200), 10):
+            values = coeffs[rows] @ _trig_basis(n)
+            want = sobolev_norm(GridFunction._trusted(values), a)
+            np.testing.assert_allclose(got[rows], want, rtol=1e-12, atol=0.0)
+        assert _span_norm(coeffs[0], n, a) == pytest.approx(got[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [3, -1])
+def test_samplers_reject_an_unsupported_scale_index(a):
+    center = GridFunction.constant(1.0, 51)
+    with pytest.raises(ValueError, match="unsupported scale index"):
+        sample_in_ball(np.random.default_rng(17), center, 0.05, a)
+    with pytest.raises(ValueError, match="unsupported scale index"):
+        unit_direction(np.random.default_rng(17), 51, a)
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_span_factor_is_built_without_a_basis_sized_array(a):
+    n = 20001
+    unit = DRAWS * n * 8  # one basis-sized array
+    _trig_basis(n)
+    tracemalloc.start()
+    try:
+        factor = _span_factor.__wrapped__(n, a)  # built afresh, past the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a derivative of the whole basis would take one unit per order, a
+    # weighted copy for a matrix product one more
+    assert peak < 0.5 * unit
+    assert factor.shape == (DRAWS, DRAWS) and not factor.flags.writeable
