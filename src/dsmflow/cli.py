@@ -135,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical-ift", help="contraction solve of the pointwise map z + z^2")
     p.add_argument("--n", type=int, default=201)
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--p", type=float, default=0.1, help="constant right-hand side")
-    p.add_argument("--p-file", type=Path, help="right-hand side as grid CSV")
+    rhs = p.add_mutually_exclusive_group()
+    rhs.add_argument("--p", type=float, default=0.1, help="constant right-hand side")
+    rhs.add_argument("--p-file", type=Path, help="right-hand side as grid CSV")
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=200)

@@ -11,12 +11,13 @@ inside the working ball.
 least two rows: each kind of point of a block is one batched call into the
 public sampling and operator functions, and so is each norm of a function
 outside the sampling span (an operator image or the distance u - v), which
-``scale.sobolev_norm`` takes on the grid. The norms of the sampled points
-and directions themselves come from their coefficients through the
-sampler's cached span factor. With
-``bracket_only`` it computes the two-sided ratios alone, from the same
-draws, so its bracket and rho0 equal the full estimate's bit for bit; its
-report's ``c_iso`` and ``c_lip`` are then None.
+``scale.sobolev_norm`` takes on the grid. The samplers normalise the sampled
+points and directions from their coefficients, through the cached Gram
+matrix of the sampling basis, and each direction q is a unit direction,
+||q||_a = 1, so no ratio divides by a norm of q. With ``bracket_only`` it
+computes the two-sided ratios alone, from the same draws, so its bracket
+and rho0 equal the full estimate's bit for bit; its report's ``c_iso`` and
+``c_lip`` are then None.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .sampling import (
     BLOCK_ELEMENTS,
     DIRECTION_DRAWS,
     POINT_DRAWS,
-    _coefficients,
-    _span_norm,
     sample_in_ball,
     unit_direction,
 )
@@ -48,11 +47,12 @@ class EstimationError(RuntimeError):
 class ConstantsReport:
     """Sampled condition constants on the ball of radius ``radius``.
 
-    ``c0_lower``/``c0_upper`` bracket ||A(u)q||_{a+delta} / ||q||_a over the
-    samples; ``c_iso`` is the largest composed ratio ||A^{-1}(v)A(w)q||_a /
-    ||q||_a and ``c_lip`` the largest derivative-difference ratio, both None
-    on a bracket-only report. ``rho0`` is the admissibility radius derived
-    from the bracket.
+    Each sample's direction q is a unit direction, ||q||_a = 1.
+    ``c0_lower``/``c0_upper`` bracket ||A(u)q||_{a+delta} over the samples;
+    ``c_iso`` is the largest composed norm ||A^{-1}(v)A(w)q||_a and
+    ``c_lip`` the largest derivative-difference ratio
+    ||A^{-1}(u)(A(u) - A(v))q||_a / ||u - v||_a, both None on a bracket-only
+    report. ``rho0`` is the admissibility radius derived from the bracket.
     """
 
     c0_lower: float
@@ -169,14 +169,10 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
     # one product with the basis per point: stacked into one, the arrays
     # ran slower at n = 20001 and held more memory
     u, v = point(0), point(1)
-    q_draws = draws[:, 3 * POINT_DRAWS:]
-    q = unit_direction(q_draws, p.U.n, a)
-    # q's coefficients, scaled as unit_direction scales its values
-    q_coeffs = _coefficients(q_draws)
-    q_coeffs *= (1.0 / _span_norm(q_coeffs, p.U.n, a))[:, np.newaxis]
-    q_norm = _span_norm(q_coeffs, p.U.n, a)
+    # ||q||_a = 1, so each ratio's denominator holds no norm of q
+    q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
     a_u_q = op.apply_derivative(u, q)
-    two_sided = sobolev_norm(a_u_q, a + p.delta) / q_norm
+    two_sided = sobolev_norm(a_u_q, a + p.delta)
     v_ok = live & ~op._below_guard(v.values)
     keep = v_ok & ~op._below_guard(u.values)
     if bracket_only:
@@ -184,7 +180,7 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
     w = point(2)
     # from the rounded values, not the coefficients: the points A(u) and
     # A(v) see may coincide although their coefficients differ
-    lip_denom = ball_distance(u, v, a) * q_norm
+    lip_denom = ball_distance(u, v, a)
     # An overflowed distance measures nothing: its ratio is NaN, which the
     # reduction passes over, so a ball whose distances all overflow has no
     # finite c_lip.
@@ -193,7 +189,7 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
         raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
     if not keep.all():
         u, v, w, q, a_u_q = (GridFunction._trusted(f.values[keep]) for f in (u, v, w, q, a_u_q))
-    iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a) / q_norm[keep]
+    iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a)
     diff = a_u_q - op.apply_derivative(v, q)
     lip = sobolev_norm(op.solve_derivative(u, diff), a) / lip_denom[keep]
     return two_sided[keep], iso, lip

@@ -63,6 +63,9 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
                  oracle: GridFunction | None = None) -> IterationRecord:
     """Iterate Newton steps until the residual tolerance, divergence or budget.
 
+    At most ``max_iter`` steps are taken, and ``final_u`` is the iterate
+    that the last record measures.
+
     Divergence (residual beyond ``DIVERGENCE_RESIDUAL`` or a tripped operator
     guard) sets ``diverged_at`` instead of raising. When an oracle iterate
     sequence's limit is supplied, the record tracks the distance to it. A
@@ -88,6 +91,8 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             break
         if not math.isfinite(g) or g > DIVERGENCE_RESIDUAL:
             diverged_at = k
+            break
+        if k == max_iter:
             break
         try:
             u = newton_step(p, u, h)

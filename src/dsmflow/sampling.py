@@ -10,13 +10,13 @@ cache, so one draw costs a single coefficient-times-basis product. It
 holds 17 * n * 8 bytes (2.7 MB at n = 20001).
 
 Every sample is a coefficient row c times that basis, so its discrete H_a
-norm is a quadratic form in c: a 17 x 17 factor F of the basis's H_a Gram
-matrix, cached per (n, a), gives it as ||c @ F||_2 without touching the
-grid. Each factor holds 17 * 17 * 8 bytes (2.3 kB) whatever n is, and is
-built from slices of GRAM_COLUMNS basis columns, so building it makes no
-array of the basis's size. The samplers take their normalising norms from
-it. Norms of anything computed from the rounded values, such as operator
-images or the distance between two points, stay with
+norm is a quadratic form in c: with G the basis's H_a Gram matrix, cached
+per (n, a), it is sqrt(c G c^T), taken without touching the grid. Each G
+holds 17 * 17 * 8 bytes (2.3 kB) whatever n is, and is built in one pass
+over the whole basis, no column slices, holding one basis-sized
+derivative per order up to a. The samplers take their normalising norms
+from it. Norms of anything computed from the rounded values, such as
+operator images or the distance between two points, stay with
 ``scale.sobolev_norm``.
 
 Draw order: ``trig_polynomial`` consumes 2K+1 uniform(-1, 1) draws, the
@@ -65,51 +65,32 @@ def _trig_basis(n: int) -> np.ndarray:
     return basis
 
 
-# Grid columns per slice of the basis while a span factor is built.
-GRAM_COLUMNS = 2048
-
-
 @lru_cache(maxsize=8)
-def _span_factor(n: int, a: int) -> np.ndarray:
-    """Read-only 17 x 17 F with ||c @ F||_2 the discrete H_a norm of c @ B,
-    for the cached basis B of ``_trig_basis(n)``.
-
-    F F^T is the Gram matrix sum over j <= a of (D^j B) diag(w) (D^j B)^T,
-    with w the trapezoid weights and D the grid derivative. F comes from
-    its eigendecomposition, V sqrt(max(lambda, 0)), because below 17 nodes
-    the Gram matrix is singular and Cholesky would fail.
-    """
+def _span_gram(n: int, a: int) -> np.ndarray:
+    """Read-only 17 x 17 Gram matrix G of the basis B of ``_trig_basis(n)``
+    in the discrete H_a inner product, so that c G c^T is the squared norm
+    of c @ B: the sum over j <= a of (D^j B) diag(w) (D^j B)^T, with w the
+    trapezoid weights and D the grid derivative."""
     check_scale_index(a)
     dx = 1.0 / (n - 1)
     weights = np.full(n, dx)
     weights[[0, -1]] = dx / 2.0
-    basis = _trig_basis(n)
+    f = _trig_basis(n)
     gram = np.zeros((DIRECTION_DRAWS, DIRECTION_DRAWS))
-    # The derivatives are taken a slice of columns at a time, so no
-    # basis-sized array is made. Each slice carries three extra columns per
-    # side, as far as a second derivative reads (one-sided at the last
-    # node); its values there, and at its cut edges, are dropped.
-    for start in range(0, n, GRAM_COLUMNS):
-        stop = min(start + GRAM_COLUMNS, n)
-        lo, hi = max(start - 3, 0), min(stop + 3, n)
-        f = basis[:, lo:hi]
-        for j in range(a + 1):
-            if j:
-                f = _derivative(f, dx, np.empty_like(f))
-            part = f[:, start - lo:stop - lo]
-            # einsum reduces without the weighted copy a matrix product needs
-            gram += np.einsum("in,jn,n->ij", part, part, weights[start:stop])
-    eigenvalues, vectors = np.linalg.eigh(gram)
-    factor = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
-    factor.flags.writeable = False
-    return factor
+    for j in range(a + 1):
+        if j:
+            f = _derivative(f, dx, np.empty_like(f))
+        # einsum reduces without the weighted copy a matrix product needs
+        gram += np.einsum("in,jn,n->ij", f, f, weights)
+    gram.flags.writeable = False
+    return gram
 
 
 def _span_norm(coeffs: np.ndarray, n: int, a: int):
     """Discrete H_a norm of ``coeffs @ _trig_basis(n)``, one per row of
-    `coeffs` (a scalar for a single row), from the cached span factor."""
-    y = coeffs @ _span_factor(n, a)
-    return np.sqrt(np.einsum("...i,...i->...", y, y))
+    `coeffs` (a scalar for a single row), from the cached Gram matrix."""
+    y = coeffs @ _span_gram(n, a)
+    return np.sqrt(np.einsum("...i,...i->...", y, coeffs))
 
 
 def _draws(rng: np.random.Generator | np.ndarray, count: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -442,6 +444,21 @@ def test_conflicting_h_flags_exit_1(tmp_path):
                "--out-dir", tmp_path) == 1
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_p_and_p_file_are_mutually_exclusive(tmp_path, capsys, order):
+    p_file = tmp_path / "p.csv"
+    write_grid_csv(GridFunction.constant(0.09, 201), p_file)
+    out = tmp_path / "out"
+    flags = [("--p", 0.09), ("--p-file", p_file)][::order]
+    with pytest.raises(SystemExit) as excinfo:
+        run("classical-ift", *flags[0], *flags[1], "--out-dir", out)
+    assert excinfo.value.code == 1
+    first, second = (name for name, _ in flags)
+    assert (f"error: argument {second}: not allowed with argument {first}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_unknown_operator_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("solve", "--operator", "nope", "--out-dir", tmp_path)
@@ -810,6 +827,24 @@ def test_readme_flag_table_lists_each_command_flags():
                         if s.startswith("--") and s != "--help"}
               for command, subparser in _subparsers().items()}
     assert listed == parsed
+
+
+def _package_names():
+    """Every name bound in a dsmflow module, and every attribute of its classes."""
+    names = set()
+    for info in pkgutil.iter_modules(dsmflow.__path__):
+        for name, value in vars(importlib.import_module(f"dsmflow.{info.name}")).items():
+            names.add(name)
+            if isinstance(value, type):
+                names.update(dir(value))
+    return names
+
+
+def test_readme_names_only_constants_and_private_names_that_exist():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    cited = set(re.findall(r"`([A-Z][A-Z0-9_]+|_[a-z]\w*)`", text))
+    assert "BLOCK_ELEMENTS" in cited and "_derivative" in cited
+    assert sorted(cited - _package_names()) == []
 
 
 def test_readme_examples_run(tmp_path):

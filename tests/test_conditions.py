@@ -23,7 +23,13 @@ from dsmflow.operators import (
     ProblemSetup,
     QuadraticVolterra,
 )
-from dsmflow.sampling import BLOCK_ELEMENTS, sample_in_ball, trig_polynomial, unit_direction
+from dsmflow.sampling import (
+    BLOCK_ELEMENTS,
+    DIRECTION_DRAWS,
+    sample_in_ball,
+    trig_polynomial,
+    unit_direction,
+)
 from dsmflow.scale import GridFunction, sobolev_norm
 
 
@@ -113,6 +119,9 @@ def test_unit_direction_has_unit_norm():
     for a in (0, 1, 2):
         q = unit_direction(rng, 101, a)
         assert sobolev_norm(q, a) == pytest.approx(1.0, rel=1e-12)
+        # a batch of draws, as the constants estimate passes them
+        q = unit_direction(rng.random((4, DIRECTION_DRAWS)), 20001, a)
+        np.testing.assert_allclose(sobolev_norm(q, a), 1.0, rtol=1e-12, atol=0.0)
 
 
 # --- constants estimation ------------------------------------------------------
@@ -158,15 +167,15 @@ def test_sample_monotonicity_under_extension(setup201):
     assert large.c_lip >= small.c_lip
 
 
-def test_a_second_estimate_builds_no_new_span_factor():
+def test_a_second_estimate_builds_no_new_span_gram():
     setup = ProblemSetup.from_reference(
         QuadraticVolterra(), GridFunction.constant(1.0, 203), 0.05)
-    misses = dsmflow.sampling._span_factor.cache_info().misses
+    misses = dsmflow.sampling._span_gram.cache_info().misses
     first = estimate_constants(setup, 10, 0)
-    # one factor, for the ball's index a, serves points and directions alike
-    assert dsmflow.sampling._span_factor.cache_info().misses == misses + 1
+    # one Gram matrix, for the ball's index a, serves points and directions alike
+    assert dsmflow.sampling._span_gram.cache_info().misses == misses + 1
     assert estimate_constants(setup, 10, 0) == first
-    assert dsmflow.sampling._span_factor.cache_info().misses == misses + 1
+    assert dsmflow.sampling._span_gram.cache_info().misses == misses + 1
 
 
 def test_sample_count_floor(setup201):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmflow.flow import STOP_HORIZON, FlowConfig, integrate_flow
+from dsmflow.flow import STOP_HORIZON, FlowConfig, integrate_flow, residual
 from dsmflow.newton_lab import (
     ClassicalIFTConfig,
     ContractionEscapeError,
@@ -103,6 +103,19 @@ def test_newton_budget_must_be_nonnegative(setup201):
         newton_solve(setup201, setup201.U, setup201.f, max_iter=-1)
     record = newton_solve(setup201, setup201.U, setup201.f + 0.01, max_iter=0)
     assert [s.k for s in record.steps] == [0] and not record.converged
+
+
+def test_newton_takes_no_step_past_its_budget(setup201):
+    x = setup201.U.x
+    # the step after k = 1 would trip the guard on this target
+    h = GridFunction(x - 2.0 * x * x)
+    record = newton_solve(setup201, setup201.U, h, max_iter=1)
+    assert [s.k for s in record.steps] == [0, 1]
+    assert record.diverged_at is None and not record.converged
+    # the returned iterate is the one the last record measures
+    h = GridFunction(1.21 * x)
+    record = newton_solve(setup201, setup201.U, h, max_iter=2)
+    assert residual(setup201, record.final_u, h) == record.steps[-1].residual
 
 
 def test_negative_tolerance_is_rejected(setup201):

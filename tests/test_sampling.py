@@ -6,7 +6,7 @@ import pytest
 from dsmflow.sampling import (
     MAX_FREQUENCY,
     POINT_DRAWS,
-    _span_factor,
+    _span_gram,
     _span_norm,
     _trig_basis,
     sample_in_ball,
@@ -106,9 +106,8 @@ def test_single_polynomial_is_validated_and_a_batch_is_not(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 21, 201, 2001, 2049, 20001])
 def test_span_norm_equals_the_norm_of_the_values(n):
-    # below 17 nodes the Gram matrix is singular; n = 2049 ends the factor's
-    # last column slice on one node; at n = 20001 and a = 2 the values' own
-    # second differences round to about 5e-13
+    # below 17 nodes the Gram matrix is singular; at n = 20001 and a = 2 the
+    # values' own second differences round to about 5e-13
     coeffs = -1.0 + 2.0 * np.random.default_rng(n).random((200, DRAWS))
     for a in (0, 1, 2):
         got = _span_norm(coeffs, n, a)
@@ -129,17 +128,17 @@ def test_samplers_reject_an_unsupported_scale_index(a):
 
 
 @pytest.mark.parametrize("a", [1, 2])
-def test_span_factor_is_built_without_a_basis_sized_array(a):
+def test_span_gram_is_built_in_one_pass_over_the_basis(a):
     n = 20001
     unit = DRAWS * n * 8  # one basis-sized array
     _trig_basis(n)
     tracemalloc.start()
     try:
-        factor = _span_factor.__wrapped__(n, a)  # built afresh, past the cache
+        gram = _span_gram.__wrapped__(n, a)  # built afresh, past the cache
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a derivative of the whole basis would take one unit per order, a
-    # weighted copy for a matrix product one more
-    assert peak < 0.5 * unit
-    assert factor.shape == (DRAWS, DRAWS) and not factor.flags.writeable
+    # one derivative of the basis per order; a weighted copy for a matrix
+    # product would add one more
+    assert peak < (a + 0.5) * unit
+    assert gram.shape == (DRAWS, DRAWS) and not gram.flags.writeable
