@@ -202,9 +202,14 @@ def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) ->
     """Write ``payload`` to ``outputs[key]`` with the run manifest embedded.
 
     The manifest carries no timestamps, so identical flags, seed and inputs
-    reproduce identical bytes.
+    reproduce identical bytes. It records a flag only when the run read it.
     """
     skip = {"command", "operator", "n", "seed", "out_dir", "u0_file", "h_file", "p_file"}
+    # flags the run did not read: --param without --h-family, --p beside --p-file
+    if getattr(args, "h_family", None) is None:
+        skip.add("param")
+    if getattr(args, "p_file", None) is not None:
+        skip.add("p")
     payload["manifest"] = {
         "command": args.command,
         "operator": getattr(args, "operator", None),

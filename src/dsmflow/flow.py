@@ -23,6 +23,7 @@ from .operators import DegenerateCoefficient, ProblemSetup, _residual_into, dsm_
 from .scale import (
     GridFunction,
     Workspace,
+    _derivative,
     _norm,
     _write_csv_rows,
     ball_distance,
@@ -190,8 +191,9 @@ def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     """One explicit Euler step; with dt = 1 this is one Newton step.
 
     ``integrate_flow`` passes its workspace: then u and h are value arrays,
-    ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), and the new iterate
-    is returned as a fresh array.
+    ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), ``ws.dh`` the
+    derivative D h that RK4's later stage velocities read, and the new
+    iterate is returned as a fresh array.
     """
     if ws is None:
         return _public_step(_euler, p, u, h, dt)
@@ -202,7 +204,9 @@ def rk4_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     """One classical Runge-Kutta step; ``ws`` as in ``euler_step``.
 
     The stage points and the final combination are computed in the
-    workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4).
+    workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4). k1 is
+    A(u)^{-1} of the residual h - F(u); k2, k3 and k4 come from
+    ``dsm_vector_field``, which needs D h but no F.
     """
     if ws is None:
         return _public_step(_rk4, p, u, h, dt)
@@ -215,11 +219,15 @@ _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 
 def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction,
                  dt: float) -> GridFunction:
-    """A step on grid functions, in a workspace of its own."""
+    """A step on grid functions, in a workspace of its own, with k1 and
+    D h computed as ``integrate_flow`` computes them."""
     require_same_grid(u, h)
-    ws = Workspace(np.broadcast(u.values, h.values).shape)
-    dsm_vector_field(p, u.values, h.values, ws, ws.k1)
-    return GridFunction._trusted(body(p, u.values, h.values, dt, ws))
+    uv, hv = u.values, h.values
+    ws = Workspace(np.broadcast(uv, hv).shape)
+    p.operator.solve_derivative(uv, _residual_into(p, uv, hv, ws), ws, ws.k1)
+    if body is _rk4:
+        _derivative(hv, ws.dx, ws.dh)
+    return GridFunction._trusted(body(p, uv, hv, dt, ws))
 
 
 def _euler(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
@@ -262,14 +270,16 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
 
     Every accepted iterate has a finite residual, and so finite values. The
     residual h - F(u) of each accepted step also gives the next step's
-    stage-one velocity A(u)^{-1}(h - F(u)), so F is evaluated once less per
-    step with the same arithmetic; a step retaken at dt (see ``FlowConfig``)
-    evaluates it once more. That velocity is computed before the step's
-    size is chosen, and the error estimate that chooses it costs one
-    difference and one L2 norm; a guard trip there stops the flow
-    ``degenerate``. Everything runs in one ``Workspace``: the
-    only array each step allocates is its new iterate, which the trajectory
-    records with its sample; the last record is where the run ended.
+    stage-one velocity A(u)^{-1}(h - F(u)); the later stage velocities are
+    computed from D h, derived once per flow, and D F(u), which needs no
+    integral (see ``dsm_vector_field``). So F is evaluated once per accepted
+    step, for g; a step retaken at dt (see ``FlowConfig``) evaluates it once
+    more. The stage-one velocity is computed before the step's size is
+    chosen, and the error estimate that chooses it costs one difference and
+    one L2 norm; a guard trip there stops the flow ``degenerate``.
+    Everything runs in one ``Workspace``: the only array each step allocates
+    is its new iterate, which the trajectory records with its sample; the
+    last record is where the run ended.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -278,6 +288,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     solve = p.operator.solve_derivative
     ws = Workspace(u0.values.shape)
     a, hv, U, start = p.a, h.values, p.U.values, u0.values
+    if cfg.scheme == "rk4":
+        _derivative(hv, ws.dx, ws.dh)
 
     g0 = _residual(p, start, hv, ws)
     if not math.isfinite(g0):

@@ -11,6 +11,10 @@ Built-ins:
   A(u)q = 2 integral_0^x u q and A(u)^{-1} psi = psi' / (2u).
 * ``LinearSmoothing`` -- F(u)(x) = integral_0^x u(s) ds, a linear sanity
   operator whose derivative does not depend on u.
+
+The flow's velocity A(u)^{-1}(h - F(u)) is (D h - D F(u)) / (2u), or
+D h - D F(u) for ``LinearSmoothing``, with D the stencil derivative; D F(u)
+is a local average of u^2 (or u) that needs no integral.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .scale import (
     GridFunction,
     Workspace,
     _derivative,
+    _derivative_of_integral,
     _integrate,
     check_scale_index,
     integrate_from_zero,
@@ -42,12 +47,15 @@ class ScaleOperator(ABC):
     ``a`` is the domain index and ``delta`` the smoothing gain: images of
     ``eval`` have finite H_{a+delta} norm.
 
-    F and A(u)^{-1} are written on value arrays along the last axis
-    (``_eval`` and ``_solve``), into a given array with scratch from a
-    ``Workspace``; ``solve_derivative``, ``dsm_vector_field`` and the flow
-    run on them. ``eval`` states F in grid-function arithmetic on the same
-    scale kernels, bit for bit. Each built-in defines its public methods
-    itself, where the traced benchmark wraps them.
+    F, its stencil derivative D F and A(u)^{-1} are written on value arrays
+    along the last axis (``_eval``, ``_eval_slope`` and ``_solve``), into a
+    given array with scratch from a ``Workspace``; ``solve_derivative``,
+    ``dsm_vector_field`` and the flow run on them. ``_solve`` takes the
+    derivative of its argument and hands it to ``_divide``, which the
+    velocity shares, so the guard and the division by the coefficient of
+    A(u) are written once. ``eval`` states F in grid-function arithmetic on
+    the same scale kernels, bit for bit. Each built-in defines its public
+    methods itself, where the traced benchmark wraps them.
     """
 
     a: int
@@ -81,10 +89,21 @@ class ScaleOperator(ABC):
         """F(u) on values, written into ``out``, which is returned."""
 
     @abstractmethod
+    def _eval_slope(self, u: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+        """D F(u) on values, the stencil derivative of ``_eval``'s result
+        computed without it, written into ``out``, which is returned."""
+
     def _solve(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray,
                ws: Workspace) -> np.ndarray:
         """A(u)^{-1} psi on values, written into ``out``, which is returned;
         raises ``DegenerateCoefficient`` when a row of u trips the guard."""
+        return self._divide(u, _derivative(psi, ws.dx, out), ws)
+
+    def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace) -> np.ndarray:
+        """A(u)^{-1} of a function whose derivative is v, in place in v,
+        which is returned: v itself unless the operator divides it by a
+        coefficient of u."""
+        return v
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         """Whether each row of the values u trips the guard on A(u)^{-1}.
@@ -123,14 +142,17 @@ class QuadraticVolterra(ScaleOperator):
     def _eval(self, u, out, ws):
         return _integrate(np.multiply(u, u, out=ws.sq[0]), ws.dx, out, ws.trap)
 
-    def _solve(self, u, psi, out, ws):
+    def _eval_slope(self, u, out, ws):
+        return _derivative_of_integral(np.multiply(u, u, out=ws.sq[0]), out, ws.trap)
+
+    def _divide(self, u, v, ws):
+        """v / (2u)."""
         # count_nonzero answers `any` at half its cost on a flow's one row
         if np.count_nonzero(self._below_guard(u)):
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        div = np.multiply(u, 2.0, out=ws.div)
-        return np.divide(_derivative(psi, ws.dx, out), div, out=out)
+        return np.divide(v, np.multiply(u, 2.0, out=ws.div), out=v)
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         return u.min(axis=-1) < self.u_min
@@ -156,8 +178,8 @@ class LinearSmoothing(ScaleOperator):
     def _eval(self, u, out, ws):
         return _integrate(u, ws.dx, out, ws.trap)
 
-    def _solve(self, u, psi, out, ws):
-        return _derivative(psi, ws.dx, out)
+    def _eval_slope(self, u, out, ws):
+        return _derivative_of_integral(u, out, ws.trap)
 
 
 @dataclass(frozen=True)
@@ -201,16 +223,20 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
                      out: np.ndarray | None = None):
     """The Newton-flow velocity A(u)^{-1} (h - F(u)).
 
-    Given a workspace, u and h are value arrays, h - F(u) is left in
-    ``ws.res[0]`` and the velocity is written into ``out``, which is returned;
-    otherwise a fresh grid function.
+    A(u)^{-1} takes the derivative of its argument first, so the velocity
+    is computed from D h - D F(u) (see ``ScaleOperator._eval_slope``), and F
+    itself is not evaluated. Given a workspace, u is a value array, ``ws.dh``
+    holds D h, written there once for the value array h by the caller (the
+    flow, or a public step), and the velocity is written into ``out``, which
+    is returned; otherwise a fresh grid function.
     """
     if ws is not None:
-        return _velocity(p, u, h, ws, out)
+        return _velocity(p, u, ws, out)
     require_same_grid(u, h)
     shape = np.broadcast(u.values, h.values).shape
-    return GridFunction._trusted(
-        _velocity(p, u.values, h.values, Workspace(shape), np.empty(shape)))
+    ws = Workspace(shape)
+    _derivative(h.values, ws.dx, ws.dh)
+    return GridFunction._trusted(_velocity(p, u.values, ws, np.empty(shape)))
 
 
 def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -220,9 +246,10 @@ def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace)
     return np.subtract(h, p.operator._eval(u, r, ws), out=r)
 
 
-def _velocity(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace,
-              out: np.ndarray) -> np.ndarray:
-    return p.operator._solve(u, _residual_into(p, u, h, ws), out, ws)
+def _velocity(p: ProblemSetup, u: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
+    """``dsm_vector_field`` on values, from the D h in ``ws.dh``."""
+    op = p.operator
+    return op._divide(u, np.subtract(ws.dh, op._eval_slope(u, out, ws), out=out), ws)
 
 
 OPERATOR_IDS = ("volterra-quadratic", "linear-smoothing")

@@ -153,26 +153,31 @@ class Workspace:
     """Value arrays of one shape, reused by every kernel call of a flow solve.
 
     ``integrate_flow`` makes one per solve and computes each stage point,
-    velocity, residual and distance into it through ``out=``; a public step,
+    velocity, residual and distance into it through ``out=``; F is evaluated
+    there once per accepted step, for the residual that gives g and k1, and
+    RK4's later stage velocities read D h and D F instead; a public step,
     velocity, solve or residual called on grid functions makes its own. The
     slots are allocated on first use, so a one-off call allocates only the
     arrays its kernels touch, and a flow all of them in its first step:
-    fourteen arrays of the grid's shape, about 14 * 8n bytes per function.
+    fifteen arrays of the grid's shape, about 15 * 8n bytes per function.
 
     - ``stage``: an RK4 stage point, or the Euler increment;
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
       running RK4 sum; ``k2``: the latest stage velocity;
+    - ``dh``: the derivative D h of the right-hand side, written once per
+      RK4 flow or public RK4 step and read by its stage velocities;
     - ``div``: the divisor of A(u)^{-1}; ``trap``: the trapezoids of an
-      integral, one fewer per row;
+      integral, or the neighbour sums of ``_derivative_of_integral``, one
+      fewer per row;
     - the blocks of three, each function above its derivatives, so that one
       ``_l2_squared`` call takes every term of a norm: ``res`` holds
       h - F(x) at the point being evaluated (``res[0]``), ``dif`` the
       difference whose norm is measured (a distance, or the flow's error
       estimate), and ``sq`` their squares, and
-      u * u inside F.
+      u * u inside F and D F.
     """
 
-    SLOTS = ("stage", "k1", "k2", "div", "trap")
+    SLOTS = ("stage", "k1", "k2", "dh", "div", "trap")
     BLOCKS = ("res", "dif", "sq")
 
     def __init__(self, shape: tuple[int, ...]):
@@ -229,6 +234,28 @@ def _integrate(v: np.ndarray, dx: float, out: np.ndarray,
 def integrate_from_zero(f: GridFunction) -> GridFunction:
     """Cumulative trapezoid integral; the result vanishes at x = 0."""
     return GridFunction._trusted(_integrate(f.values, f.dx, np.zeros(f.values.shape)))
+
+
+def _derivative_of_integral(v: np.ndarray, out: np.ndarray,
+                            pairs: np.ndarray | None = None) -> np.ndarray:
+    """``_derivative(_integrate(v))`` on values, without the integral:
+    writes it into ``out`` and returns ``out``.
+
+    The stencils read differences of the cumulative sum, which are sums of
+    the neighbour sums p_k = v_k + v_{k+1} (in ``pairs``, a fresh array if
+    None): (p_{k-1} + p_k) / 4 = (v_{k-1} + 2 v_k + v_{k+1}) / 4 inside the
+    grid, (3 p_0 - p_1) / 4 = (3 v_0 + 2 v_1 - v_2) / 4 at x = 0 and its
+    mirror at x = 1. So dx cancels, and no integral is formed whose
+    rounding the stencil would divide by dx.
+    """
+    pairs = np.add(v[..., 1:], v[..., :-1], out=pairs)
+    inner = np.add(pairs[..., 1:], pairs[..., :-1], out=out[..., 1:-1])
+    inner *= 0.25
+    # pt[k] is the neighbour sum k of every row, a scalar for a single function
+    pt, ot = pairs.T, out.T
+    ot[0] = (3.0 * pt[0] - pt[1]) * 0.25
+    ot[-1] = (3.0 * pt[-1] - pt[-2]) * 0.25
+    return out
 
 
 def _l2_squared(values: np.ndarray, dx: float, sq: np.ndarray | None = None):

@@ -385,6 +385,34 @@ def test_manifest_embedded_in_reports(tmp_path, argv, report, fields):
         assert manifest["parameters"]["samples"] == 50
 
 
+@pytest.mark.parametrize("argv, report, key, value", [
+    pytest.param(("solve", "--samples", 10), "solve_summary.json", "param", None,
+                 id="solve"),
+    pytest.param(("solve", "--samples", 10, "--h-family", "scaled-linear"),
+                 "solve_summary.json", "param", 1.1, id="solve-h-family"),
+    pytest.param(("verify", "--samples", 10), "constants.json", "param", None,
+                 id="verify"),
+    pytest.param(("verify", "--samples", 10, "--h-family", "quadratic-perturb",
+                  "--param", 0.2), "constants.json", "param", 0.2, id="verify-h-family"),
+    pytest.param(("compare-newton", "--max-iter", 2), "newton_comparison.json", "param",
+                 None, id="compare-newton"),
+    pytest.param(("compare-newton", "--max-iter", 2, "--h-family", "scaled-linear"),
+                 "newton_comparison.json", "param", 1.1, id="compare-newton-h-family"),
+    pytest.param(("classical-ift", "--p-file", "p.csv"), "classical_ift.json", "p", None,
+                 id="classical-ift-p-file"),
+    pytest.param(("classical-ift", "--p", 0.05), "classical_ift.json", "p", 0.05,
+                 id="classical-ift-p"),
+])
+def test_manifest_records_only_the_flags_the_run_read(tmp_path, argv, report, key, value):
+    # a default the run never read, such as --p beside --p-file or --param
+    # without --h-family, would claim an input the run did not use
+    write_grid_csv(GridFunction.constant(0.05, 21), tmp_path / "p.csv")
+    argv = [tmp_path / a if a == "p.csv" else a for a in argv]
+    assert run(*argv, "--n", 21, "--out-dir", tmp_path / "out") in (0, 2)
+    parameters = load(tmp_path / "out" / report)["manifest"]["parameters"]
+    assert parameters.get(key) == value and (key in parameters) == (value is not None)
+
+
 def test_main_reuses_its_parser_and_dispatches_through_the_command_table(monkeypatch):
     # a wrapper rebound in COMMANDS, as the traced benchmark installs, is
     # the function main calls

@@ -36,7 +36,7 @@ from dsmflow.operators import (
     dsm_vector_field,
 )
 from dsmflow.sampling import sample_in_ball
-from dsmflow.scale import GridFunction, Workspace, ball_distance, sobolev_norm
+from dsmflow.scale import GridFunction, Workspace, ball_distance, derivative, sobolev_norm
 
 from oracles import heron_sqrt
 
@@ -340,28 +340,36 @@ def test_grid_function_checks_do_not_grow_with_steps(setup201, monkeypatch):
 
 def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
     vf_calls = []
-    eval_calls = []
+    calls = {"_eval": [], "_eval_slope": []}
     original_vf = flow_module.dsm_vector_field
-    original_eval = QuadraticVolterra._eval
 
     def counting_vf(*args):
         vf_calls.append(None)
         return original_vf(*args)
 
-    # F is evaluated on values, into the flow's workspace, by `_eval`
-    def counting_eval(self, *args):
-        eval_calls.append(None)
-        return original_eval(self, *args)
+    # F and D F are evaluated on values, into the flow's workspace, by
+    # `_eval` and `_eval_slope`
+    def counting(name):
+        original = getattr(QuadraticVolterra, name)
+
+        def method(self, *args):
+            calls[name].append(None)
+            return original(self, *args)
+
+        return method
 
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
-    monkeypatch.setattr(QuadraticVolterra, "_eval", counting_eval)
+    for name in calls:
+        monkeypatch.setattr(QuadraticVolterra, name, counting(name))
     h = scaled_linear_h(201, 1.1)
     with fixed_steps():
         traj = integrate_flow(setup201, setup201.U, h, FlowConfig(t_max=1.0))
     steps = 20
     assert traj.stop_reason == STOP_HORIZON and len(traj.samples) == steps + 1
     assert len(vf_calls) == 3 * steps
-    assert len(eval_calls) == 4 * steps + 1  # one more for g(0)
+    # F once per step, for g (one more for g(0)); the stage velocities take D F
+    assert len(calls["_eval"]) == steps + 1
+    assert len(calls["_eval_slope"]) == 3 * steps
 
 
 def test_the_error_estimate_costs_no_velocity(monkeypatch):
@@ -379,7 +387,7 @@ def test_the_error_estimate_costs_no_velocity(monkeypatch):
         vf_calls.append(None)
         return original_vf(*args)
 
-    # every velocity, k1 included, reaches A(u)^{-1} through `_solve`
+    # k1 reaches A(u)^{-1} through `_solve`; the stage velocities do not
     def counting_solve(self, *args):
         solve_calls.append(None)
         return original_solve(self, *args)
@@ -395,7 +403,7 @@ def test_the_error_estimate_costs_no_velocity(monkeypatch):
     assert traj.stop_reason == STOP_BALL_EXIT and ran > traj.steps  # some were retaken
     assert traj.vf_evals == 4 * ran
     assert len(vf_calls) == 3 * ran  # stages two to four
-    assert len(solve_calls) - len(vf_calls) == ran  # one k1 per step that ran
+    assert len(solve_calls) == ran  # one k1 per step that ran
 
 
 @pytest.mark.parametrize("scheme, steps", [("rk4", 341), ("euler", 332)])
@@ -440,10 +448,11 @@ def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
 
 def reference_flow(p, u0, h, cfg):
     """``integrate_flow`` written in GridFunction arithmetic: the stage
-    points, the RK4 combination, each velocity -A(u)^{-1}(F(u) - h), g, the
+    points, the RK4 combination, each k1 -A(u)^{-1}(F(u) - h), g, the
     distances and the error estimate through the public operators, norms
     and distances, with the step-size rule restated from the ``FlowConfig``
-    docstring and the module's current ``GROW_TOL`` and ``DT_MAX``.
+    docstring and the module's current ``GROW_TOL`` and ``DT_MAX``. RK4's
+    later stage velocities (D h - D F(u)) / (2u) are restated in numpy.
 
     Records every accepted step. Returns the samples, the recorded iterates,
     the final iterate, the stop reason and the trajectory's (final_t, steps,
@@ -455,8 +464,23 @@ def reference_flow(p, u0, h, cfg):
         r = op.eval(u) - h
         return r, sobolev_norm(r, p.a + p.delta)
 
+    dh = derivative(h).values
+    volterra = isinstance(op, QuadraticVolterra)
+
     def velocity(u):
-        return -op.solve_derivative(u, op.eval(u) - h)
+        """A stage velocity from D h and D F(u), the local average of u^2
+        (or u) taken from the neighbour sums."""
+        w = u.values * u.values if volterra else u.values
+        pairs = w[1:] + w[:-1]
+        slope = np.empty_like(w)
+        slope[1:-1] = (pairs[1:] + pairs[:-1]) * 0.25
+        slope[0] = (3.0 * pairs[0] - pairs[1]) * 0.25
+        slope[-1] = (3.0 * pairs[-1] - pairs[-2]) * 0.25
+        if not volterra:
+            return GridFunction._trusted(dh - slope)
+        if u.min() < op.u_min:
+            raise DegenerateCoefficient("below the guard")
+        return GridFunction._trusted((dh - slope) / (2.0 * u.values))
 
     def advance(u, k1, dt):
         """The next iterate and, for RK4, the step's last stage k4."""

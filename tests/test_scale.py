@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from dsmflow.scale import (
     GridFunction,
     GridMismatchError,
+    _derivative,
+    _derivative_of_integral,
+    _integrate,
     ball_distance,
     derivative,
     integrate_from_zero,
@@ -122,6 +126,12 @@ def test_kernels_equal_their_one_expression_forms(shape):
     assert np.array_equal(integrate_from_zero(f).values, integral)
     for a in (0, 1, 2):
         assert np.array_equal(sobolev_norm(f, a), reference_sobolev_norm(v, f.dx, a))
+    pairs = v[..., 1:] + v[..., :-1]
+    slope = np.empty_like(v)
+    slope[..., 1:-1] = (pairs[..., 1:] + pairs[..., :-1]) * 0.25
+    slope[..., 0] = (3.0 * pairs[..., 0] - pairs[..., 1]) * 0.25
+    slope[..., -1] = (3.0 * pairs[..., -1] - pairs[..., -2]) * 0.25
+    assert np.array_equal(_derivative_of_integral(v, np.empty_like(v)), slope)
 
 
 # --- derivative ------------------------------------------------------------
@@ -180,6 +190,53 @@ def test_derivative_of_integral_is_identity_to_second_order():
         errors[n] = float(np.max(np.abs(back.values - f.values)))
     assert math.log2(errors[101] / errors[201]) >= 1.9
     assert math.log2(errors[201] / errors[401]) >= 1.9
+
+
+def slope_of_integral(n, smooth):
+    x = np.linspace(0.0, 1.0, n)
+    if smooth:
+        return (1.0 + 0.3 * np.sin(3.0 * x)) ** 2
+    return np.random.default_rng(n).uniform(-2.0, 2.0, n)
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "random"])
+@pytest.mark.parametrize("n", [3, 4, 5, 201, 2001, 20001])
+def test_derivative_of_integral_equals_the_composition(n, smooth):
+    # the same function as the stencil derivative of the cumulative sum, less
+    # that sum's rounding, which the stencil divides by dx
+    v = slope_of_integral(n, smooth)
+    dx = 1.0 / (n - 1)
+    composed = _derivative(_integrate(v, dx, np.empty(n)), dx, np.empty(n))
+    got = _derivative_of_integral(v, np.empty(n))
+    tol = n * np.finfo(float).eps * np.max(np.abs(v))
+    assert np.max(np.abs(got - composed)) <= tol
+
+
+@pytest.mark.parametrize("n", [3, 4, 201])
+def test_derivative_of_integral_rows_equal_the_rows_alone(n):
+    batch = np.random.default_rng(n).uniform(-2.0, 2.0, (7, n))
+    got = _derivative_of_integral(batch, np.empty_like(batch))
+    for row, values in zip(got, batch):
+        assert np.array_equal(row, _derivative_of_integral(values, np.empty(n)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_derivative_of_integral_on_the_shortest_grids(n):
+    # two boundary rows and one or two interior nodes, against exact
+    # rational arithmetic: (3 v0 + 2 v1 - v2) / 4, (v[k-1] + 2 v[k] + v[k+1]) / 4
+    # and the mirror of the first
+    v = np.random.default_rng(n + 10).uniform(-2.0, 2.0, n)
+    q = [Fraction(float(x)) for x in v]
+    want = ([(3 * q[0] + 2 * q[1] - q[2]) / 4]
+            + [(q[k - 1] + 2 * q[k] + q[k + 1]) / 4 for k in range(1, n - 1)]
+            + [(3 * q[-1] + 2 * q[-2] - q[-3]) / 4])
+    got = _derivative_of_integral(v, np.empty(n))
+    assert np.max(np.abs(got - [float(w) for w in want])) <= 8 * np.finfo(float).eps
+    # trapezoids integrate linear functions exactly, and the stencils
+    # differentiate the quadratic integral exactly
+    x = np.linspace(0.0, 1.0, n)
+    assert np.max(np.abs(_derivative_of_integral(0.5 - 1.5 * x, np.empty(n))
+                         - (0.5 - 1.5 * x))) <= 4 * np.finfo(float).eps
 
 
 # --- ball distance ---------------------------------------------------------
