@@ -205,11 +205,14 @@ def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) ->
     reproduce identical bytes. It records a flag only when the run read it.
     """
     skip = {"command", "operator", "n", "seed", "out_dir", "u0_file", "h_file", "p_file"}
-    # flags the run did not read: --param without --h-family, --p beside --p-file
+    # flags the run did not read: --param without --h-family, --p beside
+    # --p-file, --u-min with an operator that has no guard
     if getattr(args, "h_family", None) is None:
         skip.add("param")
     if getattr(args, "p_file", None) is not None:
         skip.add("p")
+    if getattr(args, "operator", None) == "linear-smoothing":
+        skip.add("u_min")
     payload["manifest"] = {
         "command": args.command,
         "operator": getattr(args, "operator", None),

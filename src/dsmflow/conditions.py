@@ -29,14 +29,8 @@ import numpy as np
 
 from .flow import residual
 from .operators import ProblemSetup
-from .sampling import (
-    BLOCK_ELEMENTS,
-    DIRECTION_DRAWS,
-    POINT_DRAWS,
-    sample_in_ball,
-    unit_direction,
-)
-from .scale import GridFunction, ball_distance, sobolev_norm
+from .sampling import DIRECTION_DRAWS, POINT_DRAWS, sample_in_ball, unit_direction
+from .scale import BLOCK_ELEMENTS, GridFunction, ball_distance, sobolev_norm
 
 
 class EstimationError(RuntimeError):

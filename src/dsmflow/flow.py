@@ -21,12 +21,14 @@ import numpy as np
 
 from .operators import DegenerateCoefficient, ProblemSetup, _residual_into, dsm_vector_field
 from .scale import (
+    BLOCK_ELEMENTS,
     GridFunction,
     Workspace,
     _derivative,
+    _l2_squared,
     _norm,
+    _root_sum,
     _write_csv_rows,
-    ball_distance,
     require_same_grid,
 )
 
@@ -131,10 +133,12 @@ class Trajectory:
 
     ``recorded_u`` keeps the iterate of each sample so drift bounds against
     the limit can be re-checked after the fact; ``a`` is the scale index
-    those distances are measured in. ``vf_evals`` counts the velocities of
-    the steps that ran all their stages, accepted or retaken at dt (four
-    per RK4 step, one per Euler step); a step the operator guard stopped,
-    and the step that stopped the flow, count none.
+    those distances are measured in. Each sample's ``dist_u0`` and
+    ``dist_U`` equal ``ball_distance`` of its iterate from u0 and U, bit
+    for bit. ``vf_evals`` counts the velocities of the steps that ran all
+    their stages, accepted or retaken at dt (four per RK4 step, one per
+    Euler step); a step the operator guard stopped, and the step that
+    stopped the flow, count none.
     ``decay_ratio`` is the last accepted step's g_k / g_{k-1} over
     exp(-dt_k), a diagnostic the step size does not read: 1 on the exact
     flow, above 1 where g stalls; None when no step was accepted.
@@ -185,6 +189,38 @@ def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
     """``ball_distance`` on values."""
     np.subtract(u, v, out=ws.dif[0])
     return _norm(ws.dif, a, ws)
+
+
+def _block_terms(n: int, a: int) -> list[np.ndarray] | None:
+    """Scratch for ``_distances`` on n nodes: the a + 1 terms of one
+    block's H_a norms, each a (rows, n) array with rows = max(1,
+    ``BLOCK_ELEMENTS`` // n); None for blocks of one row, which take the
+    rows of a workspace's ``dif`` instead, so that large grids add no
+    array."""
+    rows = max(1, BLOCK_ELEMENTS // n)
+    return [np.empty((rows, n)) for _ in range(a + 1)] if rows > 1 else None
+
+
+def _distances(points, center: np.ndarray, a: int, terms: list[np.ndarray]) -> list[float]:
+    """``ball_distance`` from ``center`` of each value array in ``points``,
+    one block of rows of ``terms`` (see ``_block_terms``) at a time. The
+    last block is padded with its own first points, as
+    ``conditions.estimate_constants`` pads its draws. Each term is squared
+    in place, as no distance reads it again. The kernels work row by row,
+    so each distance equals that of its point alone, bit for bit."""
+    n = center.shape[-1]
+    dx = 1.0 / (n - 1)
+    diff = terms[0].reshape(-1, n)
+    dist = []
+    for start in range(0, len(points), len(diff)):
+        block = points[start:start + len(diff)]
+        for i, row in enumerate(diff):
+            np.subtract(block[i % len(block)], center, out=row)
+        for low, high in zip(terms, terms[1:]):
+            _derivative(low, dx, high)
+        norms = _root_sum([_l2_squared(t, dx, t) for t in terms])
+        dist.extend(np.reshape(norms, -1).tolist())
+    return dist[:len(points)]
 
 
 def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
@@ -280,6 +316,14 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     Everything runs in one ``Workspace``: the only array each step allocates
     is its new iterate, which the trajectory records with its sample; the
     last record is where the run ended.
+
+    The steps measure no distance, but under ``enforce_ball``, where each
+    step's distance to U decides ``ball_exit``. Once the run has ended, the
+    ``dist_u0`` column, and the ``dist_U`` column when the ball is not
+    enforced, are taken over the recorded iterates in blocks of
+    max(1, ``BLOCK_ELEMENTS`` // n) rows (40 at n = 201, 4 at n = 2001, 1
+    at n = 20001), the last block padded (see ``_distances``), in a + 1
+    block arrays per flow; blocks of one row use the flow's workspace.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -288,6 +332,11 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     solve = p.operator.solve_derivative
     ws = Workspace(u0.values.shape)
     a, hv, U, start = p.a, h.values, p.U.values, u0.values
+    # made before the iterates, as separate arrays: glibc's malloc, at its
+    # default settings, then recycles more of them between flows (58 fresh
+    # pages per flow at n = 2001, against 121 for one array made after the
+    # loop; 0 for distances taken one at a time)
+    blocks = _block_terms(u0.n, a)
     if cfg.scheme == "rk4":
         _derivative(hv, ws.dx, ws.dh)
 
@@ -295,10 +344,9 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     if not math.isfinite(g0):
         raise ValueError(f"initial residual g(0) is not finite: {g0!r}")
     threshold = cfg.eps_rel * g0 + cfg.eps_abs
-    samples = [TrajectorySample(0.0, g0, 0.0, _distance(start, U, a, ws))]
-    recorded = [u0]
-    if g0 <= threshold:
-        return Trajectory(tuple(samples), tuple(recorded), STOP_CONVERGED, a)
+    times, gs, recorded = [0.0], [g0], [u0]
+    # under enforce_ball, dist_U decides ball_exit step by step
+    dist_U = [_distance(start, U, a, ws)] if cfg.enforce_ball else None
 
     u, g_prev = start, g0
     ratio = None
@@ -308,6 +356,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     estimate = False  # ws.k2 holds the k4 of the step just accepted
     stop = STOP_HORIZON
     n_steps, max_units = cfg.steps, int(DT_MAX / cfg.dt)
+    if g0 <= threshold:
+        stop, n_steps = STOP_CONVERGED, 0
     while done < n_steps:
         try:
             solve(u, ws.res[0], ws, ws.k1)
@@ -330,9 +380,10 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         except DegenerateCoefficient:
             u_next, g = None, math.nan
         failed = not math.isfinite(g)
-        if not failed:
-            dist_U = _distance(u_next, U, a, ws)
-            exited = cfg.enforce_ball and dist_U > p.R
+        exited = False
+        if cfg.enforce_ball and not failed:
+            dist_next = _distance(u_next, U, a, ws)
+            exited = dist_next > p.R
         if units > 1 and (failed or g >= g_prev or exited):
             retaken += u_next is not None
             units = 1
@@ -346,16 +397,26 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         done += units
         estimate = cfg.scheme == "rk4"  # Euler has no embedded error estimate
         u, g_prev = u_next, g
-        samples.append(TrajectorySample(done * cfg.dt, g, _distance(u, start, a, ws), dist_U))
+        times.append(done * cfg.dt)
+        gs.append(g)
         recorded.append(GridFunction._trusted(u))
+        if cfg.enforce_ball:
+            dist_U.append(dist_next)
         if g <= threshold:
             stop = STOP_CONVERGED
             break
         if exited:
             stop = STOP_BALL_EXIT
             break
+
+    # the other distance columns decide nothing, so they are taken in blocks
+    points = [f.values for f in recorded]
+    blocks = blocks or list(ws.dif[:a + 1])
+    if dist_U is None:
+        dist_U = _distances(points, U, a, blocks)
+    samples = map(TrajectorySample, times, gs, _distances(points, start, a, blocks), dist_U)
     return Trajectory(tuple(samples), tuple(recorded), stop, a,
-                      (len(samples) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
+                      (len(times) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 
 
 def decay_fit(traj: Trajectory) -> tuple[float, float]:
@@ -397,16 +458,20 @@ def verify_trajectory_bounds(traj: Trajectory, r: float,
     At every recorded sample, the distance to u0 must stay within r and the
     distance to the limit (identified with final_u) within r * exp(-t), both
     with fractional slack ``tol``. Returns the violating samples; an empty
-    list is a pass.
+    list is a pass. The distances to the limit are taken in blocks, as
+    ``integrate_flow`` takes its distance columns.
     """
     if traj.stop_reason != STOP_CONVERGED:
         raise ValueError(f"need a converged trajectory, got {traj.stop_reason!r}")
+    points = [f.values for f in traj.recorded_u]
+    n = traj.final_u.n
+    tails = _distances(points, points[-1], traj.a,
+                       _block_terms(n, traj.a) or list(np.empty((traj.a + 1, n))))
     violations: list[BoundViolation] = []
-    for i, s in enumerate(traj.samples):
+    for i, (s, tail) in enumerate(zip(traj.samples, tails)):
         drift_limit = r * (1.0 + tol)
         if s.dist_u0 > drift_limit:
             violations.append(BoundViolation(i, s.t, "drift", s.dist_u0, drift_limit))
-        tail = ball_distance(traj.recorded_u[i], traj.final_u, traj.a)
         tail_limit = r * math.exp(-s.t) * (1.0 + tol)
         if tail > tail_limit:
             violations.append(BoundViolation(i, s.t, "tail", tail, tail_limit))

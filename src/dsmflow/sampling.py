@@ -47,10 +47,6 @@ MAX_FREQUENCY = 8
 DIRECTION_DRAWS = 2 * MAX_FREQUENCY + 1
 POINT_DRAWS = DIRECTION_DRAWS + 1
 
-# Rows x grid nodes of one block of samples, but never fewer than two rows:
-# 40 rows at n = 201, 4 at n = 2001, 2 from n = 4097 up.
-BLOCK_ELEMENTS = 8192
-
 
 @lru_cache(maxsize=4)
 def _trig_basis(n: int) -> np.ndarray:

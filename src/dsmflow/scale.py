@@ -27,6 +27,11 @@ SUPPORTED_INDICES = (0, 1, 2)
 # Maximum relative deviation of node spacing tolerated by the CSV reader.
 UNIFORMITY_TOL = 1e-9
 
+# Rows x grid nodes of one block of batched work: sampling blocks have at
+# least two rows (40 at n = 201, 4 at n = 2001, 2 from n = 4097 up), the
+# flow's distance blocks at least one (1 from n = 8193 up).
+BLOCK_ELEMENTS = 8192
+
 
 class GridMismatchError(ValueError):
     """Two grid functions that should share a grid do not."""
@@ -153,13 +158,17 @@ class Workspace:
     """Value arrays of one shape, reused by every kernel call of a flow solve.
 
     ``integrate_flow`` makes one per solve and computes each stage point,
-    velocity, residual and distance into it through ``out=``; F is evaluated
-    there once per accepted step, for the residual that gives g and k1, and
-    RK4's later stage velocities read D h and D F instead; a public step,
-    velocity, solve or residual called on grid functions makes its own. The
-    slots are allocated on first use, so a one-off call allocates only the
-    arrays its kernels touch, and a flow all of them in its first step:
-    fifteen arrays of the grid's shape, about 15 * 8n bytes per function.
+    velocity, residual and error estimate into it through ``out=``, and,
+    under ``enforce_ball``, each step's distance to U; F is evaluated there
+    once per accepted step, for the residual that gives g and k1, and RK4's
+    later stage velocities read D h and D F instead. Once the run has
+    ended, the flow takes the trajectory's other distances a block of
+    recorded iterates at a time, in arrays of the block's shape, or, for
+    blocks of one row, in the rows of ``dif``. A public step, velocity, solve or residual called on grid functions
+    makes its own. The slots are allocated on first use, so a one-off call
+    allocates only the arrays its kernels touch, and a flow all of them in
+    its first step: fifteen arrays of the grid's shape, about 15 * 8n bytes
+    per function.
 
     - ``stage``: an RK4 stage point, or the Euler increment;
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
@@ -310,13 +319,15 @@ def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:
 
 def _write_csv_rows(path, header, rows) -> None:
     """Write CSV rows: floats with 17 significant digits, ints as they are,
-    None as an empty field."""
+    None as an empty field. The file is built as one string and written in
+    one call, with the bytes ``csv.writer`` writes: ``\\r\\n`` line ends, and
+    no quotes, which no header name or formatted number needs."""
+    lines = [",".join(header)]
+    lines.extend(",".join(["" if v is None else str(v) if isinstance(v, int)
+                           else f"{v:.17g}" for v in row]) for row in rows)
+    lines.append("")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else str(v) if isinstance(v, int)
-                             else f"{v:.17g}" for v in row])
+        handle.write("\r\n".join(lines))
 
 
 def write_grid_csv(f: GridFunction, path) -> None:

@@ -402,10 +402,17 @@ def test_manifest_embedded_in_reports(tmp_path, argv, report, fields):
                  id="classical-ift-p-file"),
     pytest.param(("classical-ift", "--p", 0.05), "classical_ift.json", "p", 0.05,
                  id="classical-ift-p"),
+    pytest.param(("verify", "--samples", 10), "constants.json", "u_min", 0.1,
+                 id="verify-u-min"),
+    pytest.param(("verify", "--samples", 10, "--operator", "linear-smoothing"),
+                 "constants.json", "u_min", None, id="verify-linear-smoothing"),
+    pytest.param(("solve", "--samples", 10, "--operator", "linear-smoothing"),
+                 "solve_summary.json", "u_min", None, id="solve-linear-smoothing"),
 ])
 def test_manifest_records_only_the_flags_the_run_read(tmp_path, argv, report, key, value):
-    # a default the run never read, such as --p beside --p-file or --param
-    # without --h-family, would claim an input the run did not use
+    # a default the run never read, such as --p beside --p-file, --param
+    # without --h-family or --u-min with linear-smoothing, would claim an
+    # input the run did not use
     write_grid_csv(GridFunction.constant(0.05, 21), tmp_path / "p.csv")
     argv = [tmp_path / a if a == "p.csv" else a for a in argv]
     assert run(*argv, "--n", 21, "--out-dir", tmp_path / "out") in (0, 2)

@@ -23,14 +23,8 @@ from dsmflow.operators import (
     ProblemSetup,
     QuadraticVolterra,
 )
-from dsmflow.sampling import (
-    BLOCK_ELEMENTS,
-    DIRECTION_DRAWS,
-    sample_in_ball,
-    trig_polynomial,
-    unit_direction,
-)
-from dsmflow.scale import GridFunction, sobolev_norm
+from dsmflow.sampling import DIRECTION_DRAWS, sample_in_ball, trig_polynomial, unit_direction
+from dsmflow.scale import BLOCK_ELEMENTS, GridFunction, sobolev_norm
 
 
 @pytest.fixture(scope="module")

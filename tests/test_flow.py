@@ -428,6 +428,99 @@ def test_trajectory_counts_only_accepted_steps(setup201):
     assert (at_solution.steps, at_solution.vf_evals) == (0, 0)
 
 
+# --- distance columns, taken in blocks after the run --------------------------
+
+def assert_distances_are_ball_distances(p, u0, traj):
+    for s, u in zip(traj.samples, traj.recorded_u, strict=True):
+        assert s.dist_u0 == ball_distance(u, u0, p.a)
+        assert s.dist_U == ball_distance(u, p.U, p.a)
+
+
+@pytest.mark.parametrize("enforce_ball", [False, True])
+@pytest.mark.parametrize("n", [201, 2001, 20001])
+def test_each_sample_distance_is_the_ball_distance_of_its_iterate(n, enforce_ball):
+    # 20 samples, or 11 up to the exit from the ball: one block at n = 201,
+    # blocks of 4 rows at n = 2001 (the exit's last one padded from 3), and
+    # one-row blocks at n = 20001
+    p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
+    x = p.U.x
+    u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
+    traj = integrate_flow(p, u0, GridFunction(x + 0.05 * x * x),
+                          FlowConfig(eps_rel=1e-4, enforce_ball=enforce_ball))
+    assert (traj.stop_reason, len(traj.samples)) == (
+        (STOP_BALL_EXIT, 11) if enforce_ball else (STOP_CONVERGED, 20))
+    assert_distances_are_ball_distances(p, u0, traj)
+
+
+def test_distances_of_a_multi_block_run_are_ball_distances(setup201):
+    # 231 samples: five blocks of 40 rows and a last one padded from 31
+    u0 = sample_in_ball(np.random.default_rng(5), setup201.U, 0.02, 1)
+    traj = integrate_flow(setup201, u0, scaled_linear_h(201, 1.1),
+                          FlowConfig(scheme="euler", eps_rel=1e-5))
+    assert (traj.stop_reason, len(traj.samples)) == (STOP_CONVERGED, 231)
+    assert_distances_are_ball_distances(setup201, u0, traj)
+    # the bounds take their tail distances in the same blocks
+    violations = verify_trajectory_bounds(traj, 1e-3)
+    tails = [v for v in violations if v.kind == "tail"]
+    assert len(tails) == 230
+    for v in tails:
+        assert v.value == ball_distance(traj.recorded_u[v.index], traj.final_u, setup201.a)
+
+
+@pytest.mark.parametrize("enforce_ball", [False, True])
+@pytest.mark.parametrize("scheme, samples", [("rk4", 32), ("euler", 333)])
+def test_only_enforce_ball_measures_distances_inside_the_step_loop(
+        monkeypatch, scheme, samples, enforce_ball):
+    p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, 201), 1.0)
+    x = p.U.x
+    h = GridFunction(x + 0.05 * x * x) if scheme == "rk4" else scaled_linear_h(201, 1.1)
+    distance_calls, block_terms, passes = [], [], []
+    distance, l2, distances = flow_module._distance, flow_module._l2_squared, flow_module._distances
+
+    def counting_distance(*args):
+        distance_calls.append(args)
+        return distance(*args)
+
+    def counting_l2(values, dx, sq=None):
+        if values.shape == (40, 201):  # one term of a block
+            block_terms.append(values.shape)
+        return l2(values, dx, sq)
+
+    def counting_distances(points, center, a, terms):
+        passes.append(len(points))
+        return distances(points, center, a, terms)
+
+    monkeypatch.setattr(flow_module, "_distance", counting_distance)
+    monkeypatch.setattr(flow_module, "_l2_squared", counting_l2)
+    monkeypatch.setattr(flow_module, "_distances", counting_distances)
+    traj = integrate_flow(p, p.U, h, FlowConfig(scheme=scheme, enforce_ball=enforce_ball))
+    assert traj.stop_reason == STOP_CONVERGED and len(traj.samples) == samples
+    assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * (samples - 1)  # none retaken
+    # under enforce_ball, u0 and every tried step; dist_u0 (and dist_U) after
+    assert len(distance_calls) == (samples if enforce_ball else 0)
+    assert passes == [samples] * (1 if enforce_ball else 2)
+    # the H1 norms of each block: two terms of 40 rows each
+    assert len(block_terms) == 2 * len(passes) * math.ceil(samples / 40)
+
+
+@pytest.mark.parametrize("n, shape", [(201, (40, 201)), (2001, (4, 2001)), (20001, None)])
+def test_one_row_blocks_take_distances_in_the_flow_workspace(monkeypatch, n, shape):
+    terms = []
+    block_terms = flow_module._block_terms
+
+    def recording(n, a):
+        made = block_terms(n, a)
+        terms.append(made)
+        return made
+
+    monkeypatch.setattr(flow_module, "_block_terms", recording)
+    p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
+    x = p.U.x
+    integrate_flow(p, p.U, GridFunction(x + 0.05 * x * x), FlowConfig(t_max=1.0))
+    # one-row blocks make no array: they take the rows of the flow's workspace
+    assert terms == [None] if shape is None else [t.shape for t in terms[0]] == [shape] * 2
+
+
 @pytest.mark.parametrize("scheme, step", [("rk4", rk4_step), ("euler", euler_step)])
 def test_flow_iterates_equal_a_plain_step_loop(setup201, scheme, step):
     rng = np.random.default_rng(12)

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from dsmflow.scale import (
     _derivative,
     _derivative_of_integral,
     _integrate,
+    _write_csv_rows,
     ball_distance,
     derivative,
     integrate_from_zero,
@@ -378,6 +380,23 @@ def test_csv_writes_17_significant_digits_of_each_float64(tmp_path):
     rows = [f"{x:.17g},{v:.17g}\r\n" for x, v in zip(f.x, f.values)]
     assert isinstance(f.values[0], np.float64)
     assert path.read_bytes() == ("x,value\r\n" + "".join(rows)).encode()
+
+
+def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):
+    # the rows of the trajectory and Newton CSVs: ints, floats and empty fields
+    header = ["k", "t", "dist_to_oracle"]
+    rows = [(0, 0.0, None), (1, -0.0, 1e-300), (2, math.nan, math.inf),
+            (3, -math.inf, np.float64(0.1)), (40, 1.0 / 3.0, -2.5e300), (5, None, None)]
+    path = tmp_path / "rows.csv"
+    _write_csv_rows(path, header, iter(rows))
+    with open(tmp_path / "want.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else str(v) if isinstance(v, int)
+                             else f"{v:.17g}" for v in row])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert path.read_bytes().splitlines()[1:3] == [b"0,0,", b"1,-0,1e-300"]
 
 
 def test_csv_header_checked(tmp_path):
