@@ -39,7 +39,7 @@ from .newton_lab import (
     write_iteration_csv,
     write_loss_probe_csv,
 )
-from .operators import OPERATOR_IDS, ProblemSetup, make_operator
+from .operators import OPERATOR_IDS, ProblemSetup, QuadraticVolterra, make_operator
 from .scale import GridFunction, read_grid_csv, sobolev_norm, write_grid_csv
 
 EXIT_OK = 0
@@ -84,16 +84,17 @@ def _add_common(parser, n_default=201):
     parser.add_argument("--n", type=int, default=n_default, help="grid-point count")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
-    parser.add_argument("--u-min", type=float, default=0.1,
+    parser.add_argument("--u-min", type=float, default=QuadraticVolterra.u_min,
                         help="guard for the division in the inverse derivative")
     parser.add_argument("--radius", type=float, default=0.05,
                         help="working-ball radius around the reference point")
 
 
 def _add_input_flags(parser):
-    parser.add_argument("--h-file", type=Path, help="right-hand side as grid CSV")
-    parser.add_argument("--h-family", choices=H_FAMILIES,
-                        help="built-in analytic right-hand side family")
+    rhs = parser.add_mutually_exclusive_group()
+    rhs.add_argument("--h-file", type=Path, help="right-hand side as grid CSV")
+    rhs.add_argument("--h-family", choices=H_FAMILIES,
+                     help="built-in analytic right-hand side family")
     parser.add_argument("--param", type=float, default=1.1,
                         help="parameter of --h-family")
     parser.add_argument("--u0-file", type=Path,
@@ -108,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="integrate the Newton flow for one right-hand side")
     _add_common(p)
     _add_input_flags(p)
-    p.add_argument("--scheme", choices=SCHEMES, default="rk4")
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=30.0)
-    p.add_argument("--eps-rel", type=float, default=0.0)
-    p.add_argument("--eps-abs", type=float, default=1e-8)
+    p.add_argument("--scheme", choices=SCHEMES, default=FlowConfig.scheme)
+    p.add_argument("--dt", type=float, default=FlowConfig.dt)
+    p.add_argument("--t-max", type=float, default=FlowConfig.t_max)
+    p.add_argument("--eps-rel", type=float, default=FlowConfig.eps_rel)
+    p.add_argument("--eps-abs", type=float, default=FlowConfig.eps_abs)
     p.add_argument("--enforce-ball", action="store_true")
     p.add_argument("--samples", type=int, default=200,
                    help="sample count for the two-sided constants estimate")
@@ -138,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     rhs = p.add_mutually_exclusive_group()
     rhs.add_argument("--p", type=float, default=0.1, help="constant right-hand side")
     rhs.add_argument("--p-file", type=Path, help="right-hand side as grid CSV")
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--epsilon", type=float, default=ClassicalIFTConfig.epsilon)
+    p.add_argument("--m", type=float, default=ClassicalIFTConfig.m)
+    p.add_argument("--max-iter", type=int, default=ClassicalIFTConfig.max_iter)
+    p.add_argument("--tol", type=float, default=ClassicalIFTConfig.tol)
 
     return parser
 
@@ -155,8 +156,6 @@ def _load_problem(args):
     h_family = getattr(args, "h_family", None)
     inputs = {key: getattr(args, f"{key}_file", None) for key in ("h", "u0")}
     inputs = {key: path for key, path in inputs.items() if path is not None}
-    if "h" in inputs and h_family is not None:
-        raise ValueError("--h-file and --h-family are mutually exclusive")
     data = {"h": setup.f, "u0": setup.U}
     if h_family is not None:
         values = _FAMILIES[h_family]["h"](setup.U.x, args.param)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DegenerateCoefficient, ProblemSetup, _residual_into, dsm_vector_field
+from .operators import DegenerateCoefficient, ProblemSetup, dsm_vector_field
 from .scale import (
-    BLOCK_ELEMENTS,
     GridFunction,
     Workspace,
     _derivative,
@@ -179,6 +178,13 @@ def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     return _residual(p, u.values, h.values, Workspace(shape))
 
 
+def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
+    """h - F(u) on values, written into ``ws.res[0]``, which is returned;
+    A(u)^{-1} of it is the flow's velocity."""
+    r = ws.res[0]
+    return np.subtract(h, p.operator._eval(u, r, ws), out=r)
+
+
 def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
     """``residual`` on values, with h - F(u) left in ``ws.res[0]``."""
     _residual_into(p, u, h, ws)
@@ -186,40 +192,31 @@ def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
 
 
 def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
-    """``ball_distance`` on values."""
-    np.subtract(u, v, out=ws.dif[0])
-    return _norm(ws.dif, a, ws)
+    """``ball_distance`` on values, in row 0 of ``ws.dif``."""
+    terms = ws.dif[:, 0]
+    np.subtract(u, v, out=terms[0])
+    return _norm(terms, a, ws)
 
 
-def _block_terms(n: int, a: int) -> list[np.ndarray] | None:
-    """Scratch for ``_distances`` on n nodes: the a + 1 terms of one
-    block's H_a norms, each a (rows, n) array with rows = max(1,
-    ``BLOCK_ELEMENTS`` // n); None for blocks of one row, which take the
-    rows of a workspace's ``dif`` instead, so that large grids add no
-    array."""
-    rows = max(1, BLOCK_ELEMENTS // n)
-    return [np.empty((rows, n)) for _ in range(a + 1)] if rows > 1 else None
-
-
-def _distances(points, center: np.ndarray, a: int, terms: list[np.ndarray]) -> list[float]:
+def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]:
     """``ball_distance`` from ``center`` of each value array in ``points``,
-    one block of rows of ``terms`` (see ``_block_terms``) at a time. The
-    last block is padded with its own first points, as
-    ``conditions.estimate_constants`` pads its draws. Each term is squared
-    in place, as no distance reads it again. The kernels work row by row,
-    so each distance equals that of its point alone, bit for bit."""
-    n = center.shape[-1]
-    dx = 1.0 / (n - 1)
-    diff = terms[0].reshape(-1, n)
+    rows = max(1, ``BLOCK_ELEMENTS`` // n) of them at a time: the block's
+    differences go into ``ws.dif[0]`` and their derivatives into
+    ``ws.dif[1:a + 1]``, so no call allocates scratch. The last block is
+    padded with its own first points, as ``conditions.estimate_constants``
+    pads its draws. Each term is squared in place, as no distance reads it
+    again. The kernels work row by row, so each distance equals that of its
+    point alone, bit for bit."""
+    terms = ws.dif[:a + 1]
+    diff = terms[0]
     dist = []
     for start in range(0, len(points), len(diff)):
         block = points[start:start + len(diff)]
         for i, row in enumerate(diff):
             np.subtract(block[i % len(block)], center, out=row)
         for low, high in zip(terms, terms[1:]):
-            _derivative(low, dx, high)
-        norms = _root_sum([_l2_squared(t, dx, t) for t in terms])
-        dist.extend(np.reshape(norms, -1).tolist())
+            _derivative(low, ws.dx, high)
+        dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in terms]).tolist())
     return dist[:len(points)]
 
 
@@ -261,8 +258,7 @@ def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction,
     uv, hv = u.values, h.values
     ws = Workspace(np.broadcast(uv, hv).shape)
     p.operator.solve_derivative(uv, _residual_into(p, uv, hv, ws), ws, ws.k1)
-    if body is _rk4:
-        _derivative(hv, ws.dx, ws.dh)
+    _derivative(hv, ws.dx, ws.dh)
     return GridFunction._trusted(body(p, uv, hv, dt, ws))
 
 
@@ -306,13 +302,14 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
 
     Every accepted iterate has a finite residual, and so finite values. The
     residual h - F(u) of each accepted step also gives the next step's
-    stage-one velocity A(u)^{-1}(h - F(u)); the later stage velocities are
-    computed from D h, derived once per flow, and D F(u), which needs no
-    integral (see ``dsm_vector_field``). So F is evaluated once per accepted
-    step, for g; a step retaken at dt (see ``FlowConfig``) evaluates it once
-    more. The stage-one velocity is computed before the step's size is
-    chosen, and the error estimate that chooses it costs one difference and
-    one L2 norm; a guard trip there stops the flow ``degenerate``.
+    stage-one velocity A(u)^{-1}(h - F(u)); RK4's later stage velocities
+    are computed from D h, derived once per flow whatever the scheme, and
+    D F(u), which needs no integral (see ``dsm_vector_field``). So F is
+    evaluated once per accepted step, for g; a step retaken at dt (see
+    ``FlowConfig``) evaluates it once more. The stage-one velocity is
+    computed before the step's size is chosen, and the error estimate that
+    chooses it costs one difference and one L2 norm; a guard trip there
+    stops the flow ``degenerate``.
     Everything runs in one ``Workspace``: the only array each step allocates
     is its new iterate, which the trajectory records with its sample; the
     last record is where the run ended.
@@ -322,8 +319,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     ``dist_u0`` column, and the ``dist_U`` column when the ball is not
     enforced, are taken over the recorded iterates in blocks of
     max(1, ``BLOCK_ELEMENTS`` // n) rows (40 at n = 201, 4 at n = 2001, 1
-    at n = 20001), the last block padded (see ``_distances``), in a + 1
-    block arrays per flow; blocks of one row use the flow's workspace.
+    at n = 20001), the last block padded (see ``_distances``), in the
+    workspace's (3, rows, n) block ``dif``, whose row 0 the steps use.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -332,13 +329,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     solve = p.operator.solve_derivative
     ws = Workspace(u0.values.shape)
     a, hv, U, start = p.a, h.values, p.U.values, u0.values
-    # made before the iterates, as separate arrays: glibc's malloc, at its
-    # default settings, then recycles more of them between flows (58 fresh
-    # pages per flow at n = 2001, against 121 for one array made after the
-    # loop; 0 for distances taken one at a time)
-    blocks = _block_terms(u0.n, a)
-    if cfg.scheme == "rk4":
-        _derivative(hv, ws.dx, ws.dh)
+    _derivative(hv, ws.dx, ws.dh)
 
     g0 = _residual(p, start, hv, ws)
     if not math.isfinite(g0):
@@ -367,8 +358,9 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         if estimate:
             # k1 at u is the last step's FSAL stage: its local error is about
             # (s / 6) ||k4 - k1||, measured in L2 (see FlowConfig)
-            np.subtract(ws.k2, ws.k1, out=ws.dif[0])
-            if size / 6.0 * _norm(ws.dif, 0, ws) <= GROW_TOL * g_prev:
+            diff = ws.dif[:, 0]
+            np.subtract(ws.k2, ws.k1, out=diff[0])
+            if size / 6.0 * _norm(diff, 0, ws) <= GROW_TOL * g_prev:
                 units = min(2 * units, max_units)
             else:
                 units = max(units // 2, 1)
@@ -388,7 +380,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             retaken += u_next is not None
             units = 1
             estimate = False
-            _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
+            _residual_into(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
             continue
         if failed:
             stop = STOP_DEGENERATE
@@ -411,10 +403,9 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
 
     # the other distance columns decide nothing, so they are taken in blocks
     points = [f.values for f in recorded]
-    blocks = blocks or list(ws.dif[:a + 1])
     if dist_U is None:
-        dist_U = _distances(points, U, a, blocks)
-    samples = map(TrajectorySample, times, gs, _distances(points, start, a, blocks), dist_U)
+        dist_U = _distances(points, U, a, ws)
+    samples = map(TrajectorySample, times, gs, _distances(points, start, a, ws), dist_U)
     return Trajectory(tuple(samples), tuple(recorded), stop, a,
                       (len(times) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 
@@ -459,14 +450,13 @@ def verify_trajectory_bounds(traj: Trajectory, r: float,
     distance to the limit (identified with final_u) within r * exp(-t), both
     with fractional slack ``tol``. Returns the violating samples; an empty
     list is a pass. The distances to the limit are taken in blocks, as
-    ``integrate_flow`` takes its distance columns.
+    ``integrate_flow`` takes its distance columns, in the (3, rows, n)
+    ``dif`` of a ``Workspace`` of their own.
     """
     if traj.stop_reason != STOP_CONVERGED:
         raise ValueError(f"need a converged trajectory, got {traj.stop_reason!r}")
     points = [f.values for f in traj.recorded_u]
-    n = traj.final_u.n
-    tails = _distances(points, points[-1], traj.a,
-                       _block_terms(n, traj.a) or list(np.empty((traj.a + 1, n))))
+    tails = _distances(points, points[-1], traj.a, Workspace(points[-1].shape))
     violations: list[BoundViolation] = []
     for i, (s, tail) in enumerate(zip(traj.samples, tails)):
         drift_limit = r * (1.0 + tol)

@@ -239,13 +239,6 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
     return GridFunction._trusted(_velocity(p, u.values, ws, np.empty(shape)))
 
 
-def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
-    """h - F(u) on values, written into ``ws.res[0]``, which is returned;
-    A(u)^{-1} of it is the flow's velocity."""
-    r = ws.res[0]
-    return np.subtract(h, p.operator._eval(u, r, ws), out=r)
-
-
 def _velocity(p: ProblemSetup, u: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
     """``dsm_vector_field`` on values, from the D h in ``ws.dh``."""
     op = p.operator

@@ -29,7 +29,8 @@ UNIFORMITY_TOL = 1e-9
 
 # Rows x grid nodes of one block of batched work: sampling blocks have at
 # least two rows (40 at n = 201, 4 at n = 2001, 2 from n = 4097 up), the
-# flow's distance blocks at least one (1 from n = 8193 up).
+# flow's distance blocks, the rows of ``Workspace.dif``, at least one (1
+# from n = 8193 up).
 BLOCK_ELEMENTS = 8192
 
 
@@ -163,31 +164,35 @@ class Workspace:
     once per accepted step, for the residual that gives g and k1, and RK4's
     later stage velocities read D h and D F instead. Once the run has
     ended, the flow takes the trajectory's other distances a block of
-    recorded iterates at a time, in arrays of the block's shape, or, for
-    blocks of one row, in the rows of ``dif``. A public step, velocity, solve or residual called on grid functions
-    makes its own. The slots are allocated on first use, so a one-off call
-    allocates only the arrays its kernels touch, and a flow all of them in
-    its first step: fifteen arrays of the grid's shape, about 15 * 8n bytes
-    per function.
+    recorded iterates at a time, in ``dif``. A public step, velocity, solve
+    or residual called on grid functions makes its own. The slots are
+    allocated on first use, so a one-off call allocates only the arrays its
+    kernels touch, and a flow all of them: twelve arrays of the grid's
+    shape and the (3, rows, n) block ``dif``, 8 (12n - 1 + 3 rows n) bytes,
+    212 KB at n = 201, 384 KB at n = 2001 and 2.4 MB at n = 20001.
 
     - ``stage``: an RK4 stage point, or the Euler increment;
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
       running RK4 sum; ``k2``: the latest stage velocity;
     - ``dh``: the derivative D h of the right-hand side, written once per
-      RK4 flow or public RK4 step and read by its stage velocities;
+      flow or public step, whatever its scheme, and read by RK4's stage
+      velocities;
     - ``div``: the divisor of A(u)^{-1}; ``trap``: the trapezoids of an
       integral, or the neighbour sums of ``_derivative_of_integral``, one
       fewer per row;
     - the blocks of three, each function above its derivatives, so that one
       ``_l2_squared`` call takes every term of a norm: ``res`` holds
-      h - F(x) at the point being evaluated (``res[0]``), ``dif`` the
-      difference whose norm is measured (a distance, or the flow's error
-      estimate), and ``sq`` their squares, and
-      u * u inside F and D F.
+      h - F(x) at the point being evaluated (``res[0]``), and ``sq`` the
+      squares of a norm's terms, and u * u inside F and D F; ``dif`` is a
+      (3, rows, n) block, rows = max(1, ``BLOCK_ELEMENTS`` // n), whatever
+      the workspace's shape: its row 0, ``dif[:, 0]``, holds a difference
+      whose norm a step measures (a distance, or the flow's error
+      estimate), and ``dif[i]`` the i-th derivatives of a block of
+      differences whose norms are taken together.
     """
 
     SLOTS = ("stage", "k1", "k2", "dh", "div", "trap")
-    BLOCKS = ("res", "dif", "sq")
+    BLOCKS = ("res", "sq")
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
@@ -195,10 +200,13 @@ class Workspace:
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached only for a slot not yet allocated
-        if name in Workspace.BLOCKS:
+        n = self.shape[-1]
+        if name == "dif":
+            shape = (3, max(1, BLOCK_ELEMENTS // n), n)
+        elif name in Workspace.BLOCKS:
             shape = (3,) + self.shape
         elif name in Workspace.SLOTS:
-            shape = self.shape[:-1] + (self.shape[-1] - (name == "trap"),)
+            shape = self.shape[:-1] + (n - (name == "trap"),)
         else:
             raise AttributeError(name)
         array = np.empty(shape)

@@ -20,7 +20,8 @@ import dsmflow
 import dsmflow.cli as cli_module
 import dsmflow.flow as flow_module
 from dsmflow.cli import main
-from dsmflow.flow import MAX_STEPS
+from dsmflow.flow import MAX_STEPS, FlowConfig
+from dsmflow.newton_lab import ClassicalIFTConfig
 from dsmflow.operators import QuadraticVolterra
 from dsmflow.sampling import sample_in_ball
 from dsmflow.scale import GridFunction, read_grid_csv, write_grid_csv
@@ -472,11 +473,33 @@ def test_csv_with_uneven_spacing_exits_1_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_conflicting_h_flags_exit_1(tmp_path):
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("command", ["solve", "verify", "compare-newton"])
+def test_conflicting_h_flags_exit_1(tmp_path, capsys, command, order):
     good = tmp_path / "h.csv"
     write_grid_csv(GridFunction.constant(1.0, 201), good)
-    assert run("solve", "--h-file", good, "--h-family", "scaled-linear",
-               "--out-dir", tmp_path) == 1
+    out = tmp_path / "out"
+    flags = [("--h-file", good), ("--h-family", "scaled-linear")][::order]
+    with pytest.raises(SystemExit) as excinfo:
+        run(command, *flags[0], *flags[1], "--out-dir", out)
+    assert excinfo.value.code == 1
+    first, second = (name for name, _ in flags)
+    assert (f"error: argument {second}: not allowed with argument {first}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parse = cli_module.build_parser().parse_args
+    solve, ift = parse(["solve"]), parse(["classical-ift"])
+    for args, config, names in [
+            (solve, FlowConfig, ("scheme", "dt", "t_max", "eps_rel", "eps_abs")),
+            (ift, ClassicalIFTConfig, ("m", "epsilon", "max_iter", "tol"))]:
+        for name in names:
+            default = getattr(config(), name)
+            assert (getattr(args, name), type(getattr(args, name))) == (default, type(default))
+    for command in ("solve", "verify", "probe-loss", "compare-newton"):
+        assert parse([command]).u_min == QuadraticVolterra().u_min
 
 
 @pytest.mark.parametrize("order", [1, -1])

@@ -460,11 +460,23 @@ def test_distances_of_a_multi_block_run_are_ball_distances(setup201):
     assert (traj.stop_reason, len(traj.samples)) == (STOP_CONVERGED, 231)
     assert_distances_are_ball_distances(setup201, u0, traj)
     # the bounds take their tail distances in the same blocks
-    violations = verify_trajectory_bounds(traj, 1e-3)
-    tails = [v for v in violations if v.kind == "tail"]
-    assert len(tails) == 230
+    assert_tails_are_ball_distances(traj, 1e-3, 230)
+    # and in blocks of 4 rows (the last padded from 3) and of one row
+    for n in (2001, 20001):
+        p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
+        x = p.U.x
+        u0 = sample_in_ball(np.random.default_rng(n), p.U, 0.02, 1)
+        traj = integrate_flow(p, u0, GridFunction(x + 0.05 * x * x), FlowConfig(eps_rel=1e-4))
+        assert (traj.stop_reason, len(traj.samples)) == (STOP_CONVERGED, 20)
+        # at r = 1e-12 every tail but the limit's own is a violation
+        assert_tails_are_ball_distances(traj, 1e-12, 19)
+
+
+def assert_tails_are_ball_distances(traj, r, count):
+    tails = [v for v in verify_trajectory_bounds(traj, r) if v.kind == "tail"]
+    assert len(tails) == count
     for v in tails:
-        assert v.value == ball_distance(traj.recorded_u[v.index], traj.final_u, setup201.a)
+        assert v.value == ball_distance(traj.recorded_u[v.index], traj.final_u, traj.a)
 
 
 @pytest.mark.parametrize("enforce_ball", [False, True])
@@ -503,22 +515,44 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
     assert len(block_terms) == 2 * len(passes) * math.ceil(samples / 40)
 
 
-@pytest.mark.parametrize("n, shape", [(201, (40, 201)), (2001, (4, 2001)), (20001, None)])
-def test_one_row_blocks_take_distances_in_the_flow_workspace(monkeypatch, n, shape):
-    terms = []
-    block_terms = flow_module._block_terms
+@pytest.mark.parametrize("n, rows", [(201, 40), (2001, 4), (20001, 1)])
+def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
+    workspaces, blocks, passes = [], [], []
+    distances, l2 = flow_module._distances, flow_module._l2_squared
 
-    def recording(n, a):
-        made = block_terms(n, a)
-        terms.append(made)
-        return made
+    class Recording(Workspace):
+        def __init__(self, shape):
+            super().__init__(shape)
+            workspaces.append(self)
 
-    monkeypatch.setattr(flow_module, "_block_terms", recording)
+    def recording_distances(points, center, a, ws):
+        passes.append(ws)
+        return distances(points, center, a, ws)
+
+    def recording_l2(values, dx, sq=None):
+        if passes:  # the terms of a block, after the step loop
+            blocks.append(values)
+        return l2(values, dx, sq)
+
+    monkeypatch.setattr(flow_module, "Workspace", Recording)
+    monkeypatch.setattr(flow_module, "_distances", recording_distances)
+    monkeypatch.setattr(flow_module, "_l2_squared", recording_l2)
     p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
     x = p.U.x
-    integrate_flow(p, p.U, GridFunction(x + 0.05 * x * x), FlowConfig(t_max=1.0))
-    # one-row blocks make no array: they take the rows of the flow's workspace
-    assert terms == [None] if shape is None else [t.shape for t in terms[0]] == [shape] * 2
+    h = GridFunction(x + 0.05 * x * x)
+    for scheme in SCHEMES:
+        for log in (workspaces, blocks, passes):
+            log.clear()
+        traj = integrate_flow(p, p.U, h, FlowConfig(scheme=scheme, t_max=1.0))
+        [ws] = workspaces
+        # one (3, rows, n) block serves the steps' row 0 and the blocks:
+        # two H1 terms per block, in each of the two passes
+        assert ws.dif.shape == (3, rows, n)
+        assert passes == [ws, ws]
+        assert len(blocks) == 4 * math.ceil(len(traj.samples) / rows) and all(
+            b.shape == (rows, n) and np.shares_memory(b, ws.dif) for b in blocks)
+        # D h is written for every scheme
+        assert np.array_equal(ws.dh, derivative(h).values)
 
 
 @pytest.mark.parametrize("scheme, step", [("rk4", rk4_step), ("euler", euler_step)])
