@@ -192,9 +192,10 @@ def _outputs(args, **names: str) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # one string, one write: json.dump would write each of its chunks
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) -> None:

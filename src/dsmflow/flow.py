@@ -206,15 +206,17 @@ def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]
     padded with its own first points, as ``conditions.estimate_constants``
     pads its draws. Each term is squared in place, as no distance reads it
     again. The kernels work row by row, so each distance equals that of its
-    point alone, bit for bit."""
+    point alone, bit for bit. One-row blocks are derived as 1-D rows, so
+    ``_derivative`` takes its one-row path."""
     terms = ws.dif[:a + 1]
     diff = terms[0]
+    derived = terms[:, 0] if len(diff) == 1 else terms
     dist = []
     for start in range(0, len(points), len(diff)):
         block = points[start:start + len(diff)]
         for i, row in enumerate(diff):
             np.subtract(block[i % len(block)], center, out=row)
-        for low, high in zip(terms, terms[1:]):
+        for low, high in zip(derived, derived[1:]):
             _derivative(low, ws.dx, high)
         dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in terms]).tolist())
     return dist[:len(points)]

@@ -147,8 +147,10 @@ class QuadraticVolterra(ScaleOperator):
 
     def _divide(self, u, v, ws):
         """v / (2u)."""
-        # count_nonzero answers `any` at half its cost on a flow's one row
-        if np.count_nonzero(self._below_guard(u)):
+        # One min over the whole array clears every row at once; only a dip
+        # or a NaN (whose row does not trip the guard) asks row by row. A
+        # batch of zero rows has no min, and trips nothing.
+        if u.size and not u.min() >= self.u_min and self._below_guard(u).any():
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )

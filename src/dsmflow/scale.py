@@ -16,7 +16,9 @@ one norm per row.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Callable
 
@@ -221,7 +223,15 @@ def _derivative(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     np.subtract(v[..., 2:], v[..., :-2], out=inner)
     inner /= h2
     # difference-first form of the one-sided stencils: exact zero on constants.
-    # vt[k] is node k of every row, a scalar for a single function.
+    if out.ndim == 1:
+        # one function: the same operations on Python floats, without numpy's
+        # per-call cost (a 1-D v derived into a block keeps the block path)
+        v0, v1, v2 = v[:3].tolist()
+        w2, w1, w0 = v[-3:].tolist()
+        out[0] = (4.0 * (v1 - v0) - (v2 - v0)) / h2
+        out[-1] = (4.0 * (w0 - w1) - (w0 - w2)) / h2
+        return out
+    # vt[k] is node k of every row
     vt, ot = v.T, out.T
     ot[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / h2
     ot[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / h2
@@ -268,7 +278,14 @@ def _derivative_of_integral(v: np.ndarray, out: np.ndarray,
     pairs = np.add(v[..., 1:], v[..., :-1], out=pairs)
     inner = np.add(pairs[..., 1:], pairs[..., :-1], out=out[..., 1:-1])
     inner *= 0.25
-    # pt[k] is the neighbour sum k of every row, a scalar for a single function
+    if out.ndim == 1:
+        # one function: the end stencils on Python floats, as in _derivative
+        p0, p1 = pairs[:2].tolist()
+        q1, q0 = pairs[-2:].tolist()
+        out[0] = (3.0 * p0 - p1) * 0.25
+        out[-1] = (3.0 * q0 - q1) * 0.25
+        return out
+    # pt[k] is the neighbour sum k of every row
     pt, ot = pairs.T, out.T
     ot[0] = (3.0 * pt[0] - pt[1]) * 0.25
     ot[-1] = (3.0 * pt[-1] - pt[-2]) * 0.25
@@ -291,8 +308,7 @@ def _root_sum(parts):
     total = parts[0]
     for part in parts[1:]:
         total = total + part
-    norm = np.sqrt(total)
-    return float(norm) if norm.ndim == 0 else norm
+    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
 
 
 def sobolev_norm(f: GridFunction, a: int):
@@ -315,9 +331,21 @@ def _norm(terms: np.ndarray, a: int, ws: Workspace):
     """``sobolev_norm`` of the values in ``terms[0]``, with its derivatives
     written into ``terms[1:a + 1]``; ``terms`` is a block of the workspace,
     and ``a`` at most 2: ``ProblemSetup`` checks a and a + delta."""
+    dx = ws.dx
     for i in range(a):
-        _derivative(terms[i], ws.dx, terms[i + 1])
-    return _root_sum(_l2_squared(terms[:a + 1], ws.dx, ws.sq[:a + 1]))
+        _derivative(terms[i], dx, terms[i + 1])
+    block, sq = terms[:a + 1], ws.sq[:a + 1]
+    if sq.ndim > 2:  # a workspace of a batch
+        return _root_sum(_l2_squared(block, dx, sq))
+    # One function: _l2_squared's trapezoid tails and fmin rule, as the same
+    # operations on Python floats, one term at a time.
+    np.multiply(block, block, out=sq)
+    ends = sq[:, ::sq.shape[-1] - 1].tolist()  # [first, last] square of each term
+    parts = []
+    for full, (first, last) in zip(np.add.reduce(sq, axis=-1).tolist(), ends):
+        part = dx * (full - 0.5 * (first + last))
+        parts.append(part if part <= full else full)  # np.fmin: a NaN gives way
+    return _root_sum(parts)
 
 
 def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:
@@ -329,10 +357,16 @@ def _write_csv_rows(path, header, rows) -> None:
     """Write CSV rows: floats with 17 significant digits, ints as they are,
     None as an empty field. The file is built as one string and written in
     one call, with the bytes ``csv.writer`` writes: ``\\r\\n`` line ends, and
-    no quotes, which no header name or formatted number needs."""
+    no quotes, which no header name or formatted number needs. When every
+    field is a Python float, as in a grid or trajectory file, each row is
+    formatted by one template, to the same digits."""
+    rows = list(rows)
     lines = [",".join(header)]
-    lines.extend(",".join(["" if v is None else str(v) if isinstance(v, int)
-                           else f"{v:.17g}" for v in row]) for row in rows)
+    if set(map(type, chain.from_iterable(rows))) == {float}:
+        lines.extend(starmap(",".join(["{:.17g}"] * len(header)).format, rows))
+    else:
+        lines.extend(",".join(["" if v is None else str(v) if isinstance(v, int)
+                               else f"{v:.17g}" for v in row]) for row in rows)
     lines.append("")
     with open(path, "w", newline="") as handle:
         handle.write("\r\n".join(lines))
@@ -350,9 +384,10 @@ def read_grid_csv(path) -> GridFunction:
     The x column must list the uniform grid nodes in increasing order with
     relative spacing deviation at most 1e-9. Blank lines are skipped; any
     other row must hold two finite numbers, or the error names its line.
+    A UTF-8 byte-order mark, as spreadsheets write, is skipped.
     """
     path = Path(path)
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.reader(handle))
     if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
         raise ValueError(f"{path}: expected header 'x,value'")
@@ -366,7 +401,7 @@ def read_grid_csv(path) -> GridFunction:
             pair = [float(c) for c in row]
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: malformed row: {exc}") from None
-        if not np.all(np.isfinite(pair)):
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
             raise ValueError(f"{path}: line {line}: non-finite entry in {','.join(row)}")
         pairs.append(pair)
     if len(pairs) < 3:

@@ -13,7 +13,7 @@ from dsmflow.operators import (
     make_operator,
 )
 from dsmflow.sampling import sample_in_ball, unit_direction
-from dsmflow.scale import GridFunction, GridMismatchError, sobolev_norm
+from dsmflow.scale import GridFunction, GridMismatchError, Workspace, sobolev_norm
 
 
 @pytest.fixture
@@ -108,6 +108,37 @@ def test_solve_derivative_guard_trips():
     low = GridFunction.constant(0.05, 101)
     with pytest.raises(DegenerateCoefficient):
         op.solve_derivative(low, GridFunction.constant(1.0, 101))
+
+
+def test_divide_raises_exactly_when_some_row_dips_below_the_guard():
+    op = QuadraticVolterra(u_min=0.1)
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.5, 1.5, (4, 21))
+    v = rng.uniform(-1.0, 1.0, (4, 21))
+    ws = Workspace(u.shape)
+    got = op._divide(u, v.copy(), ws)
+    assert np.array_equal(got, v / (2.0 * u))
+    u[2, 7] = 0.1  # at the guard is not below it
+    op._divide(u, v.copy(), ws)
+    op._divide(u[2], v[2].copy(), Workspace((21,)))
+    for row in range(4):
+        dipped = u.copy()
+        dipped[row, 20] = np.nextafter(0.1, 0.0)
+        with pytest.raises(DegenerateCoefficient):
+            op._divide(dipped, v.copy(), ws)
+        with pytest.raises(DegenerateCoefficient):
+            op._divide(dipped[row], v[row].copy(), Workspace((21,)))
+        assert list(op._below_guard(dipped)) == [r == row for r in range(4)]
+    # a NaN row trips nothing, and hides no other row's dip
+    u[1, 3] = math.nan
+    with np.errstate(invalid="ignore"):
+        op._divide(u, v.copy(), ws)
+        u[3, 0] = 0.05
+        with pytest.raises(DegenerateCoefficient):
+            op._divide(u, v.copy(), ws)
+    # a batch of zero rows trips nothing
+    empty = np.empty((0, 21))
+    assert op._divide(empty, empty.copy(), Workspace(empty.shape)).shape == (0, 21)
 
 
 def test_roundtrip_second_order_under_refinement():

@@ -8,9 +8,11 @@ import pytest
 from dsmflow.scale import (
     GridFunction,
     GridMismatchError,
+    Workspace,
     _derivative,
     _derivative_of_integral,
     _integrate,
+    _norm,
     _write_csv_rows,
     ball_distance,
     derivative,
@@ -134,6 +136,45 @@ def test_kernels_equal_their_one_expression_forms(shape):
     slope[..., 0] = (3.0 * pairs[..., 0] - pairs[..., 1]) * 0.25
     slope[..., -1] = (3.0 * pairs[..., -1] - pairs[..., -2]) * 0.25
     assert np.array_equal(_derivative_of_integral(v, np.empty_like(v)), slope)
+
+
+def one_row_block(n):
+    """Three rows: random values; inf at x = 0 and NaN inside; and 1e154 x,
+    whose derivative's squares overflow, as does their end sum, so that the
+    trapezoid tail is inf - inf and the fmin rule must keep the inf."""
+    block = np.random.default_rng(n).uniform(-2.0, 2.0, (3, n))
+    block[1, 0], block[1, n // 2] = math.inf, math.nan
+    block[2] = 1e154 * np.linspace(0.0, 1.0, n)
+    return block
+
+
+@pytest.mark.parametrize("n", [3, 4, 201, 20001])
+def test_one_row_kernels_equal_the_rows_of_a_block(n):
+    # a 1-D output takes the kernels' one-row paths: Python floats at the
+    # ends; a block, and a 1-D input derived into a block, take the block
+    # path. All three give the same bits.
+    block = one_row_block(n)
+    dx = 1.0 / (n - 1)
+    with np.errstate(all="ignore"):
+        for kernel in (lambda v, out: _derivative(v, dx, out), _derivative_of_integral):
+            rows = kernel(block, np.empty((3, n)))
+            for row, values in zip(rows, block):
+                one = np.empty(n)
+                assert kernel(values, one) is one
+                assert np.array_equal(one, row, equal_nan=True)
+                for spread in kernel(values, np.empty((4, n))):
+                    assert np.array_equal(spread, row, equal_nan=True)
+        for a in (0, 1, 2):
+            batch = Workspace((3, n))
+            batch.res[0] = block
+            norms = _norm(batch.res, a, batch)
+            for values, want in zip(block, norms):
+                ws = Workspace((n,))
+                ws.res[0] = values
+                got = _norm(ws.res, a, ws)
+                assert type(got) is float
+                assert np.array_equal(got, want, equal_nan=True)
+    assert math.isnan(norms[1]) and norms[2] == math.inf
 
 
 # --- derivative ------------------------------------------------------------
@@ -397,6 +438,53 @@ def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):
                              else f"{v:.17g}" for v in row])
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert path.read_bytes().splitlines()[1:3] == [b"0,0,", b"1,-0,1e-300"]
+
+
+ROW_SETS = {
+    "floats": [(0.0, 1.0 / 3.0), (0.5, -2.5e300), (1.0, 1e-300)],
+    "float-specials": [(math.inf, -0.0), (math.nan, -math.inf), (-0.0, 0.0)],
+    "float64": [(np.float64(0.1), np.float64(-0.0)), (np.float64(math.nan), np.float64(2.0))],
+    "float-and-float64": [(0.25, np.float64(0.1)), (np.float64(math.inf), -1.5)],
+    "ints-and-none": [(0, 0.5, None), (1, None, math.nan), (12, -0.0, 3)],
+    "no-rows": [],
+}
+
+
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_csv_rows_equal_a_csv_writer_reference(tmp_path, rows):
+    # all-float rows take one template each, the others a field at a time
+    header = ["a", "b", "c"][:len(rows[0]) if rows else 2]
+    path = tmp_path / "rows.csv"
+    _write_csv_rows(path, header, (row for row in rows))
+    with open(tmp_path / "want.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else str(v) if isinstance(v, int)
+                             else format(v, ".17g") for v in row])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_csv_reads_a_file_that_starts_with_a_utf8_byte_order_mark(tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export writes it
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,value\r\n0,1\r\n0.5,2\r\n1,3\r\n")
+    assert np.array_equal(read_grid_csv(path).values, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("first, second, line, message", [
+    ("0.25,nan", "0.5,oops", 3, "non-finite entry in 0.25,nan"),
+    ("0.25,oops", "0.5,inf", 3, "malformed row: could not convert string to float: 'oops'"),
+    ("0.25,inf", "0.5,1,2", 3, "non-finite entry in 0.25,inf"),
+    ("0.25,1,2", "0.5,-inf", 3, "expected 2 fields, got 3"),
+])
+def test_csv_names_the_first_bad_line_whichever_check_fails(tmp_path, first, second,
+                                                           line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0,1\n{first}\n{second}\n0.75,1\n1,1\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_grid_csv(path)
+    assert str(excinfo.value) == f"{path}: line {line}: {message}"
 
 
 def test_csv_header_checked(tmp_path):
