@@ -7,10 +7,12 @@ The admissibility radius rho0 derived from the two-sided constants is the
 perturbation budget under which a flow solve is guaranteed to converge
 inside the working ball.
 
-``estimate_constants`` evaluates its samples in (rows, n) blocks of at
-least two rows: each kind of point of a block is one batched call into the
-public sampling and operator functions, and so is each norm of a function
-outside the sampling span (an operator image or the distance u - v), which
+``estimate_constants`` evaluates its samples in (rows, n) blocks sized by
+a memory budget, ``ESTIMATE_BLOCK_ELEMENTS`` grid values per function,
+each a whole number of the samplers' product chunks and none padded: each
+kind of point of a block is one batched call into the public sampling and
+operator functions, and so is each norm of a function outside the
+sampling span (an operator image or the distance u - v), which
 ``scale.sobolev_norm`` takes on the grid. The samplers normalise the sampled
 points and directions from their coefficients, through the cached Gram
 matrix of the sampling basis, and each direction q is a unit direction,
@@ -29,8 +31,19 @@ import numpy as np
 
 from .flow import residual
 from .operators import ProblemSetup
-from .sampling import DIRECTION_DRAWS, POINT_DRAWS, sample_in_ball, unit_direction
-from .scale import BLOCK_ELEMENTS, GridFunction, ball_distance, sobolev_norm
+from .sampling import (
+    DIRECTION_DRAWS,
+    POINT_DRAWS,
+    _chunk_rows,
+    sample_in_ball,
+    unit_direction,
+)
+from .scale import GridFunction, ball_distance, sobolev_norm
+
+# Grid values per function in one block of the constants estimate, a memory
+# budget taken in whole chunks of the samplers' products, at least one: 320
+# rows at n = 201, 32 at n = 2001, 14 at n = 4097, 2 at n = 20001.
+ESTIMATE_BLOCK_ELEMENTS = 2 ** 16
 
 
 class EstimationError(RuntimeError):
@@ -100,12 +113,14 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200, seed: int = 0,
     Draws are consumed in a fixed per-sample order, so for a fixed seed a
     longer run extends a shorter one sample for sample.
 
-    Samples are evaluated a block of max(2, BLOCK_ELEMENTS // n) rows at a
-    time, drawn by one ``Generator.random`` call that consumes the same
-    numbers as drawing them one after another. Every block has the same
-    height, the last one padded, because a basis product's rounding depends
-    on its row count: so a longer run extends a shorter one exactly. Like
-    the builtins min and max, the reductions pass over NaN ratios. A
+    Samples are evaluated a block at a time, each drawn by one
+    ``Generator.random`` call that consumes the same numbers as drawing them
+    one after another. A block holds H * max(1, ESTIMATE_BLOCK_ELEMENTS //
+    (H * n)) rows, a whole number of the samplers' H-row product chunks
+    (H = ``sampling._chunk_rows(n)``), and the last block only the samples
+    left. So every sample sits at the same position of an H-row product in
+    any run, and a longer run extends a shorter one exactly. Like the
+    builtins min and max, the reductions pass over NaN ratios. A
     constant that comes out non-finite, because the ball's norms overflow,
     raises ``ValueError`` naming it.
 
@@ -119,13 +134,13 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200, seed: int = 0,
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    rows = max(2, BLOCK_ELEMENTS // p.U.n)
-    blocks = []
-    for start in range(0, sample_count, rows):
-        live = np.arange(rows) < sample_count - start
-        draws = rng.random((int(live.sum()), _CONSTANTS_DRAWS))
-        blocks.append(_constants_ratios(
-            p, np.resize(draws, (rows, _CONSTANTS_DRAWS)), live, bracket_only))
+    chunk = _chunk_rows(p.U.n)
+    rows = chunk * max(1, ESTIMATE_BLOCK_ELEMENTS // (chunk * p.U.n))
+    blocks = [
+        _constants_ratios(
+            p, rng.random((min(rows, sample_count - start), _CONSTANTS_DRAWS)), bracket_only)
+        for start in range(0, sample_count, rows)
+    ]
     ratios = [np.concatenate(parts) for parts in zip(*blocks)]
     two_sided = ratios[0]
     if two_sided.size == 0:
@@ -150,10 +165,9 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200, seed: int = 0,
 _CONSTANTS_DRAWS = 3 * POINT_DRAWS + DIRECTION_DRAWS
 
 
-def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
-                      bracket_only: bool):
+def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     """The two-sided, composed and Lipschitz ratios of a block of samples,
-    one per row of `draws`, over the live samples whose u and v pass the
+    one per row of `draws`, over the samples whose u and v pass the
     operator guard; the two-sided ratios alone if `bracket_only`."""
     op, a = p.operator, p.a
 
@@ -167,7 +181,7 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, live: np.ndarray,
     q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
     a_u_q = op.apply_derivative(u, q)
     two_sided = sobolev_norm(a_u_q, a + p.delta)
-    v_ok = live & ~op._below_guard(v.values)
+    v_ok = ~op._below_guard(v.values)
     keep = v_ok & ~op._below_guard(u.values)
     if bracket_only:
         return (two_sided[keep],)

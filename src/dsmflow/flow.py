@@ -203,11 +203,12 @@ def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]
     rows = max(1, ``BLOCK_ELEMENTS`` // n) of them at a time: the block's
     differences go into ``ws.dif[0]`` and their derivatives into
     ``ws.dif[1:a + 1]``, so no call allocates scratch. The last block is
-    padded with its own first points, as ``conditions.estimate_constants``
-    pads its draws. Each term is squared in place, as no distance reads it
-    again. The kernels work row by row, so each distance equals that of its
-    point alone, bit for bit. One-row blocks are derived as 1-D rows, so
-    ``_derivative`` takes its one-row path."""
+    padded with its own first points, so every block fills the workspace's
+    rows and each kernel writes whole arrays. Each term is squared in
+    place, as no distance reads it again. The kernels work row by row, so
+    each distance equals that of its point alone, bit for bit. One-row
+    blocks are derived as 1-D rows, so ``_derivative`` takes its one-row
+    path."""
     terms = ws.dif[:a + 1]
     diff = terms[0]
     derived = terms[:, 0] if len(diff) == 1 else terms
@@ -321,8 +322,9 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     ``dist_u0`` column, and the ``dist_U`` column when the ball is not
     enforced, are taken over the recorded iterates in blocks of
     max(1, ``BLOCK_ELEMENTS`` // n) rows (40 at n = 201, 4 at n = 2001, 1
-    at n = 20001), the last block padded (see ``_distances``), in the
-    workspace's (3, rows, n) block ``dif``, whose row 0 the steps use.
+    at n = 20001), in the workspace's (3, rows, n) block ``dif``, whose row
+    0 the steps use; the last block is padded to fill it (see
+    ``_distances``).
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)

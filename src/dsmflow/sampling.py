@@ -25,11 +25,18 @@ k = 1..K; ``sample_in_ball`` consumes one further uniform(0, 1) draw. A
 block draw of size 2K+1 yields the same numbers as 2K+1 scalar draws, so a
 seed selects the same samples and a longer run extends a shorter one.
 
-Batches: in place of a Generator, the three samplers take an array of
-uniform [0, 1) numbers whose last axis holds one sample's draws in that
-order, and return one function per row, from one product with the basis.
-``conditions.estimate_constants`` draws its samples this way, a block of
-at least two rows at a time.
+Batches: in place of a Generator, the three samplers take a (rows, k)
+array of uniform [0, 1) numbers, each row one sample's draws in that
+order, and return one function per row. A product's rounding depends on
+its row count, so every batched product, coefficients times the basis or
+times G, is taken in chunks of H = max(2, BLOCK_ELEMENTS // n) rows (40
+at n = 201, 4 at n = 2001, 2 from n = 4097 up), the last chunk's
+coefficient rows padded with zeros: each row rounds as it does at its
+position, i mod H, of an H-row product, however long the batch. So the
+first k rows of a batch give the first k functions of the whole batch
+bit for bit. A single draw is one vector product, which may round
+differently. ``conditions.estimate_constants`` draws its samples this
+way, a block of whole chunks at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scale import GridFunction, _derivative, check_scale_index
+from .scale import BLOCK_ELEMENTS, GridFunction, _derivative, check_scale_index
 
 MAX_FREQUENCY = 8
 
@@ -82,10 +89,30 @@ def _span_gram(n: int, a: int) -> np.ndarray:
     return gram
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows H of one chunk of a batched product on the n-point grid."""
+    return max(2, BLOCK_ELEMENTS // n)
+
+
+def _chunked_product(coeffs: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
+    """``coeffs @ matrix``, a (rows, 17) batch in chunks of ``_chunk_rows(n)``
+    rows, the last chunk padded with zero rows; a vector product for one
+    1-D row of coefficients."""
+    if coeffs.ndim == 1:
+        return coeffs @ matrix
+    rows, height = len(coeffs), _chunk_rows(n)
+    chunks = -(-rows // height)
+    padded = np.zeros((chunks * height, DIRECTION_DRAWS))
+    padded[:rows] = coeffs
+    # a stacked product multiplies each (height, 17) chunk on its own
+    product = padded.reshape(chunks, height, DIRECTION_DRAWS) @ matrix
+    return product.reshape(chunks * height, matrix.shape[1])[:rows]
+
+
 def _span_norm(coeffs: np.ndarray, n: int, a: int):
     """Discrete H_a norm of ``coeffs @ _trig_basis(n)``, one per row of
     `coeffs` (a scalar for a single row), from the cached Gram matrix."""
-    y = coeffs @ _span_gram(n, a)
+    y = _chunked_product(coeffs, _span_gram(n, a), n)
     return np.sqrt(np.einsum("...i,...i->...", y, coeffs))
 
 
@@ -112,7 +139,7 @@ def _coefficients(draws: np.ndarray) -> np.ndarray:
 
 def trig_polynomial(rng: np.random.Generator | np.ndarray, n: int) -> GridFunction:
     """Random trigonometric polynomial with coefficients uniform in [-1, 1]."""
-    values = _coefficients(_draws(rng, DIRECTION_DRAWS)) @ _trig_basis(n)
+    values = _chunked_product(_coefficients(_draws(rng, DIRECTION_DRAWS)), _trig_basis(n), n)
     # A single function keeps the public constructor, whose calls the
     # benchmark counts (ROADMAP item 4); only `_trusted` can wrap a batch.
     if values.ndim == 1:

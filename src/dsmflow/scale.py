@@ -29,10 +29,11 @@ SUPPORTED_INDICES = (0, 1, 2)
 # Maximum relative deviation of node spacing tolerated by the CSV reader.
 UNIFORMITY_TOL = 1e-9
 
-# Rows x grid nodes of one block of batched work: sampling blocks have at
-# least two rows (40 at n = 201, 4 at n = 2001, 2 from n = 4097 up), the
-# flow's distance blocks, the rows of ``Workspace.dif``, at least one (1
-# from n = 8193 up).
+# Rows x grid nodes of one block of batched work. The samplers take their
+# basis products in chunks of at least two rows (40 at n = 201, 4 at
+# n = 2001, 2 from n = 4097 up), whatever the batch's length, as a product's
+# rounding depends on its row count; the flow's distance blocks, the rows
+# of ``Workspace.dif``, hold at least one (1 from n = 8193 up).
 BLOCK_ELEMENTS = 8192
 
 

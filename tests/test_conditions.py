@@ -345,13 +345,13 @@ def test_block_estimate_consumes_71_scalar_draws_per_sample(setup201, monkeypatc
 
 
 def _recording_ratios(monkeypatch, record):
-    """Make estimate_constants hand each block's draws, live mask and
-    ratios to ``record``."""
+    """Make estimate_constants hand each block's draws and ratios to
+    ``record``."""
     original = conditions_module._constants_ratios
 
-    def recording(p, draws, live, *rest):
-        ratios = original(p, draws, live, *rest)
-        record(draws, live, ratios)
+    def recording(p, draws, *rest):
+        ratios = original(p, draws, *rest)
+        record(draws, ratios)
         return ratios
 
     monkeypatch.setattr(conditions_module, "_constants_ratios", recording)
@@ -359,7 +359,7 @@ def _recording_ratios(monkeypatch, record):
 
 def test_a_sample_evaluates_the_same_in_a_longer_run(monkeypatch):
     runs = []
-    _recording_ratios(monkeypatch, lambda draws, live, ratios: runs[-1].append(ratios))
+    _recording_ratios(monkeypatch, lambda draws, ratios: runs[-1].append(ratios))
     # blocks of 40 rows at n = 201 and of 2 rows at n = 4097
     for n, short, long in ((201, 50, 100), (4097, 11, 24)):
         setup = ProblemSetup.from_reference(
@@ -394,7 +394,7 @@ def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, mon
     assert samples % rows != 0  # the last block is padded
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), radius)
     runs = []
-    _recording_ratios(monkeypatch, lambda draws, live, ratios: runs[-1].append(ratios[0]))
+    _recording_ratios(monkeypatch, lambda draws, ratios: runs[-1].append(ratios[0]))
     reports = []
     for count, bracket_only in ((samples, False), (samples, True), (samples + rows, True)):
         runs.append([])
@@ -412,30 +412,34 @@ def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, mon
     assert longer.c0_lower <= bracket.c0_lower <= bracket.c0_upper <= longer.c0_upper
 
 
+# 11 samples: blocks of 14 rows (7 chunks of 2) at n = 4097, of 2 rows at
+# n = 20001, the last block holding only the samples left
+LARGE_GRID_BLOCKS = {4097: [(11, 71)], 20001: [(2, 71)] * 5 + [(1, 71)]}
+
+
 @pytest.mark.parametrize("n", [4097, 20001])
 def test_large_grids_evaluate_blocks_of_two_rows(n, monkeypatch):
     setup = ProblemSetup.from_reference(LinearSmoothing(), GridFunction.constant(1.0, n), 0.05)
     shapes = []
-    _recording_ratios(monkeypatch,
-                      lambda draws, live, ratios: shapes.append((draws.shape, live.shape)))
+    _recording_ratios(monkeypatch, lambda draws, ratios: shapes.append(draws.shape))
     estimate_constants(setup, 11, 2)
-    assert shapes == [((2, 71), (2,))] * 6
+    assert shapes == LARGE_GRID_BLOCKS[n]
 
 
 def test_estimate_passes_over_nan_and_uses_each_draw_once(setup201, monkeypatch):
-    rows = BLOCK_ELEMENTS // 201
+    rows = 320  # 8 chunks of 40 rows at n = 201
     blocks = []
 
-    def record(draws, live, ratios):
+    def record(draws, ratios):
         for r in ratios:
             r[0] = np.nan  # the reductions pass over it
-        blocks.append((draws[live], ratios))
+        blocks.append((draws, ratios))
 
     _recording_ratios(monkeypatch, record)
     report = estimate_constants(setup201, rows + 5, 17)
     draws, ratios = zip(*blocks)
     assert [d.shape for d in draws] == [(rows, 71), (5, 71)]
-    # every draw reaches one live row, in the order of one-at-a-time draws
+    # every draw reaches one row, in the order of one-at-a-time draws
     assert np.array_equal(np.concatenate(draws),
                           np.random.default_rng(17).random((rows + 5, 71)))
     two_sided, iso, lip = (np.concatenate(parts) for parts in zip(*ratios))
@@ -493,8 +497,8 @@ def test_estimate_calls_each_layer_once_per_block(operator, bracket_only, per_bl
         _count_calls(monkeypatch, counts, name, modules)
     for name in ("apply_derivative", "solve_derivative"):
         _count_calls(monkeypatch, counts, name, (type(operator),))
-    assert BLOCK_ELEMENTS // 201 == 40
-    for samples, blocks in ((20, 1), (40, 1), (80, 2)):
+    # blocks of 320 rows at n = 201
+    for samples, blocks in ((20, 1), (320, 1), (330, 2)):
         counts.clear()
         estimate_constants(setup, samples, 1, bracket_only=bracket_only)
         assert dict(counts) == {name: blocks * c for name, c in per_block.items() if c}

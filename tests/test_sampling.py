@@ -6,6 +6,7 @@ import pytest
 from dsmflow.sampling import (
     MAX_FREQUENCY,
     POINT_DRAWS,
+    _chunk_rows,
     _span_gram,
     _span_norm,
     _trig_basis,
@@ -29,7 +30,7 @@ def reference_trig_polynomial(rng, n, max_frequency=MAX_FREQUENCY):
     return vals
 
 
-@pytest.mark.parametrize("n", [201, 20001])
+@pytest.mark.parametrize("n", [21, 201, 2001, 20001])
 def test_trig_polynomial_matches_per_frequency_sum(n):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(3):
@@ -84,6 +85,24 @@ def test_batch_rows_equal_single_draws():
     directions = unit_direction(rng.random((3, DRAWS)), 201, 2)
     for row in directions.values:
         assert np.max(np.abs(row - unit_direction(ref_rng, 201, 2).values)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [21, 201, 2001, 20001])
+def test_a_prefix_of_a_batch_gives_a_prefix_of_its_functions(n):
+    # products are taken in chunks of H rows, the last one padded, so a row
+    # rounds the same however many rows follow it
+    H = _chunk_rows(n)
+    draws = np.random.default_rng(n).random((4 * H + 1, POINT_DRAWS))
+    center = GridFunction.constant(1.0, n)
+
+    def samples(d):
+        return (trig_polynomial(d[:, :DRAWS], n), sample_in_ball(d, center, 0.05, 1),
+                unit_direction(d[:, :DRAWS], n, 2))
+
+    whole = samples(draws)
+    for k in (1, H - 1, H, H + 1, 3 * H + 1):
+        for part, full in zip(samples(draws[:k]), whole):
+            assert np.array_equal(part.values, full.values[:k])
 
 
 def test_batch_draws_need_one_sample_per_row():

@@ -42,6 +42,11 @@ RUNS = [
     ("verify-volterra", ["verify"]),
     ("verify-linear-smoothing", ["verify", "--operator", "linear-smoothing"]),
     ("verify-20001", ["verify", "--n", "20001", "--samples", "50"]),
+    # estimates whose last block is partial, or whose samples trip the guard
+    ("verify-samples-50", ["verify", "--samples", "50"]),
+    ("verify-2001", ["verify", "--n", "2001", "--samples", "30"]),
+    ("verify-4097", ["verify", "--n", "4097", "--samples", "11"]),
+    ("verify-guarded", ["verify", "--radius", "0.5", "--u-min", "0.95", "--samples", "60"]),
     ("compare-newton", ["compare-newton", "--h-family", "scaled-linear", "--param", "1.1"]),
     ("probe-loss", ["probe-loss"]),
     ("classical-ift", ["classical-ift"]),
