@@ -40,7 +40,7 @@ from .newton_lab import (
     write_loss_probe_csv,
 )
 from .operators import OPERATOR_IDS, ProblemSetup, QuadraticVolterra, make_operator
-from .scale import GridFunction, read_grid_csv, sobolev_norm, write_grid_csv
+from .scale import GridFunction, _write_text, read_grid_csv, sobolev_norm, write_grid_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,9 +193,7 @@ def _outputs(args, **names: str) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     # one string, one write: json.dump would write each of its chunks
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) -> None:

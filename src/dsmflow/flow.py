@@ -324,7 +324,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     max(1, ``BLOCK_ELEMENTS`` // n) rows (40 at n = 201, 4 at n = 2001, 1
     at n = 20001), in the workspace's (3, rows, n) block ``dif``, whose row
     0 the steps use; the last block is padded to fill it (see
-    ``_distances``).
+    ``_distances``). A flow started at U itself (the same array) takes one
+    column and reports it as both.
     """
     cfg = cfg or FlowConfig()
     require_same_grid(u0, p.U)
@@ -409,7 +410,9 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     points = [f.values for f in recorded]
     if dist_U is None:
         dist_U = _distances(points, U, a, ws)
-    samples = map(TrajectorySample, times, gs, _distances(points, start, a, ws), dist_U)
+    # from u0 = U, as the CLI starts without --u0-file, the columns are equal
+    dist_u0 = dist_U if start is U else _distances(points, start, a, ws)
+    samples = map(TrajectorySample, times, gs, dist_u0, dist_U)
     return Trajectory(tuple(samples), tuple(recorded), stop, a,
                       (len(times) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 

@@ -92,11 +92,15 @@ def test_flow_reports_grow_the_step_and_pin_the_decay_ratio(tmp_path):
         assert flow["decay_ratio"] == pytest.approx(1.0053514, abs=1e-7)
 
 
+def write_stall_h(path):
+    """h = F(V) for a V drawn at radius 0.02: the default solve stalls near
+    g = 1.5e-7, above eps_abs, and stops at the horizon."""
+    V = sample_in_ball(np.random.default_rng(1), GridFunction.constant(1.0, 201), 0.02, 1)
+    write_grid_csv(QuadraticVolterra().eval(V), path)
+
+
 def test_stalled_solve_grows_the_step_and_reports_the_stall(tmp_path):
-    # h = F(V) for a V drawn at radius 0.02 stalls near g = 1.5e-7, above eps_abs
-    U = GridFunction.constant(1.0, 201)
-    V = sample_in_ball(np.random.default_rng(1), U, 0.02, 1)
-    write_grid_csv(QuadraticVolterra().eval(V), tmp_path / "h.csv")
+    write_stall_h(tmp_path / "h.csv")
     flows = []
     for grow_tol in (-1.0, flow_module.GROW_TOL):  # no step grows, then the default
         out = tmp_path / str(grow_tol)
@@ -232,6 +236,55 @@ def test_solve_deterministic_bytes(tmp_path):
     assert run(*argv) == 0
     for name in names:
         assert (tmp_path / name).read_bytes() == first[name]
+
+
+# Runs whose artifacts are each longer than those of the run after them:
+# every writer (grid, trajectory, Newton-iterations and loss-probe CSVs,
+# JSON reports) writes shorter content over a longer file.
+RERUNS = {
+    "solve": (["solve", "--h-file", "h.csv"], ["solve"]),
+    "compare-newton": (["compare-newton", "--h-file", "h.csv"], ["compare-newton"]),
+    "probe-loss": (["probe-loss"], ["probe-loss", "--k-max", 8]),
+}
+
+
+@pytest.mark.parametrize("first, second", RERUNS.values(), ids=RERUNS.keys())
+def test_a_rerun_over_longer_artifacts_leaves_the_bytes_of_a_fresh_run(
+        tmp_path, monkeypatch, first, second):
+    monkeypatch.chdir(tmp_path)  # the manifests name the same relative paths
+    write_stall_h(tmp_path / "h.csv")
+    run(*first, "--out-dir", "out")
+    older = {p.name: p.stat().st_size for p in Path("out").iterdir()}
+    opened, real_open = [], os.open
+
+    def spy(file, flags, *args, **kwargs):
+        opened.append((os.path.basename(file), flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", spy)
+        code = run(*second, "--out-dir", "out")
+    Path("out").rename("rerun")
+    assert run(*second, "--out-dir", "out") == code
+    fresh = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+    assert {p.name: p.read_bytes() for p in Path("rerun").iterdir()} == fresh
+    assert sorted(older) == sorted(fresh)
+    assert all(len(fresh[name]) < size for name, size in older.items())
+    # each artifact is overwritten in place and cut, never truncated to
+    # zero first, which costs a flush at close on ext4
+    assert sorted(name for name, _ in opened) == sorted(fresh)
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_artifacts_linked_to_the_null_device_are_written_through(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    names = ("solve_summary.json", "trajectory.csv", "final_u.csv")
+    for name in names:
+        (out / name).symlink_to(os.devnull)
+    assert run("solve", "--h-family", "scaled-linear", "--param", 1.1, "--out-dir", out) == 0
+    assert all((out / name).is_symlink() for name in names)
 
 
 # --- probe-loss ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -508,9 +509,10 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
     traj = integrate_flow(p, p.U, h, FlowConfig(scheme=scheme, enforce_ball=enforce_ball))
     assert traj.stop_reason == STOP_CONVERGED and len(traj.samples) == samples
     assert traj.vf_evals == {"rk4": 4, "euler": 1}[scheme] * (samples - 1)  # none retaken
-    # under enforce_ball, u0 and every tried step; dist_u0 (and dist_U) after
+    # under enforce_ball, u0 and every tried step; from u0 = U the dist_U
+    # column is also dist_u0, so a block pass takes it only when not enforced
     assert len(distance_calls) == (samples if enforce_ball else 0)
-    assert passes == [samples] * (1 if enforce_ball else 2)
+    assert passes == ([] if enforce_ball else [samples])
     # the H1 norms of each block: two terms of 40 rows each
     assert len(block_terms) == 2 * len(passes) * math.ceil(samples / 40)
 
@@ -540,17 +542,21 @@ def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
     p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
     x = p.U.x
     h = GridFunction(x + 0.05 * x * x)
-    for scheme in SCHEMES:
+    sampled = sample_in_ball(np.random.default_rng(5), p.U, 0.01, 1)
+    # from U itself the dist_U column is the dist_u0 column: one pass
+    for scheme, (u0, n_passes) in product(SCHEMES, ((sampled, 2), (p.U, 1))):
         for log in (workspaces, blocks, passes):
             log.clear()
-        traj = integrate_flow(p, p.U, h, FlowConfig(scheme=scheme, t_max=1.0))
+        traj = integrate_flow(p, u0, h, FlowConfig(scheme=scheme, t_max=1.0))
         [ws] = workspaces
         # one (3, rows, n) block serves the steps' row 0 and the blocks:
-        # two H1 terms per block, in each of the two passes
+        # two H1 terms per block, in each pass
         assert ws.dif.shape == (3, rows, n)
-        assert passes == [ws, ws]
-        assert len(blocks) == 4 * math.ceil(len(traj.samples) / rows) and all(
+        assert passes == [ws] * n_passes
+        assert len(blocks) == 2 * n_passes * math.ceil(len(traj.samples) / rows) and all(
             b.shape == (rows, n) and np.shares_memory(b, ws.dif) for b in blocks)
+        if u0 is p.U:
+            assert all(s.dist_u0 == s.dist_U for s in traj.samples)
         # D h is written for every scheme
         assert np.array_equal(ws.dh, derivative(h).values)
 

@@ -1,6 +1,8 @@
 import csv
 import math
+import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dsmflow.scale import (
     _integrate,
     _norm,
     _write_csv_rows,
+    _write_text,
     ball_distance,
     derivative,
     integrate_from_zero,
@@ -22,6 +25,13 @@ from dsmflow.scale import (
     write_grid_csv,
 )
 
+from dsmflow.flow import TrajectorySample, write_trajectory_csv
+from dsmflow.newton_lab import (
+    IterationStep,
+    ModeRatio,
+    write_iteration_csv,
+    write_loss_probe_csv,
+)
 from dsmflow.operators import ProblemSetup, QuadraticVolterra
 from dsmflow.sampling import _trig_basis, trig_polynomial
 
@@ -463,6 +473,60 @@ def test_csv_rows_equal_a_csv_writer_reference(tmp_path, rows):
             writer.writerow(["" if v is None else str(v) if isinstance(v, int)
                              else format(v, ".17g") for v in row])
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# Each CSV writer with a maker of its content at a given row count.
+CSV_WRITERS = {
+    "grid": (write_grid_csv, lambda k: GridFunction(np.linspace(0.0, 1.0, k) ** 2 / 3.0)),
+    "trajectory": (write_trajectory_csv, lambda k: SimpleNamespace(samples=[
+        TrajectorySample(0.05 * i, math.exp(-i / 7.0), i / 3.0, 1.0 / (i + 3)) for i in range(k)])),
+    "newton-iterations": (write_iteration_csv, lambda k: SimpleNamespace(steps=[
+        IterationStep(i, 10.0 ** -i / 3.0, None if i % 2 else 1.0 / (i + 1)) for i in range(k)])),
+    "loss-probe": (write_loss_probe_csv, lambda k: SimpleNamespace(modes=[
+        ModeRatio(i, 1.5 * i + 1.0 / 7.0, 1.0 / (i + 1)) for i in range(k)])),
+}
+
+
+@pytest.mark.parametrize("write, make", CSV_WRITERS.values(), ids=CSV_WRITERS.keys())
+def test_a_shorter_csv_over_a_longer_one_leaves_the_bytes_of_a_fresh_file(
+        tmp_path, monkeypatch, write, make):
+    write(make(3), tmp_path / "fresh.csv")
+    path = tmp_path / "rewritten.csv"
+    write(make(50), path)
+    assert path.stat().st_size > (tmp_path / "fresh.csv").stat().st_size
+    opened, real_open = [], os.open
+
+    def spy(file, flags, *args, **kwargs):
+        opened.append((file, flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    write(make(3), path)
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    # the existing file is overwritten in place and cut, not truncated to
+    # zero first, which costs a flush at close on ext4
+    assert [(file, flags & os.O_TRUNC) for file, flags in opened] == [(path, 0)]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_files_get_the_modes_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w") as handle:
+            handle.write("x")
+        _write_text(tmp_path / "new", "x,value\r\n")
+        write_grid_csv(GridFunction.constant(1.0, 3), tmp_path / "new.csv")
+        existing = tmp_path / "existing.csv"
+        existing.write_text("an older, longer file\n" * 9)
+        existing.chmod(0o640)
+        write_grid_csv(GridFunction.constant(1.0, 3), existing)
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o666 & ~umask
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "new.csv").stat().st_mode == mode
+    assert existing.stat().st_mode & 0o777 == 0o640
+    assert existing.read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 def test_csv_reads_a_file_that_starts_with_a_utf8_byte_order_mark(tmp_path):

@@ -4,9 +4,12 @@
 
 Each run gets a directory OUT_DIR/<name>, passed to the CLI as a relative
 ``--out-dir`` from OUT_DIR, and holds the run's artifacts with its
-``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``. Input files go to
-OUT_DIR/inputs under relative paths too. So the JSON manifests name only
-relative paths, and the trees of two checkouts compare whole:
+``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``. A run of several
+commands runs them one after another in its directory, which then holds
+the last command's artifacts, every command's output and one exit code a
+line: a rerun over longer artifacts must leave a fresh run's bytes. Input
+files go to OUT_DIR/inputs under relative paths too. So the JSON manifests
+name only relative paths, and the trees of two checkouts compare whole:
 
     diff -r OUT_A OUT_B
 
@@ -27,7 +30,7 @@ from pathlib import Path
 _ENTRY = "import sys; from dsmflow.cli import main; sys.exit(main(sys.argv[1:]))"
 _QP = ["--h-family", "quadratic-perturb", "--param", "0.05"]
 
-# (run name, CLI arguments before --out-dir)
+# (run name, CLI arguments before --out-dir, ...): one or more commands
 RUNS = [
     ("solve-default", ["solve"]),
     ("solve-scaled-linear", ["solve", "--h-family", "scaled-linear", "--param", "1.1"]),
@@ -39,6 +42,8 @@ RUNS = [
                             "--enforce-ball"]),
     ("solve-euler", ["solve", *_QP, "--scheme", "euler"]),
     ("solve-h-file-stall", ["solve", "--h-file", "inputs/h_stall.csv"]),
+    # a rerun: shorter artifacts written over the stall's
+    ("solve-over-h-file-stall", ["solve", "--h-file", "inputs/h_stall.csv"], ["solve"]),
     ("verify-volterra", ["verify"]),
     ("verify-linear-smoothing", ["verify", "--operator", "linear-smoothing"]),
     ("verify-20001", ["verify", "--n", "20001", "--samples", "50"]),
@@ -75,15 +80,17 @@ def run_all(src: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    for name, args in RUNS:
+    for name, *commands in RUNS:
         run_dir = out / name
         run_dir.mkdir()
-        proc = subprocess.run([sys.executable, "-c", _ENTRY, *args, "--out-dir", name],
-                              cwd=out, env=env, capture_output=True, text=True)
-        (run_dir / "stdout.txt").write_text(proc.stdout)
-        (run_dir / "stderr.txt").write_text(proc.stderr)
-        (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+        procs = [subprocess.run([sys.executable, "-c", _ENTRY, *args, "--out-dir", name],
+                                cwd=out, env=env, capture_output=True, text=True)
+                 for args in commands]
+        codes = [proc.returncode for proc in procs]
+        (run_dir / "stdout.txt").write_text("".join(proc.stdout for proc in procs))
+        (run_dir / "stderr.txt").write_text("".join(proc.stderr for proc in procs))
+        (run_dir / "exit_code.txt").write_text("".join(f"{code}\n" for code in codes))
+        print(f"{name}: exit {' '.join(map(str, codes))}")
 
 
 def main(argv=None) -> int:
