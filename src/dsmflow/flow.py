@@ -202,25 +202,32 @@ def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]
     """``ball_distance`` from ``center`` of each value array in ``points``,
     rows = max(1, ``BLOCK_ELEMENTS`` // n) of them at a time: the block's
     differences go into ``ws.dif[0]`` and their derivatives into
-    ``ws.dif[1:a + 1]``, so no call allocates scratch. The last block is
-    padded with its own first points, so every block fills the workspace's
-    rows and each kernel writes whole arrays. Each term is squared in
-    place, as no distance reads it again. The kernels work row by row, so
-    each distance equals that of its point alone, bit for bit. One-row
-    blocks are derived as 1-D rows, so ``_derivative`` takes its one-row
-    path."""
+    ``ws.dif[1:a + 1]``, so no call allocates scratch. A block of several
+    rows is copied in by one ``np.concatenate`` into the flattened rows
+    and differenced by one broadcast subtraction; the last block takes
+    only the rows it has left, the first ones of ``ws.dif``. Each term is
+    squared in place, as no distance reads it again. The kernels work row
+    by row, so each distance equals that of its point alone, bit for bit.
+    One-row blocks are differenced straight into their row and derived as
+    1-D rows, so ``_derivative`` takes its one-row path."""
     terms = ws.dif[:a + 1]
-    diff = terms[0]
-    derived = terms[:, 0] if len(diff) == 1 else terms
+    rows = terms.shape[1]
+    flat = terms[0].reshape(-1)  # a view, as ``ws.dif`` is C-contiguous
     dist = []
-    for start in range(0, len(points), len(diff)):
-        block = points[start:start + len(diff)]
-        for i, row in enumerate(diff):
-            np.subtract(block[i % len(block)], center, out=row)
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        live = terms[:, :len(block)]
+        if rows == 1:
+            np.subtract(block[0], center, out=live[0, 0])
+            derived = live[:, 0]
+        else:
+            np.concatenate(block, out=flat[:live[0].size])
+            np.subtract(live[0], center, out=live[0])
+            derived = live
         for low, high in zip(derived, derived[1:]):
             _derivative(low, ws.dx, high)
-        dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in terms]).tolist())
-    return dist[:len(points)]
+        dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in live]).tolist())
+    return dist
 
 
 def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
@@ -323,7 +330,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     enforced, are taken over the recorded iterates in blocks of
     max(1, ``BLOCK_ELEMENTS`` // n) rows (40 at n = 201, 4 at n = 2001, 1
     at n = 20001), in the workspace's (3, rows, n) block ``dif``, whose row
-    0 the steps use; the last block is padded to fill it (see
+    0 the steps use; the last block fills only the rows it has left (see
     ``_distances``). A flow started at U itself (the same array) takes one
     column and reports it as both.
     """
@@ -424,20 +431,23 @@ def decay_fit(traj: Trajectory) -> tuple[float, float]:
     floor are excluded: startup transients and the floating-point tail would
     bias the slope.
     """
-    usable = [(s.t, s.g) for s in traj.samples[1:-1] if s.g > NOISE_FLOOR]
+    usable = [s for s in traj.samples[1:-1] if s.g > NOISE_FLOOR]
     if len(usable) < 10:
         raise ValueError(
             f"decay fit needs at least 10 interior samples above {NOISE_FLOOR:g}, "
             f"got {len(usable)}"
         )
-    t = np.array([s[0] for s in usable])
-    logg = np.log([s[1] for s in usable])
-    slope, intercept = np.polyfit(t, logg, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((logg - pred) ** 2))
-    ss_tot = float(np.sum((logg - np.mean(logg)) ** 2))
+    # the least-squares line in closed form, from sums centred on the means
+    t = [float(s.t) for s in usable]
+    logg = [math.log(s.g) for s in usable]
+    t_mean, logg_mean = sum(t) / len(t), sum(logg) / len(logg)
+    dt = [ti - t_mean for ti in t]
+    dlog = [yi - logg_mean for yi in logg]
+    slope = sum(a * b for a, b in zip(dt, dlog)) / sum(a * a for a in dt)
+    ss_res = sum((b - slope * a) ** 2 for a, b in zip(dt, dlog))
+    ss_tot = sum(b * b for b in dlog)
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), r_squared
+    return slope, r_squared
 
 
 @dataclass(frozen=True)

@@ -454,7 +454,7 @@ def test_each_sample_distance_is_the_ball_distance_of_its_iterate(n, enforce_bal
 
 
 def test_distances_of_a_multi_block_run_are_ball_distances(setup201):
-    # 231 samples: five blocks of 40 rows and a last one padded from 31
+    # 231 samples: five blocks of 40 rows and a last one of 31
     u0 = sample_in_ball(np.random.default_rng(5), setup201.U, 0.02, 1)
     traj = integrate_flow(setup201, u0, scaled_linear_h(201, 1.1),
                           FlowConfig(scheme="euler", eps_rel=1e-5))
@@ -462,7 +462,7 @@ def test_distances_of_a_multi_block_run_are_ball_distances(setup201):
     assert_distances_are_ball_distances(setup201, u0, traj)
     # the bounds take their tail distances in the same blocks
     assert_tails_are_ball_distances(traj, 1e-3, 230)
-    # and in blocks of 4 rows (the last padded from 3) and of one row
+    # and in blocks of 4 rows (the last of 3) and of one row
     for n in (2001, 20001):
         p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
         x = p.U.x
@@ -495,7 +495,7 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
         return distance(*args)
 
     def counting_l2(values, dx, sq=None):
-        if values.shape == (40, 201):  # one term of a block
+        if values.ndim == 2:  # one term of a block
             block_terms.append(values.shape)
         return l2(values, dx, sq)
 
@@ -513,8 +513,10 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
     # column is also dist_u0, so a block pass takes it only when not enforced
     assert len(distance_calls) == (samples if enforce_ball else 0)
     assert passes == ([] if enforce_ball else [samples])
-    # the H1 norms of each block: two terms of 40 rows each
-    assert len(block_terms) == 2 * len(passes) * math.ceil(samples / 40)
+    # the H1 norms of each block: two terms of 40 rows each, the last
+    # block's of the rows it has left
+    live = [40] * (samples // 40) + [samples % 40] * (samples % 40 > 0)
+    assert block_terms == [(rows, 201) for rows in live for _ in range(2)] * len(passes)
 
 
 @pytest.mark.parametrize("n, rows", [(201, 40), (2001, 4), (20001, 1)])
@@ -553,8 +555,10 @@ def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
         # two H1 terms per block, in each pass
         assert ws.dif.shape == (3, rows, n)
         assert passes == [ws] * n_passes
-        assert len(blocks) == 2 * n_passes * math.ceil(len(traj.samples) / rows) and all(
-            b.shape == (rows, n) and np.shares_memory(b, ws.dif) for b in blocks)
+        m = len(traj.samples)
+        live = [rows] * (m // rows) + [m % rows] * (m % rows > 0)
+        assert [b.shape for b in blocks] == [(k, n) for k in live for _ in range(2)] * n_passes
+        assert all(np.shares_memory(b, ws.dif) for b in blocks)
         if u0 is p.U:
             assert all(s.dist_u0 == s.dist_U for s in traj.samples)
         # D h is written for every scheme
@@ -876,6 +880,34 @@ def test_decay_fit_ignores_noise_floor():
     traj = synthetic_trajectory(ts, gs)
     slope, _ = decay_fit(traj)
     assert slope == pytest.approx(-1.0, abs=1e-9)
+
+
+def polyfit_decay(traj):
+    """decay_fit's line by numpy's least squares, the fit it replaces."""
+    usable = [s for s in traj.samples[1:-1] if s.g > flow_module.NOISE_FLOOR]
+    t = np.array([s.t for s in usable])
+    logg = np.log([s.g for s in usable])
+    slope, intercept = np.polyfit(t, logg, 1)
+    ss_res = np.sum((logg - (slope * t + intercept)) ** 2)
+    return slope, 1.0 - ss_res / np.sum((logg - logg.mean()) ** 2)
+
+
+def test_decay_fit_agrees_with_a_polyfit_line(setup201):
+    x = setup201.U.x
+    canonical = integrate_flow(setup201, setup201.U, GridFunction(x + 0.05 * x * x))
+    assert len(canonical.samples) == 32
+    rng = np.random.default_rng(24)
+    lines = []
+    for _ in range(50):
+        ts = np.sort(rng.uniform(0.0, 8.0, rng.integers(12, 60)))
+        logg = rng.uniform(-3.0, 3.0) + rng.uniform(-2.0, -0.1) * ts
+        lines.append(synthetic_trajectory(ts, np.exp(logg + rng.normal(0.0, 0.3, ts.size))))
+    for traj in [canonical] + lines:
+        slope, r2 = decay_fit(traj)
+        want_slope, want_r2 = polyfit_decay(traj)
+        assert type(slope) is float and type(r2) is float
+        assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+        assert r2 == pytest.approx(want_r2, rel=0.0, abs=1e-12)
 
 
 # --- trajectory bounds -------------------------------------------------------

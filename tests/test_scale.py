@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from dsmflow.scale import (
     Workspace,
     _derivative,
     _derivative_of_integral,
+    _flat_interior,
     _integrate,
     _norm,
     _write_csv_rows,
@@ -185,6 +187,69 @@ def test_one_row_kernels_equal_the_rows_of_a_block(n):
                 assert type(got) is float
                 assert np.array_equal(got, want, equal_nan=True)
     assert math.isnan(norms[1]) and norms[2] == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 201, 2001])
+@pytest.mark.parametrize("rows", [1, 2, 3, 40, 200])
+def test_block_derivative_equals_its_rows_derived_alone(rows, n):
+    # a C-contiguous block of more than two rows, into a C-contiguous out,
+    # takes its interior over the flattened block; a strided input or out,
+    # and a block of one or two rows, the row slices. Each row's bits are
+    # those of the 1-D kernel either way.
+    v = np.random.default_rng(rows * n).uniform(-2.0, 2.0, (rows, n))
+    dx = 1.0 / (n - 1)
+    want = np.array([_derivative(row, dx, np.empty(n)) for row in v])
+    spaced = np.empty((2 * rows, n))
+    spaced[::2] = v
+    cases = {
+        "contiguous": (v, np.empty((rows, n)), rows > 2),
+        "strided input": (spaced[::2], np.empty((rows, n)), False),
+        "strided out": (v, np.empty((rows, 2 * n))[:, ::2], False),
+        "column-major out": (v, np.empty((rows, n), order="F"), False),
+    }
+    for name, (values, out, flat) in cases.items():
+        assert _flat_interior(values, 2.0 * dx, out) is flat, name
+        assert _derivative(values, dx, out) is out
+        assert np.array_equal(out, want), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 201])
+def test_overflow_only_across_rows_derives_without_a_warning(n):
+    # Rows of -1e308, 1e308 and -1e308: every difference inside a row is 0,
+    # and every flat pair straddling two rows overflows. The suite turns
+    # warnings into errors, so a warning from a straddling pair would fail
+    # here. (An inf - inf across rows needs an infinite end node, whose
+    # one-sided stencil takes inf - inf within its own row and warns at
+    # any rate.)
+    v = np.repeat([[-1e308], [1e308], [-1e308]], n, axis=1)
+    dx = 1.0 / (n - 1)
+    out = np.empty_like(v)
+    assert not _flat_interior(v, 2.0 * dx, out)  # the flat pass trapped
+    assert not _derivative(v, dx, out).any()
+
+
+def test_an_in_row_overflow_warns_as_the_row_slices_warn():
+    v = np.zeros((3, 201))
+    # in row 1, -1e308 - 1e308 overflows, and so does (1e308 - 0) / 2dx
+    v[1, 10], v[1, 12] = 1e308, -1e308
+    spaced = np.empty((6, 201))
+    spaced[::2] = v
+    dx = 1.0 / 200
+    with np.errstate(all="ignore"):
+        want = reference_derivative(v, dx)
+    caught = []
+    for values in (v, spaced[::2]):  # flat-eligible, then row slices only
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            out = _derivative(values, dx, np.empty((3, 201)))
+        caught.append([(w.category, str(w.message)) for w in log])
+        assert np.array_equal(out, want)
+    assert caught[0] == caught[1] == [
+        (RuntimeWarning, "overflow encountered in subtract"),
+        (RuntimeWarning, "overflow encountered in divide")]
+    # under the suite's filterwarnings = error, the first warning raises
+    with pytest.raises(RuntimeWarning, match="overflow encountered in subtract"):
+        _derivative(v, dx, np.empty((3, 201)))
 
 
 # --- derivative ------------------------------------------------------------
@@ -451,7 +516,8 @@ def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):
 
 
 ROW_SETS = {
-    "floats": [(0.0, 1.0 / 3.0), (0.5, -2.5e300), (1.0, 1e-300)],
+    "floats": [(0.0, 1.0 / 3.0), (0.5, -2.5e300), (1.0, 1e-300),
+               (5e-324, 1.7976931348623157e308)],
     "float-specials": [(math.inf, -0.0), (math.nan, -math.inf), (-0.0, 0.0)],
     "float64": [(np.float64(0.1), np.float64(-0.0)), (np.float64(math.nan), np.float64(2.0))],
     "float-and-float64": [(0.25, np.float64(0.1)), (np.float64(math.inf), -1.5)],
