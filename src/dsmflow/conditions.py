@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import residual
+from .flow import _require_one, residual
 from .operators import ProblemSetup
 from .sampling import (
     DIRECTION_DRAWS,
@@ -212,8 +212,10 @@ def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     The drift bound r uses the measured initial residual, which is sharper
     than its analytic cap, and ``radius_ok`` reports whether the working
     radius covers drift plus perturbation. A distance or residual that
-    overflows raises ``ValueError`` naming it.
+    overflows raises ``ValueError`` naming it, as does a batch of
+    functions, shape (rows, n), passed as u0 or h.
     """
+    _require_one(u0=u0, h=h)
     dist_u0 = ball_distance(u0, p.U, p.a)
     dist_h = ball_distance(h, p.f, p.a + p.delta)
     g0 = residual(p, u0, h)

@@ -24,9 +24,11 @@ from .scale import (
     GridFunction,
     Workspace,
     _derivative,
+    _differenced,
     _l2_squared,
     _norm,
     _root_sum,
+    _term_block,
     _write_csv_rows,
     require_same_grid,
 )
@@ -171,6 +173,16 @@ class Trajectory:
         return self.samples[-1].g
 
 
+def _require_one(**functions: GridFunction) -> None:
+    """Raise ``ValueError`` for a batch of grid functions, shape (rows, n),
+    where one function is expected; the error names the argument and its
+    shape."""
+    for name, f in functions.items():
+        if f.values.ndim != 1:
+            raise ValueError(f"{name} must be one grid function, not a batch "
+                             f"of shape {f.values.shape}")
+
+
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
     require_same_grid(u, h)
@@ -178,24 +190,20 @@ def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     return _residual(p, u.values, h.values, Workspace(shape))
 
 
-def _residual_into(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace) -> np.ndarray:
-    """h - F(u) on values, written into ``ws.res[0]``, which is returned;
-    A(u)^{-1} of it is the flow's velocity."""
-    r = ws.res[0]
-    return np.subtract(h, p.operator._eval(u, r, ws), out=r)
-
-
 def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
-    """``residual`` on values, with h - F(u) left in ``ws.res[0]``."""
-    _residual_into(p, u, h, ws)
-    return _norm(ws.res, p.a + p.delta, ws)
+    """``residual`` on values, with h - F(u) left in ``ws.res`` row 0, whose
+    A(u)^{-1} is the flow's velocity."""
+    res = ws.res
+    r = res.rows[0]
+    np.subtract(h, p.operator._eval(u, r, ws), r.values)
+    return _norm(res, p.a + p.delta, ws)
 
 
 def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
-    """``ball_distance`` on values, in row 0 of ``ws.dif``."""
-    terms = ws.dif[:, 0]
-    np.subtract(u, v, out=terms[0])
-    return _norm(terms, a, ws)
+    """``ball_distance`` on values, in the workspace's ``gap``."""
+    gap = ws.gap
+    np.subtract(u, v, gap.rows[0].values)
+    return _norm(gap, a, ws)
 
 
 def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]:
@@ -208,8 +216,10 @@ def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]
     only the rows it has left, the first ones of ``ws.dif``. Each term is
     squared in place, as no distance reads it again. The kernels work row
     by row, so each distance equals that of its point alone, bit for bit.
-    One-row blocks are differenced straight into their row and derived as
-    1-D rows, so ``_derivative`` takes its one-row path."""
+    A block of several rows binds the views of its rows of ``ws.dif``
+    once. One-row blocks are differenced straight into their row and
+    derived as 1-D rows, the bound rows of ``ws.gap``, so ``_derivative``
+    takes its one-row path."""
     terms = ws.dif[:a + 1]
     rows = terms.shape[1]
     flat = terms[0].reshape(-1)  # a view, as ``ws.dif`` is C-contiguous
@@ -218,84 +228,83 @@ def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]
         block = points[start:start + rows]
         live = terms[:, :len(block)]
         if rows == 1:
-            np.subtract(block[0], center, out=live[0, 0])
-            derived = live[:, 0]
+            derived = ws.gap.rows  # the rows of live[:, 0]
+            np.subtract(block[0], center, derived[0].values)
         else:
             np.concatenate(block, out=flat[:live[0].size])
-            np.subtract(live[0], center, out=live[0])
-            derived = live
-        for low, high in zip(derived, derived[1:]):
+            np.subtract(live[0], center, live[0])
+            derived = _term_block(ws.dif[:, :len(block)]).rows
+        for low, high in zip(derived[:a], derived[1:a + 1]):
             _derivative(low, ws.dx, high)
         dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in live]).tolist())
     return dist
 
 
 def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
-    """One explicit Euler step; with dt = 1 this is one Newton step.
+    """One explicit Euler step, u + dt k1; with dt = 1 this is one Newton
+    step.
 
     ``integrate_flow`` passes its workspace: then u and h are value arrays,
     ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), ``ws.dh`` the
     derivative D h that RK4's later stage velocities read, and the new
-    iterate is returned as a fresh array.
+    iterate is returned as a fresh array. Without one, u and h are grid
+    functions, and k1 (and, for ``rk4_step``, D h) is computed first, as
+    ``integrate_flow`` computes it, in a workspace of the step's own.
     """
-    if ws is None:
-        return _public_step(_euler, p, u, h, dt)
-    return _euler(p, u, h, dt, ws)
+    public = ws is None
+    if public:
+        u, h, ws = _stage_one(p, u, h, slope=False)
+    u_next = np.add(u, np.multiply(ws.k1.values, dt, ws.stage))
+    return GridFunction._trusted(u_next) if public else u_next
 
 
 def rk4_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     """One classical Runge-Kutta step; ``ws`` as in ``euler_step``.
 
     The stage points and the final combination are computed in the
-    workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4). k1 is
-    A(u)^{-1} of the residual h - F(u); k2, k3 and k4 come from
+    workspace, in the order u + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), the sum
+    built up in ``ws.k1`` as each stage velocity arrives in ``ws.k2``. k1
+    is A(u)^{-1} of the residual h - F(u); k2, k3 and k4 come from
     ``dsm_vector_field``, which needs D h but no F.
     """
-    if ws is None:
-        return _public_step(_rk4, p, u, h, dt)
-    return _rk4(p, u, h, dt, ws)
+    public = ws is None
+    if public:
+        u, h, ws = _stage_one(p, u, h)
+    k, total, stage = ws.k2, ws.k1.values, ws.stage
+    kv = k.values
+    np.add(u, np.multiply(total, dt / 2.0, stage), stage)   # u + dt/2 k1
+    dsm_vector_field(p, stage, h, ws, k)                    # k2
+    np.add(u, np.multiply(kv, dt / 2.0, stage), stage)      # u + dt/2 k2
+    kv *= 2.0
+    total += kv                                             # k1 + 2 k2
+    dsm_vector_field(p, stage, h, ws, k)                    # k3
+    np.add(u, np.multiply(kv, dt, stage), stage)            # u + dt k3
+    kv *= 2.0
+    total += kv                                             # ... + 2 k3
+    dsm_vector_field(p, stage, h, ws, k)                    # k4
+    total += kv
+    total *= dt / 6.0
+    u_next = np.add(u, total)
+    return GridFunction._trusted(u_next) if public else u_next
 
 
 _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
 _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 
 
-def _public_step(body, p: ProblemSetup, u: GridFunction, h: GridFunction,
-                 dt: float) -> GridFunction:
-    """A step on grid functions, in a workspace of its own, with k1 and
-    D h computed as ``integrate_flow`` computes them."""
+def _stage_one(p: ProblemSetup, u: GridFunction, h: GridFunction, slope: bool = True):
+    """The values of u and h and a workspace of their own, holding k1 and,
+    if ``slope``, the D h that RK4's later stages read, as
+    ``integrate_flow`` computes them, for a public step."""
     require_same_grid(u, h)
     uv, hv = u.values, h.values
     ws = Workspace(np.broadcast(uv, hv).shape)
-    p.operator.solve_derivative(uv, _residual_into(p, uv, hv, ws), ws, ws.k1)
-    _derivative(hv, ws.dx, ws.dh)
-    return GridFunction._trusted(body(p, uv, hv, dt, ws))
-
-
-def _euler(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
-           ws: Workspace) -> np.ndarray:
-    """u + dt k1."""
-    return np.add(u, np.multiply(ws.k1, dt, out=ws.stage))
-
-
-def _rk4(p: ProblemSetup, u: np.ndarray, h: np.ndarray, dt: float,
-         ws: Workspace) -> np.ndarray:
-    """u + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), the sum built up in ``ws.k1``
-    as each stage velocity arrives in ``ws.k2``."""
-    total, k, stage = ws.k1, ws.k2, ws.stage
-    np.add(u, np.multiply(total, dt / 2.0, out=stage), out=stage)       # u + dt/2 k1
-    dsm_vector_field(p, stage, h, ws, k)                                # k2
-    np.add(u, np.multiply(k, dt / 2.0, out=stage), out=stage)           # u + dt/2 k2
-    k *= 2.0
-    total += k                                                          # k1 + 2 k2
-    dsm_vector_field(p, stage, h, ws, k)                                # k3
-    np.add(u, np.multiply(k, dt, out=stage), out=stage)                 # u + dt k3
-    k *= 2.0
-    total += k                                                          # ... + 2 k3
-    dsm_vector_field(p, stage, h, ws, k)                                # k4
-    total += k
-    total *= dt / 6.0
-    return np.add(u, total)
+    r = ws.res.rows[0]
+    np.subtract(hv, p.operator._eval(uv, r, ws), r.values)  # h - F(u), without its norm
+    p.operator.solve_derivative(uv, r, ws, ws.k1)
+    if slope:
+        _derivative(_differenced(hv), ws.dx, ws.dh)
+    return uv, hv, ws
 
 
 def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
@@ -308,7 +317,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     guard trips or the residual stops being finite. Admissibility is not
     enforced here: callers may deliberately start outside the guaranteed
     region to observe the failure modes. A non-finite g(0) raises
-    ``ValueError``: the data overflow before the flow starts.
+    ``ValueError``: the data overflow before the flow starts. So does a
+    batch of functions, shape (rows, n), passed as u0 or h.
 
     Every accepted iterate has a finite residual, and so finite values. The
     residual h - F(u) of each accepted step also gives the next step's
@@ -322,7 +332,13 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     stops the flow ``degenerate``.
     Everything runs in one ``Workspace``: the only array each step allocates
     is its new iterate, which the trajectory records with its sample; the
-    last record is where the run ended.
+    last record is where the run ended. The workspace binds the slices its
+    kernels read once per array, and the loop reads the views each step
+    uses (h - F(u), k1, k2 and ``gap``) once, before its first step: a step
+    takes no slice. The stepper, the k1 solve, the stage velocities and the
+    residual run the kernels themselves; no private layer between them only
+    forwards its arguments (the velocity, the residual's h - F(u), the
+    public step's set-up and A(u)^{-1} each had one).
 
     The steps measure no distance, but under ``enforce_ball``, where each
     step's distance to U decides ``ball_exit``. Once the run has ended, the
@@ -335,13 +351,17 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     column and reports it as both.
     """
     cfg = cfg or FlowConfig()
+    _require_one(u0=u0, h=h)
     require_same_grid(u0, p.U)
     require_same_grid(h, p.f)
     step = _STEPPERS[cfg.scheme]
     solve = p.operator.solve_derivative
     ws = Workspace(u0.values.shape)
     a, hv, U, start = p.a, h.values, p.U.values, u0.values
-    _derivative(hv, ws.dx, ws.dh)
+    _derivative(_differenced(hv), ws.dx, ws.dh)
+    # the workspace arrays each step reads, with their bound views
+    res0, k1, gap = ws.res.rows[0], ws.k1, ws.gap
+    k1_values, k2_values, gap_values = k1.values, ws.k2.values, gap.rows[0].values
 
     g0 = _residual(p, start, hv, ws)
     if not math.isfinite(g0):
@@ -363,23 +383,22 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         stop, n_steps = STOP_CONVERGED, 0
     while done < n_steps:
         try:
-            solve(u, ws.res[0], ws, ws.k1)
+            solve(u, res0, ws, k1)
         except DegenerateCoefficient:
             stop = STOP_DEGENERATE
             break
         if estimate:
             # k1 at u is the last step's FSAL stage: its local error is about
             # (s / 6) ||k4 - k1||, measured in L2 (see FlowConfig)
-            diff = ws.dif[:, 0]
-            np.subtract(ws.k2, ws.k1, out=diff[0])
-            if size / 6.0 * _norm(diff, 0, ws) <= GROW_TOL * g_prev:
+            np.subtract(k2_values, k1_values, gap_values)
+            if size / 6.0 * _norm(gap, 0, ws) <= GROW_TOL * g_prev:
                 units = min(2 * units, max_units)
             else:
                 units = max(units // 2, 1)
         units = min(units, n_steps - done)
         size = units * cfg.dt
         try:
-            u_next = step(p, u, hv, size, ws=ws)
+            u_next = step(p, u, hv, size, ws)
             g = _residual(p, u_next, hv, ws)
         except DegenerateCoefficient:
             u_next, g = None, math.nan
@@ -392,7 +411,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             retaken += u_next is not None
             units = 1
             estimate = False
-            _residual_into(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
+            _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
             continue
         if failed:
             stop = STOP_DEGENERATE

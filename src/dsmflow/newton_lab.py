@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import euler_step, residual
+from .flow import _require_one, euler_step, residual
 from .operators import DegenerateCoefficient, ProblemSetup
 from .scale import GridFunction, _write_csv_rows, ball_distance, sobolev_norm
 
@@ -70,8 +70,10 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     guard) sets ``diverged_at`` instead of raising. When an oracle iterate
     sequence's limit is supplied, the record tracks the distance to it. A
     non-finite starting residual raises ``ValueError``: the data overflow
-    before the first step. So does a negative ``max_iter`` or ``tol``.
+    before the first step. So does a negative ``max_iter`` or ``tol``, and
+    a batch of functions, shape (rows, n), passed as u0 or h.
     """
+    _require_one(u0=u0, h=h)
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     if not tol >= 0.0:

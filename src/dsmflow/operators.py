@@ -30,7 +30,10 @@ from .scale import (
     Workspace,
     _derivative,
     _derivative_of_integral,
+    _derived,
+    _differenced,
     _integrate,
+    _summed,
     check_scale_index,
     integrate_from_zero,
     require_same_grid,
@@ -47,15 +50,17 @@ class ScaleOperator(ABC):
     ``a`` is the domain index and ``delta`` the smoothing gain: images of
     ``eval`` have finite H_{a+delta} norm.
 
-    F, its stencil derivative D F and A(u)^{-1} are written on value arrays
-    along the last axis (``_eval``, ``_eval_slope`` and ``_solve``), into a
-    given array with scratch from a ``Workspace``; ``solve_derivative``,
-    ``dsm_vector_field`` and the flow run on them. ``_solve`` takes the
-    derivative of its argument and hands it to ``_divide``, which the
-    velocity shares, so the guard and the division by the coefficient of
-    A(u) are written once. ``eval`` states F in grid-function arithmetic on
-    the same scale kernels, bit for bit. Each built-in defines its public
-    methods itself, where the traced benchmark wraps them.
+    F and its stencil derivative D F are written on value arrays along the
+    last axis (``_eval`` and ``_eval_slope``), into the views of an array
+    (see ``scale._views``) with scratch from a ``Workspace``;
+    ``solve_derivative``,
+    ``dsm_vector_field`` and the flow run on them. ``solve_derivative``
+    takes the derivative of its argument and hands it to ``_divide``,
+    which the velocity shares, so the guard and the division by the
+    coefficient of A(u) are written once. ``eval`` states F in
+    grid-function arithmetic on the same scale kernels, bit for bit. Each
+    built-in defines its public methods itself, where the traced benchmark
+    wraps them.
     """
 
     a: int
@@ -73,31 +78,29 @@ class ScaleOperator(ABC):
                          out: np.ndarray | None = None):
         """Apply A(u)^{-1} to psi.
 
-        Given a workspace, u and psi are value arrays and the result is
-        written into ``out``, which is returned; otherwise a fresh grid
-        function. Raises ``DegenerateCoefficient`` when u trips the guard.
+        Given a workspace, u is a value array, psi and ``out`` are views
+        of workspace arrays (the flow's h - F(u) and k1), and the result is
+        written into ``out``, whose array is returned; otherwise a fresh
+        grid function. Raises ``DegenerateCoefficient`` when a row of u
+        trips the guard.
         """
         if ws is not None:
-            return self._solve(u, psi, out, ws)
+            return self._divide(u, _derivative(psi, ws.dx, out), ws)
         require_same_grid(u, psi)
         shape = np.broadcast(u.values, psi.values).shape
-        return GridFunction._trusted(
-            self._solve(u.values, psi.values, np.empty(shape), Workspace(shape)))
+        ws, out = Workspace(shape), _derived(np.empty(shape))
+        v = _derivative(_differenced(psi.values), ws.dx, out)
+        return GridFunction._trusted(self._divide(u.values, v, ws))
 
     @abstractmethod
-    def _eval(self, u: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
-        """F(u) on values, written into ``out``, which is returned."""
+    def _eval(self, u: np.ndarray, out, ws: Workspace) -> np.ndarray:
+        """F(u) on values, written into ``out``, whose array is returned."""
 
     @abstractmethod
-    def _eval_slope(self, u: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    def _eval_slope(self, u: np.ndarray, out, ws: Workspace) -> np.ndarray:
         """D F(u) on values, the stencil derivative of ``_eval``'s result
-        computed without it, written into ``out``, which is returned."""
-
-    def _solve(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray,
-               ws: Workspace) -> np.ndarray:
-        """A(u)^{-1} psi on values, written into ``out``, which is returned;
-        raises ``DegenerateCoefficient`` when a row of u trips the guard."""
-        return self._divide(u, _derivative(psi, ws.dx, out), ws)
+        computed without it, written into ``out``, whose array is
+        returned."""
 
     def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace) -> np.ndarray:
         """A(u)^{-1} of a function whose derivative is v, in place in v,
@@ -136,28 +139,33 @@ class QuadraticVolterra(ScaleOperator):
         require_same_grid(u, q)
         return 2.0 * integrate_from_zero(u * q)
 
-    def solve_derivative(self, u, psi, ws=None, out=None):
-        return super().solve_derivative(u, psi, ws, out)
+    solve_derivative = ScaleOperator.solve_derivative
 
     def _eval(self, u, out, ws):
-        return _integrate(np.multiply(u, u, out=ws.sq[0]), ws.dx, out, ws.trap)
+        # u * u goes into the workspace's sq row 0, whose views are bound
+        square = ws.sq.rows[0]
+        np.multiply(u, u, square.values)
+        return _integrate(square, ws.dx, out, ws.trap)
 
     def _eval_slope(self, u, out, ws):
-        return _derivative_of_integral(np.multiply(u, u, out=ws.sq[0]), out, ws.trap)
+        square = ws.sq.rows[0]
+        np.multiply(u, u, square.values)
+        return _derivative_of_integral(square, out, ws.pairs)
 
     def _divide(self, u, v, ws):
         """v / (2u)."""
         # One min over the whole array clears every row at once; only a dip
         # or a NaN (whose row does not trip the guard) asks row by row. A
         # batch of zero rows has no min, and trips nothing.
-        if u.size and not u.min() >= self.u_min and self._below_guard(u).any():
+        if (u.size and not np.minimum.reduce(u, None) >= self.u_min
+                and self._below_guard(u).any()):
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        return np.divide(v, np.multiply(u, 2.0, out=ws.div), out=v)
+        return np.divide(v, np.multiply(u, 2.0, ws.div), v)
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
-        return u.min(axis=-1) < self.u_min
+        return np.minimum.reduce(u, -1) < self.u_min
 
 
 @dataclass(frozen=True)
@@ -174,14 +182,15 @@ class LinearSmoothing(ScaleOperator):
         require_same_grid(u, q)
         return integrate_from_zero(q)
 
-    def solve_derivative(self, u, psi, ws=None, out=None):
-        return super().solve_derivative(u, psi, ws, out)
+    solve_derivative = ScaleOperator.solve_derivative
 
     def _eval(self, u, out, ws):
-        return _integrate(u, ws.dx, out, ws.trap)
+        # u is any value array, a stage point or a new iterate: its views
+        # are bound here
+        return _integrate(_summed(u), ws.dx, out, ws.trap)
 
     def _eval_slope(self, u, out, ws):
-        return _derivative_of_integral(u, out, ws.trap)
+        return _derivative_of_integral(_summed(u), out, ws.pairs)
 
 
 @dataclass(frozen=True)
@@ -229,22 +238,20 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
     is computed from D h - D F(u) (see ``ScaleOperator._eval_slope``), and F
     itself is not evaluated. Given a workspace, u is a value array, ``ws.dh``
     holds D h, written there once for the value array h by the caller (the
-    flow, or a public step), and the velocity is written into ``out``, which
-    is returned; otherwise a fresh grid function.
+    flow, or a public step), and the velocity is written into ``out``, the
+    views of a workspace array, whose array is returned; otherwise a fresh
+    grid function.
     """
-    if ws is not None:
-        return _velocity(p, u, ws, out)
-    require_same_grid(u, h)
-    shape = np.broadcast(u.values, h.values).shape
-    ws = Workspace(shape)
-    _derivative(h.values, ws.dx, ws.dh)
-    return GridFunction._trusted(_velocity(p, u.values, ws, np.empty(shape)))
-
-
-def _velocity(p: ProblemSetup, u: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
-    """``dsm_vector_field`` on values, from the D h in ``ws.dh``."""
+    public = ws is None
+    if public:
+        require_same_grid(u, h)
+        shape = np.broadcast(u.values, h.values).shape
+        ws, out, u = Workspace(shape), _derived(np.empty(shape)), u.values
+        _derivative(_differenced(h.values), ws.dx, ws.dh)
     op = p.operator
-    return op._divide(u, np.subtract(ws.dh, op._eval_slope(u, out, ws), out=out), ws)
+    v = op._eval_slope(u, out, ws)
+    op._divide(u, np.subtract(ws.dh.values, v, v), ws)
+    return GridFunction._trusted(v) if public else v
 
 
 OPERATOR_IDS = ("volterra-quadratic", "linear-smoothing")

@@ -45,7 +45,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scale import BLOCK_ELEMENTS, GridFunction, _derivative, check_scale_index
+from .scale import (
+    BLOCK_ELEMENTS,
+    GridFunction,
+    _derivative,
+    _derived,
+    _differenced,
+    check_scale_index,
+)
 
 MAX_FREQUENCY = 8
 
@@ -82,7 +89,7 @@ def _span_gram(n: int, a: int) -> np.ndarray:
     gram = np.zeros((DIRECTION_DRAWS, DIRECTION_DRAWS))
     for j in range(a + 1):
         if j:
-            f = _derivative(f, dx, np.empty_like(f))
+            f = _derivative(_differenced(f), dx, _derived(np.empty_like(f)))
         # einsum reduces without the weighted copy a matrix product needs
         gram += np.einsum("in,jn,n->ij", f, f, weights)
     gram.flags.writeable = False

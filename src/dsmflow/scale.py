@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import stat
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -164,67 +166,170 @@ def check_scale_index(a: int) -> int:
     return int(a)
 
 
+# The slices of the last axis that the kernels read, by name.
+_SLICES = {
+    "body": (Ellipsis, slice(1, -1)),      # a stencil's interior
+    "tail": (Ellipsis, slice(1, None)),    # the halves of a trapezoid or
+    "head": (Ellipsis, slice(None, -1)),   # neighbour sum
+    "tail2": (Ellipsis, slice(2, None)),   # the halves of a central
+    "head2": (Ellipsis, slice(None, -2)),  # difference
+    "first3": (Ellipsis, slice(None, 3)),  # the first and last nodes an
+    "last3": (Ellipsis, slice(-3, None)),  # end stencil reads: three of a
+    "first2": (Ellipsis, slice(None, 2)),  # function, two of its neighbour
+    "last2": (Ellipsis, slice(-2, None)),  # sums
+}
+
+
+def _views(role: str, *names: str):
+    """The binder of an array's ``role``: a function that takes the array
+    and returns a named tuple of it, ``values``, and its slices ``names``
+    (see ``_SLICES``), each taken once, there.
+
+    The kernels read an array's slices from its views: a ``Workspace``
+    binds the views of each array it allocates, so a flow step takes no
+    slice, and a kernel called on an array from elsewhere binds views of
+    its own, the slices it reads. The tuple is made by one C-level call
+    over the slices, for about the cost of taking them inline.
+    """
+    kind = namedtuple(role, ("values",) + names)
+    get = operator.itemgetter(*[_SLICES[name] for name in names])
+    new = tuple.__new__
+    if len(names) == 1:  # an itemgetter of one item returns it bare
+        def bind(values):
+            return new(kind, (values, get(values)))
+    else:
+        def bind(values):
+            return new(kind, (values, *get(values)))
+    bind.kind, bind.names = kind, names
+    return bind
+
+
+# A (3, ...) block of a ``Workspace``, a function above its first two
+# derivatives or the squares of such terms, with the views of the rows the
+# kernels read on their own.
+Block = namedtuple("Block", "values rows")
+
+
+def _block(*binders):
+    """The binder of a ``Block``: a function that takes the (3, ...) block
+    and returns it with the views of its row i by ``binders[i]``, every
+    row and slice taken straight from the block in one C-level call."""
+    index, spans = [], []
+    for i, bind in enumerate(binders):
+        start = len(index)
+        index += [i] + [(i,) + _SLICES[name] for name in bind.names]
+        spans.append(slice(start, len(index)))
+    get = operator.itemgetter(*index)
+    kinds = [bind.kind for bind in binders]
+    new = tuple.__new__
+
+    def bind_block(values):
+        views = get(values)
+        # each row's span of views, made its kind's tuple, in C
+        return new(Block, (values, tuple(map(new, kinds, map(views.__getitem__, spans)))))
+    return bind_block
+
+
+# The views each kernel reads of an array, by the array's role.
+_differenced = _views("Differenced", "tail2", "head2", "first3", "last3")  # _derivative's input
+_derived = _views("Derived", "body")  # the output of _derivative and _derivative_of_integral
+_summed = _views("Summed", "tail", "head")  # the input of _integrate and _derivative_of_integral
+_pairs = _views("Pairs", "tail", "head", "first2", "last2")  # _derivative_of_integral's sums
+_integral = _views("Integral", "tail")  # _integrate's output
+# A block of terms: row 0 is differenced, and written by _integrate as a
+# residual; row 1 derived and differenced; row 2 derived.
+_term_block = _block(_views("Term", "tail", "tail2", "head2", "first3", "last3"),
+                     _views("Slope", "body", "tail2", "head2", "first3", "last3"),
+                     _derived)
+# Of the squares of a norm's terms only row 0, u * u inside F and D F, is
+# read on its own.
+_square_block = _block(_summed)
+
+
+class _Slot:
+    """A ``Workspace`` slot, allocated and bound on first read by ``make``.
+
+    The first read stores the slot in the workspace's own attributes,
+    which answer every later read. A descriptor without ``__set__`` costs
+    less than half of what a ``__getattr__`` fallback costs per slot
+    (0.26 against 0.64 us over the allocation, Python 3.11 on an Intel
+    Xeon), and a one-off call reads several slots.
+    """
+
+    __slots__ = ("make", "name")
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ws, owner=None):
+        if ws is None:
+            return self
+        value = ws.__dict__[self.name] = self.make(ws)
+        return value
+
+
 class Workspace:
-    """Value arrays of one shape, reused by every kernel call of a flow solve.
+    """Scratch arrays of one shape, each with the views its kernels read,
+    reused by every kernel call of a flow solve.
 
     ``integrate_flow`` makes one per solve and computes each stage point,
-    velocity, residual and error estimate into it through ``out=``, and,
-    under ``enforce_ball``, each step's distance to U; F is evaluated there
-    once per accepted step, for the residual that gives g and k1, and RK4's
+    velocity, residual and error estimate into it, and, under
+    ``enforce_ball``, each step's distance to U; F is evaluated there once
+    per accepted step, for the residual that gives g and k1, and RK4's
     later stage velocities read D h and D F instead. Once the run has
     ended, the flow takes the trajectory's other distances a block of
     recorded iterates at a time, in ``dif``. A public step, velocity, solve
-    or residual called on grid functions makes its own. The slots are
-    allocated on first use, so a one-off call allocates only the arrays its
-    kernels touch, and a flow all of them: twelve arrays of the grid's
+    or residual called on grid functions makes its own.
+
+    Each slot is allocated on first read and its views bound then (see
+    ``_views``), so a one-off call allocates and slices only what its
+    kernels touch, and a flow binds each slot once and takes no slice in
+    its steps. A flow allocates all of them: twelve arrays of the grid's
     shape and the (3, rows, n) block ``dif``, 8 (12n - 1 + 3 rows n) bytes,
     212 KB at n = 201, 384 KB at n = 2001 and 2.4 MB at n = 20001.
 
-    - ``stage``: an RK4 stage point, or the Euler increment;
+    - ``stage``: an RK4 stage point, or the Euler increment (an array);
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
-      running RK4 sum; ``k2``: the latest stage velocity;
+      running RK4 sum; ``k2``: the latest stage velocity (derived views);
     - ``dh``: the derivative D h of the right-hand side, written once per
-      flow or public step, whatever its scheme, and read by RK4's stage
-      velocities;
-    - ``div``: the divisor of A(u)^{-1}; ``trap``: the trapezoids of an
-      integral, or the neighbour sums of ``_derivative_of_integral``, one
-      fewer per row;
-    - the blocks of three, each function above its derivatives, so that one
-      ``_l2_squared`` call takes every term of a norm: ``res`` holds
-      h - F(x) at the point being evaluated (``res[0]``), and ``sq`` the
-      squares of a norm's terms, and u * u inside F and D F; ``dif`` is a
-      (3, rows, n) block, rows = max(1, ``BLOCK_ELEMENTS`` // n), whatever
-      the workspace's shape: its row 0, ``dif[:, 0]``, holds a difference
-      whose norm a step measures (a distance, or the flow's error
-      estimate), and ``dif[i]`` the i-th derivatives of a block of
-      differences whose norms are taken together.
+      flow or public RK4 step and read by RK4's stage velocities;
+    - ``div``: the divisor of A(u)^{-1} (an array); ``trap``: the
+      trapezoids of an integral (an array), whose views ``pairs`` hold the
+      neighbour sums of ``_derivative_of_integral``, one fewer per row;
+    - the ``Block``s of three rows, each function above its derivatives, so
+      that one ``_l2_squared`` call takes every term of a norm: ``res``
+      holds h - F(x) at the point being evaluated in its row 0, and ``sq``
+      the squares of a norm's terms, and u * u inside F and D F in its row
+      0; ``gap`` is ``dif[:, 0]``, a difference whose norm a step measures
+      (a distance, or the flow's error estimate), above its derivatives;
+    - ``dif``, a bare (3, rows, n) array, rows = max(1, ``BLOCK_ELEMENTS``
+      // n), whatever the workspace's shape: ``dif[i]`` holds the i-th
+      derivatives of a block of differences whose norms are taken together.
     """
-
-    SLOTS = ("stage", "k1", "k2", "dh", "div", "trap")
-    BLOCKS = ("res", "sq")
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
         self.dx = 1.0 / (shape[-1] - 1)
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for a slot not yet allocated
-        n = self.shape[-1]
-        if name == "dif":
-            shape = (3, max(1, BLOCK_ELEMENTS // n), n)
-        elif name in Workspace.BLOCKS:
-            shape = (3,) + self.shape
-        elif name in Workspace.SLOTS:
-            shape = self.shape[:-1] + (n - (name == "trap"),)
-        else:
-            raise AttributeError(name)
-        array = np.empty(shape)
-        setattr(self, name, array)
-        return array
+    stage = _Slot(lambda ws: np.empty(ws.shape))
+    k1 = _Slot(lambda ws: _derived(np.empty(ws.shape)))
+    k2 = _Slot(lambda ws: _derived(np.empty(ws.shape)))
+    dh = _Slot(lambda ws: _derived(np.empty(ws.shape)))
+    div = _Slot(lambda ws: np.empty(ws.shape))
+    trap = _Slot(lambda ws: np.empty(ws.shape[:-1] + (ws.shape[-1] - 1,)))
+    pairs = _Slot(lambda ws: _pairs(ws.trap))
+    res = _Slot(lambda ws: _term_block(np.empty((3,) + ws.shape)))
+    sq = _Slot(lambda ws: _square_block(np.empty((3,) + ws.shape)))
+    dif = _Slot(lambda ws: np.empty((3, max(1, BLOCK_ELEMENTS // ws.shape[-1]), ws.shape[-1])))
+    gap = _Slot(lambda ws: _term_block(ws.dif[:, 0]))
 
 
-def _derivative(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """``derivative`` on values: writes it into ``out`` and returns ``out``.
+def _derivative(v, dx: float, out) -> np.ndarray:
+    """``derivative`` on values: writes it into ``out`` and returns its
+    array.
 
     Flattened interior: a C-contiguous (rows, n) block derived into a
     C-contiguous ``out`` of its shape takes its central differences, and
@@ -250,24 +355,24 @@ def _derivative(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     (about 1 us) costs more than flattening saves.
     """
     h2 = 2.0 * dx
-    if out.ndim != 2 or not _flat_interior(v, h2, out):
-        inner = out[..., 1:-1]
-        np.subtract(v[..., 2:], v[..., :-2], out=inner)
+    o = out.values
+    if o.ndim != 2 or not _flat_interior(v.values, h2, o):
+        inner = np.subtract(v.tail2, v.head2, out.body)
         inner /= h2
     # difference-first form of the one-sided stencils: exact zero on constants.
-    if out.ndim == 1:
+    if o.ndim == 1:
         # one function: the same operations on Python floats, without numpy's
         # per-call cost (a 1-D v derived into a block keeps the block path)
-        v0, v1, v2 = v[:3].tolist()
-        w2, w1, w0 = v[-3:].tolist()
-        out[0] = (4.0 * (v1 - v0) - (v2 - v0)) / h2
-        out[-1] = (4.0 * (w0 - w1) - (w0 - w2)) / h2
-        return out
-    # vt[k] is node k of every row
-    vt, ot = v.T, out.T
-    ot[0] = (4.0 * (vt[1] - vt[0]) - (vt[2] - vt[0])) / h2
-    ot[-1] = (4.0 * (vt[-1] - vt[-2]) - (vt[-1] - vt[-3])) / h2
-    return out
+        v0, v1, v2 = v.first3.tolist()
+        w2, w1, w0 = v.last3.tolist()
+        o[0] = (4.0 * (v1 - v0) - (v2 - v0)) / h2
+        o[-1] = (4.0 * (w0 - w1) - (w0 - w2)) / h2
+        return o
+    # lt[k] is node k of every row, tt[k] node k of every row's last three
+    lt, tt, ot = v.first3.T, v.last3.T, o.T
+    ot[0] = (4.0 * (lt[1] - lt[0]) - (lt[2] - lt[0])) / h2
+    ot[-1] = (4.0 * (tt[2] - tt[1]) - (tt[2] - tt[0])) / h2
+    return o
 
 
 def _flat_interior(v: np.ndarray, h2: float, out: np.ndarray) -> bool:
@@ -295,59 +400,62 @@ def derivative(f: GridFunction) -> GridFunction:
     Central differences at interior nodes, one-sided three-point stencils at
     the boundary nodes; exact on polynomials of degree <= 2.
     """
-    return GridFunction._trusted(_derivative(f.values, f.dx, np.empty_like(f.values)))
+    out = _derived(np.empty_like(f.values))
+    return GridFunction._trusted(_derivative(_differenced(f.values), f.dx, out))
 
 
-def _integrate(v: np.ndarray, dx: float, out: np.ndarray,
+def _integrate(v, dx: float, out,
                trap: np.ndarray | None = None) -> np.ndarray:
     """``integrate_from_zero`` on values: writes it into ``out``, with the
-    trapezoids in ``trap`` (a fresh array if None), and returns ``out``."""
-    trap = np.add(v[..., 1:], v[..., :-1], out=trap)
+    trapezoids in ``trap`` (a fresh array if None), and returns its array."""
+    trap = np.add(v.tail, v.head, trap)
     trap *= dx / 2.0
-    out[..., 0] = 0.0
-    np.add.accumulate(trap, axis=-1, out=out[..., 1:])
-    return out
+    o = out.values
+    o[..., 0] = 0.0
+    np.add.accumulate(trap, -1, None, out.tail)
+    return o
 
 
 def integrate_from_zero(f: GridFunction) -> GridFunction:
     """Cumulative trapezoid integral; the result vanishes at x = 0."""
-    return GridFunction._trusted(_integrate(f.values, f.dx, np.empty_like(f.values)))
+    out = _integral(np.empty_like(f.values))
+    return GridFunction._trusted(_integrate(_summed(f.values), f.dx, out))
 
 
-def _derivative_of_integral(v: np.ndarray, out: np.ndarray,
-                            pairs: np.ndarray | None = None) -> np.ndarray:
+def _derivative_of_integral(v, out, pairs) -> np.ndarray:
     """``_derivative(_integrate(v))`` on values, without the integral:
-    writes it into ``out`` and returns ``out``.
+    writes it into ``out`` and returns its array.
 
     The stencils read differences of the cumulative sum, which are sums of
-    the neighbour sums p_k = v_k + v_{k+1} (in ``pairs``, a fresh array if
-    None): (p_{k-1} + p_k) / 4 = (v_{k-1} + 2 v_k + v_{k+1}) / 4 inside the
+    the neighbour sums p_k = v_k + v_{k+1} (in ``pairs``, one fewer per
+    row): (p_{k-1} + p_k) / 4 = (v_{k-1} + 2 v_k + v_{k+1}) / 4 inside the
     grid, (3 p_0 - p_1) / 4 = (3 v_0 + 2 v_1 - v_2) / 4 at x = 0 and its
     mirror at x = 1. So dx cancels, and no integral is formed whose
     rounding the stencil would divide by dx.
     """
-    pairs = np.add(v[..., 1:], v[..., :-1], out=pairs)
-    inner = np.add(pairs[..., 1:], pairs[..., :-1], out=out[..., 1:-1])
+    np.add(v.tail, v.head, pairs.values)
+    inner = np.add(pairs.tail, pairs.head, out.body)
     inner *= 0.25
-    if out.ndim == 1:
+    o = out.values
+    if o.ndim == 1:
         # one function: the end stencils on Python floats, as in _derivative
-        p0, p1 = pairs[:2].tolist()
-        q1, q0 = pairs[-2:].tolist()
-        out[0] = (3.0 * p0 - p1) * 0.25
-        out[-1] = (3.0 * q0 - q1) * 0.25
-        return out
-    # pt[k] is the neighbour sum k of every row
-    pt, ot = pairs.T, out.T
-    ot[0] = (3.0 * pt[0] - pt[1]) * 0.25
-    ot[-1] = (3.0 * pt[-1] - pt[-2]) * 0.25
-    return out
+        p0, p1 = pairs.first2.tolist()
+        q1, q0 = pairs.last2.tolist()
+        o[0] = (3.0 * p0 - p1) * 0.25
+        o[-1] = (3.0 * q0 - q1) * 0.25
+        return o
+    # lt[k] is the neighbour sum k of every row, tt[k] of its last two
+    lt, tt, ot = pairs.first2.T, pairs.last2.T, o.T
+    ot[0] = (3.0 * lt[0] - lt[1]) * 0.25
+    ot[-1] = (3.0 * tt[-1] - tt[-2]) * 0.25
+    return o
 
 
 def _l2_squared(values: np.ndarray, dx: float, sq: np.ndarray | None = None):
     """Squared trapezoid L2 norm of each row; the squares go into ``sq`` (a
     fresh array if None)."""
-    sq = np.multiply(values, values, out=sq)
-    total = np.add.reduce(sq, axis=-1)
+    sq = np.multiply(values, values, sq)
+    total = np.add.reduce(sq, -1)
     # The trapezoid sum never exceeds the plain sum, except that it is
     # inf - inf = NaN once both end squares overflow: fmin keeps the inf.
     return np.fmin(dx * (total - 0.5 * (sq[..., 0] + sq[..., -1])), total)
@@ -378,25 +486,27 @@ def sobolev_norm(f: GridFunction, a: int):
     return _root_sum(parts)
 
 
-def _norm(terms: np.ndarray, a: int, ws: Workspace):
-    """``sobolev_norm`` of the values in ``terms[0]``, with its derivatives
-    written into ``terms[1:a + 1]``; ``terms`` is a block of the workspace,
-    and ``a`` at most 2: ``ProblemSetup`` checks a and a + delta."""
-    dx = ws.dx
+def _norm(terms: Block, a: int, ws: Workspace):
+    """``sobolev_norm`` of the values in row 0 of ``terms``, with its
+    derivatives written into rows 1 to a; ``terms`` is a block of the
+    workspace, and ``a`` at most 2: ``ProblemSetup`` checks a and
+    a + delta."""
+    dx, rows, sq = ws.dx, terms.rows, ws.sq
     for i in range(a):
-        _derivative(terms[i], dx, terms[i + 1])
-    block, sq = terms[:a + 1], ws.sq[:a + 1]
-    if sq.ndim > 2:  # a workspace of a batch
-        return _root_sum(_l2_squared(block, dx, sq))
-    # One function: _l2_squared's trapezoid tails and fmin rule, as the same
-    # operations on Python floats, one term at a time.
-    np.multiply(block, block, out=sq)
-    ends = sq[:, ::sq.shape[-1] - 1].tolist()  # [first, last] square of each term
-    parts = []
-    for full, (first, last) in zip(np.add.reduce(sq, axis=-1).tolist(), ends):
+        _derivative(rows[i], dx, rows[i + 1])
+    block, squares = terms.values[:a + 1], sq.values[:a + 1]
+    if squares.ndim > 2:  # a workspace of a batch
+        return _root_sum(_l2_squared(block, dx, squares))
+    # One function: _l2_squared's trapezoid tails and fmin rule, and
+    # _root_sum, as the same operations on Python floats, one term at a time.
+    np.multiply(block, block, squares)
+    ends = squares[:, ::squares.shape[-1] - 1].tolist()  # [first, last] square of each term
+    total = None
+    for full, (first, last) in zip(np.add.reduce(squares, -1).tolist(), ends):
         part = dx * (full - 0.5 * (first + last))
-        parts.append(part if part <= full else full)  # np.fmin: a NaN gives way
-    return _root_sum(parts)
+        part = part if part <= full else full  # np.fmin: a NaN gives way
+        total = part if total is None else total + part
+    return math.sqrt(total)
 
 
 def ball_distance(u: GridFunction, center: GridFunction, a: int) -> float:

@@ -301,14 +301,15 @@ OPERATORS = [pytest.param(QuadraticVolterra(), id="volterra"),
 
 @pytest.mark.parametrize("operator", OPERATORS)
 @pytest.mark.parametrize("n, samples", [
-    (201, 50),    # blocks of 40 rows: 40 + 10
-    (2001, 10),   # blocks of 4 rows: 4 + 4 + 2
-    (4097, 11),   # blocks of 2 rows: five of 2, then 1
-    (20001, 11),  # the grid of verify-large and sweep-large, as at 4097
+    (201, 50),    # one block; product chunks of 40 rows: 40 + 10
+    (2001, 10),   # one block; chunks of 4 rows: 4 + 4 + 2
+    (4097, 11),   # one block; chunks of 2 rows: five of 2, then 1
+    (20001, 11),  # the grid of verify-large and sweep-large: six blocks,
+                  # five of 2 rows and one of 1, each one chunk
 ])
 def test_block_estimate_matches_per_sample_loop(operator, n, samples):
     rows = max(2, BLOCK_ELEMENTS // n)
-    assert samples % rows != 0  # the last block is padded
+    assert samples % rows != 0  # the last product chunk is zero-padded
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
     report = estimate_constants(setup, samples, 3)
     *want, skipped = reference_estimate_constants(setup, samples, 3)
@@ -391,7 +392,7 @@ BRACKET_CASES = [
 @pytest.mark.parametrize("operator, n, samples, radius", BRACKET_CASES)
 def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, monkeypatch):
     rows = max(2, BLOCK_ELEMENTS // n)
-    assert samples % rows != 0  # the last block is padded
+    assert samples % rows != 0  # the last product chunk is zero-padded
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), radius)
     runs = []
     _recording_ratios(monkeypatch, lambda draws, ratios: runs[-1].append(ratios[0]))
@@ -418,7 +419,7 @@ LARGE_GRID_BLOCKS = {4097: [(11, 71)], 20001: [(2, 71)] * 5 + [(1, 71)]}
 
 
 @pytest.mark.parametrize("n", [4097, 20001])
-def test_large_grids_evaluate_blocks_of_two_rows(n, monkeypatch):
+def test_large_grids_run_one_block_at_4097_and_two_row_blocks_at_20001(n, monkeypatch):
     setup = ProblemSetup.from_reference(LinearSmoothing(), GridFunction.constant(1.0, n), 0.05)
     shapes = []
     _recording_ratios(monkeypatch, lambda draws, ratios: shapes.append(draws.shape))

@@ -27,8 +27,8 @@ from dsmflow.flow import (
     verify_trajectory_bounds,
     write_trajectory_csv,
 )
-from dsmflow.conditions import estimate_constants
-from dsmflow.newton_lab import newton_step
+from dsmflow.conditions import admissibility_check, estimate_constants
+from dsmflow.newton_lab import newton_solve, newton_step
 from dsmflow.operators import (
     DegenerateCoefficient,
     LinearSmoothing,
@@ -376,7 +376,7 @@ def test_rk4_step_reuses_the_residual_as_k1(setup201, monkeypatch):
 def test_the_error_estimate_costs_no_velocity(monkeypatch):
     vf_calls, solve_calls, steps_run = [], [], []
     original_vf = flow_module.dsm_vector_field
-    original_solve = QuadraticVolterra._solve
+    original_solve = QuadraticVolterra.solve_derivative
     rk4 = flow_module.rk4_step
 
     def counting_step(*args, **kwargs):
@@ -388,13 +388,14 @@ def test_the_error_estimate_costs_no_velocity(monkeypatch):
         vf_calls.append(None)
         return original_vf(*args)
 
-    # k1 reaches A(u)^{-1} through `_solve`; the stage velocities do not
+    # k1 reaches A(u)^{-1} through the operator's own `solve_derivative`;
+    # the stage velocities do not
     def counting_solve(self, *args):
         solve_calls.append(None)
         return original_solve(self, *args)
 
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
-    monkeypatch.setattr(QuadraticVolterra, "_solve", counting_solve)
+    monkeypatch.setattr(QuadraticVolterra, "solve_derivative", counting_solve)
     monkeypatch.setitem(flow_module._STEPPERS, "rk4", counting_step)
     # the solution u = 1.1 lies 0.1 from U, outside the ball of 0.05: longer
     # steps that would leave the ball early are retaken at dt
@@ -562,7 +563,7 @@ def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
         if u0 is p.U:
             assert all(s.dist_u0 == s.dist_U for s in traj.samples)
         # D h is written for every scheme
-        assert np.array_equal(ws.dh, derivative(h).values)
+        assert np.array_equal(ws.dh.values, derivative(h).values)
 
 
 @pytest.mark.parametrize("scheme, step", [("rk4", rk4_step), ("euler", euler_step)])
@@ -827,8 +828,10 @@ def test_public_step_results_are_their_own(setup201, monkeypatch):
         euler_step(setup201, f, h, 0.05)
         dsm_vector_field(setup201, f, h)
     assert len(workspaces) > len(results)
-    slots = [array for ws in workspaces for array in vars(ws).values()
-             if isinstance(array, np.ndarray)]
+    # a slot is a bare array, or the `values` of its bound views
+    slots = [getattr(slot, "values", slot) for ws in workspaces for slot in vars(ws).values()]
+    slots = [array for array in slots if isinstance(array, np.ndarray)]
+    assert len(slots) > len(workspaces)
     for f, copy in zip(results, copies):
         assert not f.values.flags.writeable
         assert not any(np.shares_memory(f.values, array) for array in slots)
@@ -1049,3 +1052,72 @@ def test_trajectory_csv_format(tmp_path, setup201):
     assert len(lines) == len(traj.samples) + 1
     first = [float(tok) for tok in lines[1].split(",")]
     assert first == [0.0, traj.g0, 0.0, 0.0]
+
+
+# --- batches ---------------------------------------------------------------------
+
+def test_a_batch_passed_as_one_function_raises_a_value_error_naming_its_shape(setup201):
+    # a (2, 18) array of draws gives a (2, 201) batch, one point per row
+    batch = sample_in_ball(np.random.default_rng(3).random((2, 18)), setup201.U, 0.02, 1)
+    assert batch.values.shape == (2, 201)
+    report = estimate_constants(setup201, 10, 0)
+    one_u, one_h = setup201.U, setup201.f
+    for u0, h in ((batch, one_h), (one_u, setup201.f + (batch - setup201.U))):
+        name = "u0" if u0 is batch else "h"
+        for call in (lambda: integrate_flow(setup201, u0, h),
+                     lambda: admissibility_check(setup201, u0, h, report),
+                     lambda: newton_solve(setup201, u0, h)):
+            with pytest.raises(ValueError, match=rf"^{name} .* shape \(2, 201\)$"):
+                call()
+
+
+def batch_rows(n):
+    """Rows of values near U = 1: two drawn rows, a row with a NaN inside,
+    one whose squares overflow, and last a row that dips below the guard."""
+    rng = np.random.default_rng(n)
+    rows = rng.uniform(0.8, 1.2, (5, n))
+    rows[1, n // 2] = math.nan
+    rows[2] = 1e200
+    rows[4, -1] = 0.05
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 201])
+def test_batched_kernels_equal_their_rows_computed_alone(n):
+    # At n = 3 and 4 the interiors the views bind are one or two nodes
+    # long, and the neighbour sums' interior is empty at n = 3.
+    p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
+    op = p.operator
+    rows = batch_rows(n)
+    # h = lam^2 x, one lam a row, whose solutions are the constants lam
+    hs = np.random.default_rng(n + 1).uniform(0.9, 1.1, (5, 1)) ** 2 * np.linspace(0.0, 1.0, n)
+    kernels = {
+        "rk4_step": lambda u, h: rk4_step(p, u, h, 0.05).values,
+        "euler_step": lambda u, h: euler_step(p, u, h, 0.05).values,
+        "dsm_vector_field": lambda u, h: dsm_vector_field(p, u, h).values,
+        "solve_derivative": lambda u, h: op.solve_derivative(u, h).values,
+        "residual": lambda u, h: residual(p, u, h),
+    }
+    guarded = {"rk4_step", "euler_step", "dsm_vector_field", "solve_derivative"}
+    with np.errstate(all="ignore"):
+        for name, kernel in kernels.items():
+            alone = []
+            for u, h in zip(rows, hs):
+                one_u, one_h = GridFunction._trusted(u.copy()), GridFunction._trusted(h.copy())
+                try:
+                    alone.append(kernel(one_u, one_h))
+                except DegenerateCoefficient:
+                    alone.append(None)
+            # only the row that dips trips the guard, and only where A(u)^{-1} is taken
+            assert [a is None for a in alone] == [name in guarded and r == 4 for r in range(5)]
+            for live in (4, 5):  # the batch without and with the dipping row
+                u = GridFunction._trusted(rows[:live].copy())
+                h = GridFunction._trusted(hs[:live].copy())
+                if name in guarded and live == 5:
+                    with pytest.raises(DegenerateCoefficient):
+                        kernel(u, h)
+                    continue
+                got = kernel(u, h)
+                assert len(got) == live
+                for row, want in zip(got, alone):
+                    assert np.array_equal(row, want, equal_nan=True), name

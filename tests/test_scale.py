@@ -14,8 +14,13 @@ from dsmflow.scale import (
     Workspace,
     _derivative,
     _derivative_of_integral,
+    _derived,
+    _differenced,
     _flat_interior,
+    _integral,
     _integrate,
+    _pairs,
+    _summed,
     _norm,
     _write_csv_rows,
     _write_text,
@@ -42,6 +47,20 @@ from oracles import trapezoid_l2
 
 def grid_fn(fn, n=201):
     return GridFunction.from_callable(fn, n)
+
+
+# The value kernels on arrays, each wrapped in views of its own.
+def derive(v, dx, out):
+    return _derivative(_differenced(v), dx, _derived(out))
+
+
+def integrate(v, dx, out):
+    return _integrate(_summed(v), dx, _integral(out))
+
+
+def derive_integral(v, out):
+    pairs = np.empty(v.shape[:-1] + (v.shape[-1] - 1,))
+    return _derivative_of_integral(_summed(v), _derived(out), _pairs(pairs))
 
 
 # --- norms -----------------------------------------------------------------
@@ -147,7 +166,7 @@ def test_kernels_equal_their_one_expression_forms(shape):
     slope[..., 1:-1] = (pairs[..., 1:] + pairs[..., :-1]) * 0.25
     slope[..., 0] = (3.0 * pairs[..., 0] - pairs[..., 1]) * 0.25
     slope[..., -1] = (3.0 * pairs[..., -1] - pairs[..., -2]) * 0.25
-    assert np.array_equal(_derivative_of_integral(v, np.empty_like(v)), slope)
+    assert np.array_equal(derive_integral(v, np.empty_like(v)), slope)
 
 
 def one_row_block(n):
@@ -168,7 +187,7 @@ def test_one_row_kernels_equal_the_rows_of_a_block(n):
     block = one_row_block(n)
     dx = 1.0 / (n - 1)
     with np.errstate(all="ignore"):
-        for kernel in (lambda v, out: _derivative(v, dx, out), _derivative_of_integral):
+        for kernel in (lambda v, out: derive(v, dx, out), derive_integral):
             rows = kernel(block, np.empty((3, n)))
             for row, values in zip(rows, block):
                 one = np.empty(n)
@@ -178,11 +197,11 @@ def test_one_row_kernels_equal_the_rows_of_a_block(n):
                     assert np.array_equal(spread, row, equal_nan=True)
         for a in (0, 1, 2):
             batch = Workspace((3, n))
-            batch.res[0] = block
+            batch.res.values[0] = block
             norms = _norm(batch.res, a, batch)
             for values, want in zip(block, norms):
                 ws = Workspace((n,))
-                ws.res[0] = values
+                ws.res.values[0] = values
                 got = _norm(ws.res, a, ws)
                 assert type(got) is float
                 assert np.array_equal(got, want, equal_nan=True)
@@ -198,7 +217,7 @@ def test_block_derivative_equals_its_rows_derived_alone(rows, n):
     # those of the 1-D kernel either way.
     v = np.random.default_rng(rows * n).uniform(-2.0, 2.0, (rows, n))
     dx = 1.0 / (n - 1)
-    want = np.array([_derivative(row, dx, np.empty(n)) for row in v])
+    want = np.array([derive(row, dx, np.empty(n)) for row in v])
     spaced = np.empty((2 * rows, n))
     spaced[::2] = v
     cases = {
@@ -209,7 +228,7 @@ def test_block_derivative_equals_its_rows_derived_alone(rows, n):
     }
     for name, (values, out, flat) in cases.items():
         assert _flat_interior(values, 2.0 * dx, out) is flat, name
-        assert _derivative(values, dx, out) is out
+        assert derive(values, dx, out) is out
         assert np.array_equal(out, want), name
 
 
@@ -225,7 +244,7 @@ def test_overflow_only_across_rows_derives_without_a_warning(n):
     dx = 1.0 / (n - 1)
     out = np.empty_like(v)
     assert not _flat_interior(v, 2.0 * dx, out)  # the flat pass trapped
-    assert not _derivative(v, dx, out).any()
+    assert not derive(v, dx, out).any()
 
 
 def test_an_in_row_overflow_warns_as_the_row_slices_warn():
@@ -241,7 +260,7 @@ def test_an_in_row_overflow_warns_as_the_row_slices_warn():
     for values in (v, spaced[::2]):  # flat-eligible, then row slices only
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            out = _derivative(values, dx, np.empty((3, 201)))
+            out = derive(values, dx, np.empty((3, 201)))
         caught.append([(w.category, str(w.message)) for w in log])
         assert np.array_equal(out, want)
     assert caught[0] == caught[1] == [
@@ -249,7 +268,7 @@ def test_an_in_row_overflow_warns_as_the_row_slices_warn():
         (RuntimeWarning, "overflow encountered in divide")]
     # under the suite's filterwarnings = error, the first warning raises
     with pytest.raises(RuntimeWarning, match="overflow encountered in subtract"):
-        _derivative(v, dx, np.empty((3, 201)))
+        derive(v, dx, np.empty((3, 201)))
 
 
 # --- derivative ------------------------------------------------------------
@@ -324,8 +343,8 @@ def test_derivative_of_integral_equals_the_composition(n, smooth):
     # that sum's rounding, which the stencil divides by dx
     v = slope_of_integral(n, smooth)
     dx = 1.0 / (n - 1)
-    composed = _derivative(_integrate(v, dx, np.empty(n)), dx, np.empty(n))
-    got = _derivative_of_integral(v, np.empty(n))
+    composed = derive(integrate(v, dx, np.empty(n)), dx, np.empty(n))
+    got = derive_integral(v, np.empty(n))
     tol = n * np.finfo(float).eps * np.max(np.abs(v))
     assert np.max(np.abs(got - composed)) <= tol
 
@@ -333,9 +352,9 @@ def test_derivative_of_integral_equals_the_composition(n, smooth):
 @pytest.mark.parametrize("n", [3, 4, 201])
 def test_derivative_of_integral_rows_equal_the_rows_alone(n):
     batch = np.random.default_rng(n).uniform(-2.0, 2.0, (7, n))
-    got = _derivative_of_integral(batch, np.empty_like(batch))
+    got = derive_integral(batch, np.empty_like(batch))
     for row, values in zip(got, batch):
-        assert np.array_equal(row, _derivative_of_integral(values, np.empty(n)))
+        assert np.array_equal(row, derive_integral(values, np.empty(n)))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -348,12 +367,12 @@ def test_derivative_of_integral_on_the_shortest_grids(n):
     want = ([(3 * q[0] + 2 * q[1] - q[2]) / 4]
             + [(q[k - 1] + 2 * q[k] + q[k + 1]) / 4 for k in range(1, n - 1)]
             + [(3 * q[-1] + 2 * q[-2] - q[-3]) / 4])
-    got = _derivative_of_integral(v, np.empty(n))
+    got = derive_integral(v, np.empty(n))
     assert np.max(np.abs(got - [float(w) for w in want])) <= 8 * np.finfo(float).eps
     # trapezoids integrate linear functions exactly, and the stencils
     # differentiate the quadratic integral exactly
     x = np.linspace(0.0, 1.0, n)
-    assert np.max(np.abs(_derivative_of_integral(0.5 - 1.5 * x, np.empty(n))
+    assert np.max(np.abs(derive_integral(0.5 - 1.5 * x, np.empty(n))
                          - (0.5 - 1.5 * x))) <= 4 * np.finfo(float).eps
 
 
