@@ -19,7 +19,8 @@ matrix of the sampling basis, and each direction q is a unit direction,
 ||q||_a = 1, so no ratio divides by a norm of q. With ``bracket_only`` it
 computes the two-sided ratios alone, from the same draws, so its bracket
 and rho0 equal the full estimate's bit for bit; its report's ``c_iso`` and
-``c_lip`` are then None.
+``c_lip`` are then None. It evaluates the point v on the grid only where
+a bound from v's coefficients cannot show that v passes the guard.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _require_one, residual
+from .flow import residual
 from .operators import ProblemSetup
 from .sampling import (
     DIRECTION_DRAWS,
     POINT_DRAWS,
+    _ball_reach,
     _chunk_rows,
     sample_in_ball,
     unit_direction,
 )
-from .scale import GridFunction, ball_distance, sobolev_norm
+from .scale import GridFunction, _require_one, ball_distance, sobolev_norm
 
 # Grid values per function in one block of the constants estimate, a memory
 # budget taken in whole chunks of the samplers' products, at least one: 320
@@ -127,7 +129,11 @@ def estimate_constants(p: ProblemSetup, sample_count: int = 200, seed: int = 0,
     ``bracket_only`` skips w, both A^{-1} applications and the u - v
     distance: the report holds the same bracket, rho0 and skipped count,
     with ``c_iso`` and ``c_lip`` None, and no check on the skipped
-    quantities can fail.
+    quantities can fail. It evaluates v, which the bracket reads only
+    through the operator guard, only in a block where the certified bound
+    min U - R xi sum |c_i| / ||c B||_a (``sampling._ball_reach``) cannot
+    clear that guard for every row; so a ``LinearSmoothing`` bracket,
+    which has no guard, never draws v.
     """
     if sample_count < 10:
         raise ValueError("sample_count must be at least 10")
@@ -168,23 +174,33 @@ _CONSTANTS_DRAWS = 3 * POINT_DRAWS + DIRECTION_DRAWS
 def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     """The two-sided, composed and Lipschitz ratios of a block of samples,
     one per row of `draws`, over the samples whose u and v pass the
-    operator guard; the two-sided ratios alone if `bracket_only`."""
-    op, a = p.operator, p.a
+    operator guard; the two-sided ratios alone if `bracket_only`.
+
+    The bracket reads v only through its guard. So with `bracket_only`, v
+    is drawn on the grid only where the bound min U - reach (see
+    ``sampling._ball_reach``) cannot clear the guard for every row of the
+    block; an operator without a guard clears every row."""
+    op, a, n = p.operator, p.a, p.U.n
 
     def point(i):
         return sample_in_ball(draws[:, i * POINT_DRAWS:(i + 1) * POINT_DRAWS], p.U, p.R, a)
 
     # one product with the basis per point: stacked into one, the arrays
     # ran slower at n = 20001 and held more memory
-    u, v = point(0), point(1)
+    u = point(0)
     # ||q||_a = 1, so each ratio's denominator holds no norm of q
-    q = unit_direction(draws[:, 3 * POINT_DRAWS:], p.U.n, a)
+    q = unit_direction(draws[:, 3 * POINT_DRAWS:], n, a)
     a_u_q = op.apply_derivative(u, q)
     two_sided = sobolev_norm(a_u_q, a + p.delta)
-    v_ok = ~op._below_guard(v.values)
-    keep = v_ok & ~op._below_guard(u.values)
+    keep = ~op._below_guard(u.values)
     if bracket_only:
+        floor = p.U.min() - _ball_reach(draws[:, POINT_DRAWS:2 * POINT_DRAWS], n, p.R, a)
+        if not op._clears_guard(floor).all():
+            keep &= ~op._below_guard(point(1).values)
         return (two_sided[keep],)
+    v = point(1)
+    v_ok = ~op._below_guard(v.values)
+    keep &= v_ok
     w = point(2)
     # from the rounded values, not the coefficients: the points A(u) and
     # A(v) see may coincide although their coefficients differ

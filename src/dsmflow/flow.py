@@ -27,6 +27,7 @@ from .scale import (
     _differenced,
     _l2_squared,
     _norm,
+    _require_one,
     _root_sum,
     _term_block,
     _write_csv_rows,
@@ -173,16 +174,6 @@ class Trajectory:
         return self.samples[-1].g
 
 
-def _require_one(**functions: GridFunction) -> None:
-    """Raise ``ValueError`` for a batch of grid functions, shape (rows, n),
-    where one function is expected; the error names the argument and its
-    shape."""
-    for name, f in functions.items():
-        if f.values.ndim != 1:
-            raise ValueError(f"{name} must be one grid function, not a batch "
-                             f"of shape {f.values.shape}")
-
-
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
     require_same_grid(u, h)
@@ -192,7 +183,8 @@ def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
 
 def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
     """``residual`` on values, with h - F(u) left in ``ws.res`` row 0, whose
-    A(u)^{-1} is the flow's velocity."""
+    A(u)^{-1} is the flow's velocity, and its derivative D(h - F(u)), which
+    that A(u)^{-1} divides, in row 1 (a + delta >= 1, see ``ProblemSetup``)."""
     res = ws.res
     r = res.rows[0]
     np.subtract(h, p.operator._eval(u, r, ws), r.values)
@@ -299,9 +291,10 @@ def _stage_one(p: ProblemSetup, u: GridFunction, h: GridFunction, slope: bool = 
     require_same_grid(u, h)
     uv, hv = u.values, h.values
     ws = Workspace(np.broadcast(uv, hv).shape)
-    r = ws.res.rows[0]
+    r, dr = ws.res.rows[:2]
     np.subtract(hv, p.operator._eval(uv, r, ws), r.values)  # h - F(u), without its norm
-    p.operator.solve_derivative(uv, r, ws, ws.k1)
+    _derivative(r, ws.dx, dr)  # D(h - F(u)), as g's norm takes it
+    p.operator.solve_derivative(uv, dr, ws, ws.k1)
     if slope:
         _derivative(_differenced(hv), ws.dx, ws.dh)
     return uv, hv, ws
@@ -322,10 +315,13 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
 
     Every accepted iterate has a finite residual, and so finite values. The
     residual h - F(u) of each accepted step also gives the next step's
-    stage-one velocity A(u)^{-1}(h - F(u)); RK4's later stage velocities
-    are computed from D h, derived once per flow whatever the scheme, and
-    D F(u), which needs no integral (see ``dsm_vector_field``). So F is
-    evaluated once per accepted step, for g; a step retaken at dt (see
+    stage-one velocity A(u)^{-1}(h - F(u)): g's norm takes the derivative
+    D(h - F(u)) in ``ws.res`` row 1, and the operator's
+    ``solve_derivative``, handed it, only divides it, so a step takes that
+    derivative once, not twice. RK4's later stage velocities are computed
+    from D h, derived once per flow whatever the scheme, and D F(u), which
+    needs no integral (see ``dsm_vector_field``). So F is evaluated once
+    per accepted step, for g; a step retaken at dt (see
     ``FlowConfig``) evaluates it once more. The stage-one velocity is
     computed before the step's size is chosen, and the error estimate that
     chooses it costs one difference and one L2 norm; a guard trip there
@@ -334,10 +330,10 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     is its new iterate, which the trajectory records with its sample; the
     last record is where the run ended. The workspace binds the slices its
     kernels read once per array, and the loop reads the views each step
-    uses (h - F(u), k1, k2 and ``gap``) once, before its first step: a step
-    takes no slice. The stepper, the k1 solve, the stage velocities and the
-    residual run the kernels themselves; no private layer between them only
-    forwards its arguments (the velocity, the residual's h - F(u), the
+    uses (D(h - F(u)), k1, k2 and ``gap``) once, before its first step: a
+    step takes no slice. The stepper, the k1 solve, the stage velocities
+    and the residual run the kernels themselves; no private layer between
+    them only forwards its arguments (the velocity, the residual's h - F(u), the
     public step's set-up and A(u)^{-1} each had one).
 
     The steps measure no distance, but under ``enforce_ball``, where each
@@ -360,7 +356,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     a, hv, U, start = p.a, h.values, p.U.values, u0.values
     _derivative(_differenced(hv), ws.dx, ws.dh)
     # the workspace arrays each step reads, with their bound views
-    res0, k1, gap = ws.res.rows[0], ws.k1, ws.gap
+    slope, k1, gap = ws.res.rows[1], ws.k1, ws.gap
     k1_values, k2_values, gap_values = k1.values, ws.k2.values, gap.rows[0].values
 
     g0 = _residual(p, start, hv, ws)
@@ -383,7 +379,8 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         stop, n_steps = STOP_CONVERGED, 0
     while done < n_steps:
         try:
-            solve(u, res0, ws, k1)
+            # k1 divides D(h - F(u)), which g's norm has just taken
+            solve(u, slope, ws, k1)
         except DegenerateCoefficient:
             stop = STOP_DEGENERATE
             break
@@ -411,7 +408,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             retaken += u_next is not None
             units = 1
             estimate = False
-            _residual(p, u, hv, ws)  # h - F(u) again, for the retaken step's k1
+            _residual(p, u, hv, ws)  # D(h - F(u)) again, for the retaken step's k1
             continue
         if failed:
             stop = STOP_DEGENERATE

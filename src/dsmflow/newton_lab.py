@@ -16,9 +16,17 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import _require_one, euler_step, residual
+from .flow import _residual, euler_step
 from .operators import DegenerateCoefficient, ProblemSetup
-from .scale import GridFunction, _write_csv_rows, ball_distance, sobolev_norm
+from .scale import (
+    GridFunction,
+    Workspace,
+    _require_one,
+    _write_csv_rows,
+    ball_distance,
+    require_same_grid,
+    sobolev_norm,
+)
 
 # Residual magnitude treated as divergence of the Newton iteration.
 DIVERGENCE_RESIDUAL = 1e6
@@ -72,18 +80,30 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     non-finite starting residual raises ``ValueError``: the data overflow
     before the first step. So does a negative ``max_iter`` or ``tol``, and
     a batch of functions, shape (rows, n), passed as u0 or h.
+
+    The iteration runs in one ``Workspace``, as a flow does. Each
+    iterate's F(u) and D(h - F(u)) are taken once, by the residual whose
+    norm the record holds, and serve its step as well: the operator's
+    ``solve_derivative``, handed D(h - F(u)), divides it into k1, and
+    ``euler_step`` of size one takes the step. So every residual, distance
+    and iterate equals that of ``residual``, ``ball_distance`` and
+    ``newton_step`` called in turn, bit for bit, with F evaluated once per
+    iterate instead of twice.
     """
     _require_one(u0=u0, h=h)
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
-    u = u0
+    require_same_grid(u0, h)
+    ws = Workspace(u0.values.shape)
+    solve, slope, k1 = p.operator.solve_derivative, ws.res.rows[1], ws.k1
+    u, hv = u0, h.values
     steps: list[IterationStep] = []
     converged = False
     diverged_at = None
     for k in range(max_iter + 1):
-        g = residual(p, u, h)
+        g = _residual(p, u.values, hv, ws)
         if k == 0 and not math.isfinite(g):
             raise ValueError(f"initial residual g(0) is not finite: {g!r}")
         dist = ball_distance(u, oracle, p.a) if oracle is not None else None
@@ -97,10 +117,11 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         if k == max_iter:
             break
         try:
-            u = newton_step(p, u, h)
+            solve(u.values, slope, ws, k1)
         except DegenerateCoefficient:
             diverged_at = k
             break
+        u = GridFunction._trusted(euler_step(p, u.values, hv, 1.0, ws))
     return IterationRecord(tuple(steps), u, converged, diverged_at)
 
 

@@ -55,12 +55,13 @@ class ScaleOperator(ABC):
     (see ``scale._views``) with scratch from a ``Workspace``;
     ``solve_derivative``,
     ``dsm_vector_field`` and the flow run on them. ``solve_derivative``
-    takes the derivative of its argument and hands it to ``_divide``,
-    which the velocity shares, so the guard and the division by the
-    coefficient of A(u) are written once. ``eval`` states F in
-    grid-function arithmetic on the same scale kernels, bit for bit. Each
-    built-in defines its public methods itself, where the traced benchmark
-    wraps them.
+    takes the derivative of a grid function, or is handed it with a
+    workspace, and passes it to ``_divide``, which the velocity shares, so
+    the guard and the division by the coefficient of A(u) are written
+    once. ``eval`` states
+    F in grid-function arithmetic on the same scale kernels, bit for bit.
+    Each built-in defines its public methods itself, where the traced
+    benchmark wraps them.
     """
 
     a: int
@@ -78,14 +79,17 @@ class ScaleOperator(ABC):
                          out: np.ndarray | None = None):
         """Apply A(u)^{-1} to psi.
 
-        Given a workspace, u is a value array, psi and ``out`` are views
-        of workspace arrays (the flow's h - F(u) and k1), and the result is
-        written into ``out``, whose array is returned; otherwise a fresh
+        Given a workspace, u is a value array and psi and ``out`` are views
+        of workspace arrays: psi holds the derivative D psi that A(u)^{-1}
+        divides (the flow's D(h - F(u)), which the residual's norm leaves
+        in ``ws.res`` row 1, see ``flow._residual``), and the result is
+        written into ``out`` (k1), whose array is returned. Otherwise psi
+        is a grid function, which is derived here, and the result a fresh
         grid function. Raises ``DegenerateCoefficient`` when a row of u
         trips the guard.
         """
         if ws is not None:
-            return self._divide(u, _derivative(psi, ws.dx, out), ws)
+            return self._divide(u, psi.values, ws, out.values)
         require_same_grid(u, psi)
         shape = np.broadcast(u.values, psi.values).shape
         ws, out = Workspace(shape), _derived(np.empty(shape))
@@ -102,16 +106,28 @@ class ScaleOperator(ABC):
         computed without it, written into ``out``, whose array is
         returned."""
 
-    def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace) -> np.ndarray:
-        """A(u)^{-1} of a function whose derivative is v, in place in v,
-        which is returned: v itself unless the operator divides it by a
+    def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """A(u)^{-1} of a function whose derivative is v, written into
+        ``out``, an array of v's shape (v itself, in place, if None), which
+        is returned: v copied unless the operator divides it by a
         coefficient of u."""
-        return v
+        if out is None or out is v:
+            return v
+        np.copyto(out, v)
+        return out
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         """Whether each row of the values u trips the guard on A(u)^{-1}.
         No row trips it unless the operator guards a division."""
         return np.zeros(u.shape[:-1], dtype=bool)
+
+    def _clears_guard(self, floor: np.ndarray) -> np.ndarray:
+        """Whether a row of values none of which lies below ``floor``
+        passes the guard on A(u)^{-1}, for each entry of ``floor``: every
+        row unless the operator guards a division. A NaN floor clears
+        nothing that is guarded."""
+        return np.ones(floor.shape, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ class QuadraticVolterra(ScaleOperator):
         np.multiply(u, u, square.values)
         return _derivative_of_integral(square, out, ws.pairs)
 
-    def _divide(self, u, v, ws):
+    def _divide(self, u, v, ws, out=None):
         """v / (2u)."""
         # One min over the whole array clears every row at once; only a dip
         # or a NaN (whose row does not trip the guard) asks row by row. A
@@ -162,10 +178,14 @@ class QuadraticVolterra(ScaleOperator):
             raise DegenerateCoefficient(
                 f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
             )
-        return np.divide(v, np.multiply(u, 2.0, ws.div), v)
+        return np.divide(v, np.multiply(u, 2.0, ws.div), v if out is None else out)
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
         return np.minimum.reduce(u, -1) < self.u_min
+
+    def _clears_guard(self, floor: np.ndarray) -> np.ndarray:
+        # a row whose min is at least floor >= u_min is not below the guard
+        return floor >= self.u_min
 
 
 @dataclass(frozen=True)
@@ -200,7 +220,9 @@ class ProblemSetup:
     ``f`` is computed from U, once, when the setup is made. ``R`` is the
     H_a radius of the ball around U on which the operator's conditions are
     sampled and (optionally) enforced during flow integration. Both a and
-    a + delta must be supported scale indices.
+    a + delta must be supported scale indices, and a + delta at least 1:
+    the residual's norm then takes the derivative D(h - F(u)) that the
+    flow's k1 divides.
     """
 
     operator: ScaleOperator
@@ -213,6 +235,8 @@ class ProblemSetup:
             raise ValueError(f"ball radius R must be positive and finite, got {self.R!r}")
         check_scale_index(self.a)
         check_scale_index(self.a + self.delta)
+        if self.a + self.delta < 1:
+            raise ValueError(f"a + delta must be at least 1, got {self.a + self.delta}")
         object.__setattr__(self, "f", self.operator.eval(self.U))
 
     @property

@@ -162,10 +162,41 @@ def sample_in_ball(rng: np.random.Generator | np.ndarray, center: GridFunction,
     radius, so draws fill the ball rather than its boundary.
     """
     draws = _draws(rng, POINT_DRAWS)
-    coeff_draws = draws[..., :DIRECTION_DRAWS]
-    d = trig_polynomial(coeff_draws, center.n)
-    norm = _span_norm(_coefficients(coeff_draws), center.n, a)
-    return center + _scale_rows(d, radius * draws[..., DIRECTION_DRAWS] / norm)
+    d = trig_polynomial(draws[..., :DIRECTION_DRAWS], center.n)
+    return center + _scale_rows(d, _radial_scale(draws, center.n, radius, a))
+
+
+def _radial_scale(draws: np.ndarray, n: int, radius: float, a: int):
+    """The factor, per row of ball-point draws, that takes each row's trig
+    polynomial to its point's offset from the center: the drawn fraction
+    of the radius over the polynomial's H_a norm, from the coefficients."""
+    norm = _span_norm(_coefficients(draws[..., :DIRECTION_DRAWS]), n, a)
+    return radius * draws[..., DIRECTION_DRAWS] / norm
+
+
+# Relative margin of ``_ball_reach`` over the exact bound it rounds up; the
+# rounding it covers is about 40 units in the last place, 4.4e-15.
+REACH_MARGIN = 1e-12
+
+
+def _ball_reach(draws: np.ndarray, n: int, radius: float, a: int) -> np.ndarray:
+    """An upper bound, per row of ball-point draws, on |v - center| at
+    every node, for v = ``sample_in_ball(draws, center, radius, a)`` on
+    the n-point grid, taken from the coefficients c without the grid.
+
+    Each row is center + d s, with d = c B, s its ``_radial_scale`` (the
+    same bits here as there) and B the cos/sin basis, whose values round
+    into [-1, 1]. So |d| <= sum |c_i| at every node but for the rounding
+    of the 17-term product, and the rounded d s and center + d s lie no
+    further from the center than sum |c_i| s and its rounding. The bound is
+    sum |c_i| s (1 + ``REACH_MARGIN``), which covers those roundings and
+    that of the sum and the products here, plus the smallest normal float,
+    which covers underflow. Since rounding is monotone, no node of v lies
+    below the rounded min(center) - reach: a guard at or below that floor
+    cannot trip. A NaN or inf reach bounds nothing."""
+    coeffs = _coefficients(draws[..., :DIRECTION_DRAWS])
+    reach = np.abs(coeffs).sum(-1) * _radial_scale(draws, n, radius, a)
+    return reach * (1.0 + REACH_MARGIN) + np.finfo(float).tiny
 
 
 def unit_direction(rng: np.random.Generator | np.ndarray, n: int, a: int) -> GridFunction:

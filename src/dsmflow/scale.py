@@ -22,6 +22,7 @@ import os
 import stat
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -158,6 +159,16 @@ class GridFunction:
 def require_same_grid(a: GridFunction, b: GridFunction) -> None:
     if a.n != b.n:
         raise GridMismatchError(f"grid sizes differ: {a.n} vs {b.n}")
+
+
+def _require_one(**functions: GridFunction) -> None:
+    """Raise ``ValueError`` for a batch of grid functions, shape (rows, n),
+    where one function is expected; the error names the argument and its
+    shape."""
+    for name, f in functions.items():
+        if f.values.ndim != 1:
+            raise ValueError(f"{name} must be one grid function, not a batch "
+                             f"of shape {f.values.shape}")
 
 
 def check_scale_index(a: int) -> int:
@@ -559,10 +570,25 @@ def _write_csv_rows(path, header, rows) -> None:
     _write_text(path, text)
 
 
+@lru_cache(maxsize=4)
+def _grid_csv_template(n: int) -> str:
+    """The `x,value` file of the n-point grid with its x column formatted,
+    ``%.17g`` as ``_write_csv_rows`` formats it, and a ``%.17g`` field for
+    each value."""
+    x = np.linspace(0.0, 1.0, n).tolist()
+    return "x,value\r\n" + "".join(["%.17g,%%.17g\r\n" % xi for xi in x])
+
+
 def write_grid_csv(f: GridFunction, path) -> None:
-    """Write the two-column `x,value` format with 17-significant-digit floats."""
+    """Write the two-column `x,value` format with 17-significant-digit floats.
+
+    The x column is formatted once per grid size, the values on each call,
+    with the bytes of ``_write_csv_rows``. A batch of functions, shape
+    (rows, n), raises ``ValueError`` naming its shape, and no file is
+    written."""
+    _require_one(f=f)
     # Python floats format faster than numpy scalars, to the same digits
-    _write_csv_rows(path, ["x", "value"], zip(f.x.tolist(), f.values.tolist()))
+    _write_text(path, _grid_csv_template(f.n) % tuple(f.values.tolist()))
 
 
 def read_grid_csv(path) -> GridFunction:

@@ -1,8 +1,11 @@
 import collections
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmflow.conditions as conditions_module
 import dsmflow.operators
@@ -23,7 +26,14 @@ from dsmflow.operators import (
     ProblemSetup,
     QuadraticVolterra,
 )
-from dsmflow.sampling import DIRECTION_DRAWS, sample_in_ball, trig_polynomial, unit_direction
+from dsmflow.sampling import (
+    DIRECTION_DRAWS,
+    POINT_DRAWS,
+    _ball_reach,
+    sample_in_ball,
+    trig_polynomial,
+    unit_direction,
+)
 from dsmflow.scale import BLOCK_ELEMENTS, GridFunction, sobolev_norm
 
 
@@ -413,6 +423,55 @@ def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, mon
     assert longer.c0_lower <= bracket.c0_lower <= bracket.c0_upper <= longer.c0_upper
 
 
+# --- the coefficient bound on v's guard ------------------------------------------
+
+def _bracket_equals_full(setup, count, seed):
+    """Assert the bracket-only report equals the full estimate's bracket,
+    where the full estimate returns; False where it raises."""
+    try:
+        full = estimate_constants(setup, count, seed)
+    except (EstimationError, ValueError):
+        return False
+    bracket = estimate_constants(setup, count, seed, bracket_only=True)
+    for name in ("c0_lower", "c0_upper", "rho0", "skipped"):
+        assert getattr(bracket, name) == getattr(full, name)
+    return True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([3, 201, 4097]),
+       radius=st.sampled_from([1e-300, 0.05, 0.5, 1e300]),
+       reach=st.floats(0.0, 2.0), ulps=st.integers(-2, 2), rows=st.integers(1, 64))
+def test_the_guard_bound_is_sound(seed, n, radius, reach, ulps, rows):
+    # U = 1, whose min every node holds, and u_min near min U - R (a few
+    # ulps off min U itself at R = 1e-300, clamped positive at 1e300)
+    U = GridFunction.constant(1.0, n)
+    u_min = max(1.0 - radius * reach, 1e-3)
+    for _ in range(abs(ulps)):
+        u_min = float(np.nextafter(u_min, math.copysign(np.inf, ulps)))
+    op = QuadraticVolterra(u_min=u_min)
+    draws = np.random.default_rng(seed).random((rows, POINT_DRAWS))
+    v = sample_in_ball(draws, U, radius, 1).values
+    floor = U.min() - _ball_reach(draws, n, radius, 1)
+    # no node lies below the floor, so a row the bound clears never trips
+    assert not (v.min(-1) < floor).any()
+    assert not (op._clears_guard(floor) & op._below_guard(v)).any()
+    _bracket_equals_full(ProblemSetup.from_reference(op, U, radius), 10 + rows, seed)
+
+
+@pytest.mark.parametrize("u_min, cleared", [
+    (0.9, "every row"), (0.99, "some rows"), (1.0, "no row")])
+def test_bracket_equals_the_full_estimate_wherever_the_bound_clears(u_min, cleared):
+    # one block of 60 samples around U = 1 + x, whose min 1 lies at x = 0
+    U = GridFunction.from_callable(lambda x: 1.0 + x, 201)
+    setup = ProblemSetup.from_reference(QuadraticVolterra(u_min=u_min), U, 0.05)
+    v_draws = np.random.default_rng(3).random((60, 71))[:, POINT_DRAWS:2 * POINT_DRAWS]
+    clears = setup.operator._clears_guard(U.min() - _ball_reach(v_draws, 201, 0.05, 1))
+    assert {60: "every row", 0: "no row"}.get(int(clears.sum()), "some rows") == cleared
+    assert _bracket_equals_full(setup, 60, 3)
+
+
 # 11 samples: blocks of 14 rows (7 chunks of 2) at n = 4097, of 2 rows at
 # n = 20001, the last block holding only the samples left
 LARGE_GRID_BLOCKS = {4097: [(11, 71)], 20001: [(2, 71)] * 5 + [(1, 71)]}
@@ -478,9 +537,12 @@ def _count_calls(monkeypatch, counts, name, owners):
 # two A^{-1} images; the samples' own norms come from their coefficients
 FULL_CALLS = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
               "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 4}
-# no w, no A^{-1}, no u - v distance
-BRACKET_CALLS = {"trig_polynomial": 3, "sample_in_ball": 2, "unit_direction": 1,
+# no w, no A^{-1}, no u - v distance, and no v where the coefficient bound
+# clears the guard for the whole block, as it does at u_min = 0.1
+BRACKET_CALLS = {"trig_polynomial": 2, "sample_in_ball": 1, "unit_direction": 1,
                  "apply_derivative": 1, "solve_derivative": 0, "sobolev_norm": 1}
+# at u_min = 0.99 the bound cannot clear every row of a block: v is drawn
+GUARDED_BRACKET_CALLS = {**BRACKET_CALLS, "trig_polynomial": 3, "sample_in_ball": 2}
 
 
 @pytest.mark.parametrize("operator, bracket_only, per_block", [
@@ -488,6 +550,8 @@ BRACKET_CALLS = {"trig_polynomial": 3, "sample_in_ball": 2, "unit_direction": 1,
     pytest.param(LinearSmoothing(), False, FULL_CALLS, id="linear"),
     pytest.param(QuadraticVolterra(), True, BRACKET_CALLS, id="volterra-bracket"),
     pytest.param(LinearSmoothing(), True, BRACKET_CALLS, id="linear-bracket"),
+    pytest.param(QuadraticVolterra(u_min=0.99), True, GUARDED_BRACKET_CALLS,
+                 id="volterra-bracket-guarded"),
 ])
 def test_estimate_calls_each_layer_once_per_block(operator, bracket_only, per_block,
                                                   monkeypatch):

@@ -390,9 +390,9 @@ def test_the_error_estimate_costs_no_velocity(monkeypatch):
 
     # k1 reaches A(u)^{-1} through the operator's own `solve_derivative`;
     # the stage velocities do not
-    def counting_solve(self, *args):
+    def counting_solve(self, *args, **kwargs):
         solve_calls.append(None)
-        return original_solve(self, *args)
+        return original_solve(self, *args, **kwargs)
 
     monkeypatch.setattr(flow_module, "dsm_vector_field", counting_vf)
     monkeypatch.setattr(QuadraticVolterra, "solve_derivative", counting_solve)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dsmflow.flow import STOP_HORIZON, FlowConfig, integrate_flow, residual
+from dsmflow.newton_lab import DIVERGENCE_RESIDUAL
 from dsmflow.newton_lab import (
     ClassicalIFTConfig,
     ContractionEscapeError,
@@ -15,8 +17,13 @@ from dsmflow.newton_lab import (
     write_iteration_csv,
     write_loss_probe_csv,
 )
-from dsmflow.operators import LinearSmoothing, ProblemSetup, QuadraticVolterra
-from dsmflow.scale import GridFunction, derivative, sobolev_norm
+from dsmflow.operators import (
+    DegenerateCoefficient,
+    LinearSmoothing,
+    ProblemSetup,
+    QuadraticVolterra,
+)
+from dsmflow.scale import GridFunction, GridMismatchError, ball_distance, derivative, sobolev_norm
 
 from oracles import heron_iterates, quadratic_formula_root
 
@@ -96,6 +103,63 @@ def test_newton_divergence_recorded_not_raised(setup201):
     assert not record.converged
     assert record.diverged_at is not None
     assert all(math.isfinite(s.residual) for s in record.steps)
+
+
+def _public_newton(p, u, h, max_iter, tol, oracle):
+    """``newton_solve`` restated as a loop of the public ``residual``,
+    ``ball_distance`` and ``newton_step``: (residuals, distances, final u,
+    converged, diverged_at)."""
+    gs, dists = [], []
+    for k in range(max_iter + 1):
+        g = residual(p, u, h)
+        gs.append(g)
+        dists.append(ball_distance(u, oracle, p.a) if oracle is not None else None)
+        if g <= tol:
+            return gs, dists, u, True, None
+        if not math.isfinite(g) or g > DIVERGENCE_RESIDUAL:
+            return gs, dists, u, False, k
+        if k == max_iter:
+            break
+        try:
+            u = newton_step(p, u, h)
+        except DegenerateCoefficient:
+            return gs, dists, u, False, k
+    return gs, dists, u, False, None
+
+
+@pytest.mark.parametrize("case", ["converging", "guard-trip", "no-budget", "at-solution"])
+@pytest.mark.parametrize("operator", [QuadraticVolterra(), LinearSmoothing()],
+                         ids=["volterra", "linear"])
+def test_newton_solve_equals_the_public_loop_bit_for_bit(case, operator):
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 201), 0.05)
+    x = p.U.x
+    h, max_iter, oracle = {
+        "converging": (GridFunction(x + 0.05 * x * x), 25, p.U),
+        "guard-trip": (GridFunction(x - 2.0 * x * x), 25, None),
+        "no-budget": (GridFunction(1.21 * x), 0, p.U),
+        "at-solution": (p.f, 25, p.U),
+    }[case]
+    record = newton_solve(p, p.U, h, max_iter=max_iter, tol=1e-10, oracle=oracle)
+    gs, dists, final_u, converged, diverged_at = _public_newton(p, p.U, h, max_iter,
+                                                               1e-10, oracle)
+    assert [s.residual for s in record.steps] == gs
+    assert [s.dist_to_oracle for s in record.steps] == dists
+    assert np.array_equal(record.final_u.values, final_u.values)
+    assert (record.converged, record.diverged_at) == (converged, diverged_at)
+    if case == "guard-trip" and isinstance(operator, QuadraticVolterra):
+        # the guard stopped it, not the residual
+        assert diverged_at is not None and gs[-1] <= DIVERGENCE_RESIDUAL
+
+
+def test_newton_grid_mismatch_raises_as_the_public_residual_does(setup201):
+    h = GridFunction.constant(0.5, 101)
+    with pytest.raises(GridMismatchError) as public:
+        residual(setup201, setup201.U, h)
+    with pytest.raises(GridMismatchError, match=f"^{re.escape(str(public.value))}$"):
+        newton_solve(setup201, setup201.U, h)
+    oracle = GridFunction.constant(1.0, 101)
+    with pytest.raises(GridMismatchError, match=r"^grid sizes differ: 201 vs 101$"):
+        newton_solve(setup201, setup201.U, setup201.f + 0.01, oracle=oracle)
 
 
 def test_newton_budget_must_be_nonnegative(setup201):

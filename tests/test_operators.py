@@ -374,6 +374,13 @@ def test_setup_rejects_an_unsupported_scale_index(a, delta):
         ProblemSetup(_ShiftedSmoothing(a, delta), GridFunction.constant(1.0, 101), 0.05)
 
 
+def test_setup_rejects_an_image_index_below_one():
+    # the residual's H_{a+delta} norm must take the derivative D(h - F(u))
+    # that the flow's and Newton's k1 divide
+    with pytest.raises(ValueError, match=r"^a \+ delta must be at least 1, got 0$"):
+        ProblemSetup(_ShiftedSmoothing(0, 0), GridFunction.constant(1.0, 101), 0.05)
+
+
 def test_make_operator_ids():
     assert isinstance(make_operator("volterra-quadratic"), QuadraticVolterra)
     assert isinstance(make_operator("linear-smoothing"), LinearSmoothing)

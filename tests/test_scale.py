@@ -40,7 +40,7 @@ from dsmflow.newton_lab import (
     write_loss_probe_csv,
 )
 from dsmflow.operators import ProblemSetup, QuadraticVolterra
-from dsmflow.sampling import _trig_basis, trig_polynomial
+from dsmflow.sampling import _trig_basis, sample_in_ball, trig_polynomial
 
 from oracles import trapezoid_l2
 
@@ -515,6 +515,26 @@ def test_csv_writes_17_significant_digits_of_each_float64(tmp_path):
     rows = [f"{x:.17g},{v:.17g}\r\n" for x, v in zip(f.x, f.values)]
     assert isinstance(f.values[0], np.float64)
     assert path.read_bytes() == ("x,value\r\n" + "".join(rows)).encode()
+
+
+def test_csv_of_a_batch_raises_naming_its_shape_and_writes_nothing(tmp_path):
+    batch = sample_in_ball(np.random.default_rng(0).random((2, 18)),
+                           GridFunction.constant(1.0, 5), 0.05, 1)
+    path = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match=r"^f must be one grid function, not a batch "
+                                         r"of shape \(2, 5\)$"):
+        write_grid_csv(batch, path)
+    assert not path.exists()
+
+
+def test_csv_x_column_formatted_once_per_grid_size_keeps_the_bytes(tmp_path):
+    # the cached x column of one grid size never leaks into another's file
+    for n in (3, 201, 5, 201, 3):
+        f = GridFunction(np.cos(np.arange(n) * 0.7) / 3.0)
+        path = tmp_path / f"f{n}.csv"
+        write_grid_csv(f, path)
+        rows = [f"{x:.17g},{v:.17g}\r\n" for x, v in zip(f.x.tolist(), f.values.tolist())]
+        assert path.read_bytes() == ("x,value\r\n" + "".join(rows)).encode()
 
 
 def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):

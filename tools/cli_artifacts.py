@@ -44,6 +44,8 @@ RUNS = [
     ("solve-h-file-stall", ["solve", "--h-file", "inputs/h_stall.csv"]),
     # a rerun: shorter artifacts written over the stall's
     ("solve-over-h-file-stall", ["solve", "--h-file", "inputs/h_stall.csv"], ["solve"]),
+    # a bracket whose bound cannot clear the guard: v is drawn on the grid
+    ("solve-guarded", ["solve", "--radius", "0.5", "--u-min", "0.95", "--samples", "60"]),
     ("verify-volterra", ["verify"]),
     ("verify-linear-smoothing", ["verify", "--operator", "linear-smoothing"]),
     ("verify-20001", ["verify", "--n", "20001", "--samples", "50"]),
