@@ -176,9 +176,7 @@ class Trajectory:
 
 def residual(p: ProblemSetup, u: GridFunction, h: GridFunction) -> float:
     """Residual ||F(u) - h|| measured in the image norm H_{a+delta}."""
-    require_same_grid(u, h)
-    shape = np.broadcast(u.values, h.values).shape
-    return _residual(p, u.values, h.values, Workspace(shape))
+    return _residual(p, u.values, h.values, Workspace.of(u, h))
 
 
 def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
@@ -240,12 +238,12 @@ def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), ``ws.dh`` the
     derivative D h that RK4's later stage velocities read, and the new
     iterate is returned as a fresh array. Without one, u and h are grid
-    functions, and k1 (and, for ``rk4_step``, D h) is computed first, as
-    ``integrate_flow`` computes it, in a workspace of the step's own.
+    functions, and k1 and D h are computed first, as ``integrate_flow``
+    computes them, in a workspace of the step's own (see ``_stage_one``).
     """
     public = ws is None
     if public:
-        u, h, ws = _stage_one(p, u, h, slope=False)
+        u, h, ws = _stage_one(p, u, h)
     u_next = np.add(u, np.multiply(ws.k1.values, dt, ws.stage))
     return GridFunction._trusted(u_next) if public else u_next
 
@@ -284,19 +282,15 @@ _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
 _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 
 
-def _stage_one(p: ProblemSetup, u: GridFunction, h: GridFunction, slope: bool = True):
-    """The values of u and h and a workspace of their own, holding k1 and,
-    if ``slope``, the D h that RK4's later stages read, as
-    ``integrate_flow`` computes them, for a public step."""
-    require_same_grid(u, h)
+def _stage_one(p: ProblemSetup, u: GridFunction, h: GridFunction):
+    """The values of u and h and a workspace of their own, holding k1 and
+    the D h that RK4's later stages read, as ``integrate_flow`` computes
+    them, for a public step."""
+    ws = Workspace.of(u, h)
     uv, hv = u.values, h.values
-    ws = Workspace(np.broadcast(uv, hv).shape)
-    r, dr = ws.res.rows[:2]
-    np.subtract(hv, p.operator._eval(uv, r, ws), r.values)  # h - F(u), without its norm
-    _derivative(r, ws.dx, dr)  # D(h - F(u)), as g's norm takes it
-    p.operator.solve_derivative(uv, dr, ws, ws.k1)
-    if slope:
-        _derivative(_differenced(hv), ws.dx, ws.dh)
+    _residual(p, uv, hv, ws)  # h - F(u) and D(h - F(u)), as g takes them
+    p.operator.solve_derivative(uv, ws.res.rows[1], ws, ws.k1)
+    _derivative(_differenced(hv), ws.dx, ws.dh)
     return uv, hv, ws
 
 
@@ -331,10 +325,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     last record is where the run ended. The workspace binds the slices its
     kernels read once per array, and the loop reads the views each step
     uses (D(h - F(u)), k1, k2 and ``gap``) once, before its first step: a
-    step takes no slice. The stepper, the k1 solve, the stage velocities
-    and the residual run the kernels themselves; no private layer between
-    them only forwards its arguments (the velocity, the residual's h - F(u), the
-    public step's set-up and A(u)^{-1} each had one).
+    step takes no slice.
 
     The steps measure no distance, but under ``enforce_ball``, where each
     step's distance to U decides ``ball_exit``. Once the run has ended, the
@@ -484,8 +475,13 @@ def verify_trajectory_bounds(traj: Trajectory, r: float,
     with fractional slack ``tol``. Returns the violating samples; an empty
     list is a pass. The distances to the limit are taken in blocks, as
     ``integrate_flow`` takes its distance columns, in the (3, rows, n)
-    ``dif`` of a ``Workspace`` of their own.
+    ``dif`` of a ``Workspace`` of their own. A negative or non-finite r or
+    tol raises ``ValueError``, as no distance would fail a NaN bound; r = 0
+    is a bound, the one of a start at the solution.
     """
+    for name, value in (("r", r), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
     if traj.stop_reason != STOP_CONVERGED:
         raise ValueError(f"need a converged trajectory, got {traj.stop_reason!r}")
     points = [f.values for f in traj.recorded_u]

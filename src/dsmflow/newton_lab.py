@@ -16,14 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import _residual, euler_step
+from .flow import _distance, _residual, euler_step
 from .operators import DegenerateCoefficient, ProblemSetup
 from .scale import (
     GridFunction,
     Workspace,
     _require_one,
     _write_csv_rows,
-    ball_distance,
     require_same_grid,
     sobolev_norm,
 )
@@ -85,18 +84,18 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
     iterate's F(u) and D(h - F(u)) are taken once, by the residual whose
     norm the record holds, and serve its step as well: the operator's
     ``solve_derivative``, handed D(h - F(u)), divides it into k1, and
-    ``euler_step`` of size one takes the step. So every residual, distance
-    and iterate equals that of ``residual``, ``ball_distance`` and
-    ``newton_step`` called in turn, bit for bit, with F evaluated once per
-    iterate instead of twice.
+    ``euler_step`` of size one takes the step. The distance to the oracle
+    is taken in the workspace too, as a flow takes its distance to U. So
+    every residual, distance and iterate equals that of ``residual``,
+    ``ball_distance`` and ``newton_step`` called in turn, bit for bit, with
+    F evaluated once per iterate instead of twice.
     """
     _require_one(u0=u0, h=h)
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
-    require_same_grid(u0, h)
-    ws = Workspace(u0.values.shape)
+    ws = Workspace.of(u0, h)
     solve, slope, k1 = p.operator.solve_derivative, ws.res.rows[1], ws.k1
     u, hv = u0, h.values
     steps: list[IterationStep] = []
@@ -106,7 +105,9 @@ def newton_solve(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         g = _residual(p, u.values, hv, ws)
         if k == 0 and not math.isfinite(g):
             raise ValueError(f"initial residual g(0) is not finite: {g!r}")
-        dist = ball_distance(u, oracle, p.a) if oracle is not None else None
+        if k == 0 and oracle is not None:
+            require_same_grid(u0, oracle)
+        dist = _distance(u.values, oracle.values, p.a, ws) if oracle is not None else None
         steps.append(IterationStep(k, g, dist))
         if g <= tol:
             converged = True

@@ -53,15 +53,14 @@ class ScaleOperator(ABC):
     F and its stencil derivative D F are written on value arrays along the
     last axis (``_eval`` and ``_eval_slope``), into the views of an array
     (see ``scale._views``) with scratch from a ``Workspace``;
-    ``solve_derivative``,
-    ``dsm_vector_field`` and the flow run on them. ``solve_derivative``
-    takes the derivative of a grid function, or is handed it with a
-    workspace, and passes it to ``_divide``, which the velocity shares, so
-    the guard and the division by the coefficient of A(u) are written
-    once. ``eval`` states
-    F in grid-function arithmetic on the same scale kernels, bit for bit.
-    Each built-in defines its public methods itself, where the traced
-    benchmark wraps them.
+    ``solve_derivative``, ``dsm_vector_field`` and the flow run on them.
+    ``solve_derivative`` takes the derivative of a grid function, or is
+    handed it with a workspace, and passes it to ``_divide``, which the
+    velocity shares, so the guard and the division by the coefficient of
+    A(u) are written once. ``eval`` states F in grid-function arithmetic on
+    the same scale kernels, bit for bit. Each built-in binds
+    ``solve_derivative`` in its own class, where the traced benchmark wraps
+    it per operator.
     """
 
     a: int
@@ -90,10 +89,8 @@ class ScaleOperator(ABC):
         """
         if ws is not None:
             return self._divide(u, psi.values, ws, out.values)
-        require_same_grid(u, psi)
-        shape = np.broadcast(u.values, psi.values).shape
-        ws, out = Workspace(shape), _derived(np.empty(shape))
-        v = _derivative(_differenced(psi.values), ws.dx, out)
+        ws = Workspace.of(u, psi)
+        v = _derivative(_differenced(psi.values), ws.dx, _derived(np.empty(ws.shape)))
         return GridFunction._trusted(self._divide(u.values, v, ws))
 
     @abstractmethod
@@ -268,9 +265,8 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
     """
     public = ws is None
     if public:
-        require_same_grid(u, h)
-        shape = np.broadcast(u.values, h.values).shape
-        ws, out, u = Workspace(shape), _derived(np.empty(shape)), u.values
+        ws = Workspace.of(u, h)
+        out, u = _derived(np.empty(ws.shape)), u.values
         _derivative(_differenced(h.values), ws.dx, ws.dh)
     op = p.operator
     v = op._eval_slope(u, out, ws)

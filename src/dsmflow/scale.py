@@ -22,7 +22,7 @@ import os
 import stat
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -211,7 +211,6 @@ def _views(role: str, *names: str):
     else:
         def bind(values):
             return new(kind, (values, *get(values)))
-    bind.kind, bind.names = kind, names
     return bind
 
 
@@ -223,21 +222,9 @@ Block = namedtuple("Block", "values rows")
 
 def _block(*binders):
     """The binder of a ``Block``: a function that takes the (3, ...) block
-    and returns it with the views of its row i by ``binders[i]``, every
-    row and slice taken straight from the block in one C-level call."""
-    index, spans = [], []
-    for i, bind in enumerate(binders):
-        start = len(index)
-        index += [i] + [(i,) + _SLICES[name] for name in bind.names]
-        spans.append(slice(start, len(index)))
-    get = operator.itemgetter(*index)
-    kinds = [bind.kind for bind in binders]
-    new = tuple.__new__
-
+    and returns it with the views of its row i bound by ``binders[i]``."""
     def bind_block(values):
-        views = get(values)
-        # each row's span of views, made its kind's tuple, in C
-        return new(Block, (values, tuple(map(new, kinds, map(views.__getitem__, spans)))))
+        return Block(values, tuple([bind(row) for bind, row in zip(binders, values)]))
     return bind_block
 
 
@@ -257,31 +244,6 @@ _term_block = _block(_views("Term", "tail", "tail2", "head2", "first3", "last3")
 _square_block = _block(_summed)
 
 
-class _Slot:
-    """A ``Workspace`` slot, allocated and bound on first read by ``make``.
-
-    The first read stores the slot in the workspace's own attributes,
-    which answer every later read. A descriptor without ``__set__`` costs
-    less than half of what a ``__getattr__`` fallback costs per slot
-    (0.26 against 0.64 us over the allocation, Python 3.11 on an Intel
-    Xeon), and a one-off call reads several slots.
-    """
-
-    __slots__ = ("make", "name")
-
-    def __init__(self, make):
-        self.make = make
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, ws, owner=None):
-        if ws is None:
-            return self
-        value = ws.__dict__[self.name] = self.make(ws)
-        return value
-
-
 class Workspace:
     """Scratch arrays of one shape, each with the views its kernels read,
     reused by every kernel call of a flow solve.
@@ -293,12 +255,12 @@ class Workspace:
     later stage velocities read D h and D F instead. Once the run has
     ended, the flow takes the trajectory's other distances a block of
     recorded iterates at a time, in ``dif``. A public step, velocity, solve
-    or residual called on grid functions makes its own.
+    or residual called on grid functions makes its own, by ``of``.
 
-    Each slot is allocated on first read and its views bound then (see
-    ``_views``), so a one-off call allocates and slices only what its
-    kernels touch, and a flow binds each slot once and takes no slice in
-    its steps. A flow allocates all of them: twelve arrays of the grid's
+    Each slot is a ``cached_property``, allocated on first read and its
+    views bound then (see ``_views``), so a one-off call allocates and
+    slices only what its kernels touch, and a flow binds each slot once and
+    takes no slice in its steps. A flow allocates all of them: twelve arrays of the grid's
     shape and the (3, rows, n) block ``dif``, 8 (12n - 1 + 3 rows n) bytes,
     212 KB at n = 201, 384 KB at n = 2001 and 2.4 MB at n = 20001.
 
@@ -306,7 +268,7 @@ class Workspace:
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
       running RK4 sum; ``k2``: the latest stage velocity (derived views);
     - ``dh``: the derivative D h of the right-hand side, written once per
-      flow or public RK4 step and read by RK4's stage velocities;
+      flow or public step and read by RK4's stage velocities;
     - ``div``: the divisor of A(u)^{-1} (an array); ``trap``: the
       trapezoids of an integral (an array), whose views ``pairs`` hold the
       neighbour sums of ``_derivative_of_integral``, one fewer per row;
@@ -325,17 +287,25 @@ class Workspace:
         self.shape = shape
         self.dx = 1.0 / (shape[-1] - 1)
 
-    stage = _Slot(lambda ws: np.empty(ws.shape))
-    k1 = _Slot(lambda ws: _derived(np.empty(ws.shape)))
-    k2 = _Slot(lambda ws: _derived(np.empty(ws.shape)))
-    dh = _Slot(lambda ws: _derived(np.empty(ws.shape)))
-    div = _Slot(lambda ws: np.empty(ws.shape))
-    trap = _Slot(lambda ws: np.empty(ws.shape[:-1] + (ws.shape[-1] - 1,)))
-    pairs = _Slot(lambda ws: _pairs(ws.trap))
-    res = _Slot(lambda ws: _term_block(np.empty((3,) + ws.shape)))
-    sq = _Slot(lambda ws: _square_block(np.empty((3,) + ws.shape)))
-    dif = _Slot(lambda ws: np.empty((3, max(1, BLOCK_ELEMENTS // ws.shape[-1]), ws.shape[-1])))
-    gap = _Slot(lambda ws: _term_block(ws.dif[:, 0]))
+    @classmethod
+    def of(cls, u: GridFunction, v: GridFunction) -> Workspace:
+        """The workspace of a one-off call on u and v, of their broadcast
+        shape; raises ``GridMismatchError`` unless they share a grid."""
+        require_same_grid(u, v)
+        return cls(np.broadcast(u.values, v.values).shape)
+
+    stage = cached_property(lambda ws: np.empty(ws.shape))
+    k1 = cached_property(lambda ws: _derived(np.empty(ws.shape)))
+    k2 = cached_property(lambda ws: _derived(np.empty(ws.shape)))
+    dh = cached_property(lambda ws: _derived(np.empty(ws.shape)))
+    div = cached_property(lambda ws: np.empty(ws.shape))
+    trap = cached_property(lambda ws: np.empty(ws.shape[:-1] + (ws.shape[-1] - 1,)))
+    pairs = cached_property(lambda ws: _pairs(ws.trap))
+    res = cached_property(lambda ws: _term_block(np.empty((3,) + ws.shape)))
+    sq = cached_property(lambda ws: _square_block(np.empty((3,) + ws.shape)))
+    dif = cached_property(
+        lambda ws: np.empty((3, max(1, BLOCK_ELEMENTS // ws.shape[-1]), ws.shape[-1])))
+    gap = cached_property(lambda ws: _term_block(ws.dif[:, 0]))
 
 
 def _derivative(v, dx: float, out) -> np.ndarray:

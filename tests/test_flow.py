@@ -1,4 +1,5 @@
 import math
+import re
 from contextlib import contextmanager
 from itertools import product
 
@@ -37,7 +38,14 @@ from dsmflow.operators import (
     dsm_vector_field,
 )
 from dsmflow.sampling import sample_in_ball
-from dsmflow.scale import GridFunction, Workspace, ball_distance, derivative, sobolev_norm
+from dsmflow.scale import (
+    GridFunction,
+    GridMismatchError,
+    Workspace,
+    ball_distance,
+    derivative,
+    sobolev_norm,
+)
 
 from oracles import heron_sqrt
 
@@ -805,6 +813,24 @@ def test_interleaved_flows_equal_the_same_flows_run_alone(monkeypatch):
         assert_same_trajectory(got, want)
 
 
+@pytest.mark.parametrize("call", [
+    residual,
+    lambda p, u, v: p.operator.solve_derivative(u, v),
+    dsm_vector_field,
+    lambda p, u, v: euler_step(p, u, v, 0.05),
+    lambda p, u, v: rk4_step(p, u, v, 0.05),
+    newton_step,
+    newton_solve,
+], ids=["residual", "solve_derivative", "dsm_vector_field", "euler_step", "rk4_step",
+        "newton_step", "newton_solve"])
+@pytest.mark.parametrize("operator", [QuadraticVolterra(), LinearSmoothing()],
+                         ids=["volterra", "linear"])
+def test_every_one_off_call_checks_its_grids(call, operator):
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 201), 0.05)
+    with pytest.raises(GridMismatchError, match=r"^grid sizes differ: 201 vs 101$"):
+        call(p, p.U, GridFunction.constant(0.5, 101))
+
+
 def test_public_step_results_are_their_own(setup201, monkeypatch):
     workspaces = []
 
@@ -954,6 +980,22 @@ def test_bounds_report_constructed_violation():
     assert len(violations) == 1
     assert violations[0].index == 1
     assert violations[0].kind == "drift"
+
+
+@pytest.mark.parametrize("r, tol, message", [
+    (math.nan, 0.05, "r must be nonnegative and finite, got nan"),
+    (math.inf, 0.05, "r must be nonnegative and finite, got inf"),
+    (-1e-12, 0.05, "r must be nonnegative and finite, got -1e-12"),
+    (1.0, math.nan, "tol must be nonnegative and finite, got nan"),
+    (1.0, -0.01, "tol must be nonnegative and finite, got -0.01"),
+])
+def test_bounds_reject_a_negative_or_non_finite_bound(setup201, r, tol, message):
+    x = setup201.U.x
+    traj = integrate_flow(setup201, setup201.U, GridFunction(x + 0.05 * x * x), FlowConfig())
+    # a finite bound this small fails the canonical run; a NaN one would pass it
+    assert len(verify_trajectory_bounds(traj, 1e-12)) == 62
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_trajectory_bounds(traj, r, tol)
 
 
 def test_bounds_require_converged_trajectory():
