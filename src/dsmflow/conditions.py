@@ -10,17 +10,23 @@ inside the working ball.
 ``estimate_constants`` evaluates its samples in (rows, n) blocks sized by
 a memory budget, ``ESTIMATE_BLOCK_ELEMENTS`` grid values per function,
 each a whole number of the samplers' product chunks and none padded: each
-kind of point of a block is one batched call into the public sampling and
-operator functions, and so is each norm of a function outside the
-sampling span (an operator image or the distance u - v), which
-``scale.sobolev_norm`` takes on the grid. The samplers normalise the sampled
-points and directions from their coefficients, through the cached Gram
-matrix of the sampling basis, and each direction q is a unit direction,
-||q||_a = 1, so no ratio divides by a norm of q. With ``bracket_only`` it
-computes the two-sided ratios alone, from the same draws, so its bracket
-and rho0 equal the full estimate's bit for bit; its report's ``c_iso`` and
-``c_lip`` are then None. It evaluates the point v on the grid only where
-a bound from v's coefficients cannot show that v passes the guard.
+kind of point of a block is one batched call into the public sampling
+functions. The two-sided ratio goes through the public operator layer:
+``apply_derivative`` forms A(u)q as a cumulative sum, and
+``scale.sobolev_norm`` takes its H_{a+delta} norm on the grid, as it takes
+the H_a distance u - v. The composed and Lipschitz ratios form no
+cumulative sum: each operator's ``_apply_slope`` gives the fused stencil
+derivative D A(.)q (see ``scale._derivative_of_integral``), the workspace
+form of ``solve_derivative`` divides it, and the H_a norms of the results
+are taken in the block's two scratch arrays. The samplers normalise the
+sampled points and directions from their coefficients, through the cached
+Gram matrix of the sampling basis, and each direction q is a unit
+direction, ||q||_a = 1, so no ratio divides by a norm of q. With
+``bracket_only`` it computes the two-sided ratios alone, from the same
+draws, so its bracket and rho0 equal the full estimate's bit for bit; its
+report's ``c_iso`` and ``c_lip`` are then None. It evaluates the point v
+on the grid only where a bound from v's coefficients cannot show that v
+passes the guard.
 """
 
 from __future__ import annotations
@@ -40,7 +46,18 @@ from .sampling import (
     sample_in_ball,
     unit_direction,
 )
-from .scale import GridFunction, _require_one, ball_distance, sobolev_norm
+from .scale import (
+    GridFunction,
+    Workspace,
+    _derivative,
+    _derived,
+    _differenced,
+    _l2_squared,
+    _require_one,
+    _root_sum,
+    ball_distance,
+    sobolev_norm,
+)
 
 # Grid values per function in one block of the constants estimate, a memory
 # budget taken in whole chunks of the samplers' products, at least one: 320
@@ -61,7 +78,9 @@ class ConstantsReport:
     ``c_iso`` is the largest composed norm ||A^{-1}(v)A(w)q||_a and
     ``c_lip`` the largest derivative-difference ratio
     ||A^{-1}(u)(A(u) - A(v))q||_a / ||u - v||_a, both None on a bracket-only
-    report. ``rho0`` is the admissibility radius derived from the bracket.
+    report; A^{-1} divides the stencil derivative of its argument, which
+    both take from the fused D A(.)q. ``rho0`` is the admissibility radius
+    derived from the bracket.
     """
 
     c0_lower: float
@@ -179,7 +198,9 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     The bracket reads v only through its guard. So with `bracket_only`, v
     is drawn on the grid only where the bound min U - reach (see
     ``sampling._ball_reach``) cannot clear the guard for every row of the
-    block; an operator without a guard clears every row."""
+    block; an operator without a guard clears every row. The composed and
+    Lipschitz ratios divide the fused slopes D A(.)q, in a ``Workspace``
+    of the block's shape of which only ``div`` and ``pairs`` are read."""
     op, a, n = p.operator, p.a, p.U.n
 
     def point(i):
@@ -190,8 +211,7 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     u = point(0)
     # ||q||_a = 1, so each ratio's denominator holds no norm of q
     q = unit_direction(draws[:, 3 * POINT_DRAWS:], n, a)
-    a_u_q = op.apply_derivative(u, q)
-    two_sided = sobolev_norm(a_u_q, a + p.delta)
+    two_sided = sobolev_norm(op.apply_derivative(u, q), a + p.delta)
     keep = ~op._below_guard(u.values)
     if bracket_only:
         floor = p.U.min() - _ball_reach(draws[:, POINT_DRAWS:2 * POINT_DRAWS], n, p.R, a)
@@ -211,12 +231,31 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     lip_denom[np.isinf(lip_denom)] = np.nan
     if (v_ok & (lip_denom == 0.0)).any():
         raise ValueError(f"ball radius {p.R!r} is too small: sampled points coincide")
-    if not keep.all():
-        u, v, w, q, a_u_q = (GridFunction._trusted(f.values[keep]) for f in (u, v, w, q, a_u_q))
-    iso = sobolev_norm(op.solve_derivative(v, op.apply_derivative(w, q)), a)
-    diff = a_u_q - op.apply_derivative(v, q)
-    lip = sobolev_norm(op.solve_derivative(u, diff), a) / lip_denom[keep]
-    return two_sided[keep], iso, lip
+    u, v, w, q = (f.values if keep.all() else f.values[keep] for f in (u, v, w, q))
+    # scratch of the block's own, freed with it: a workspace kept per shape
+    # across blocks would hold its arrays for the life of the process
+    ws = Workspace(u.shape)
+    slope, other = _derived(np.empty(ws.shape)), _derived(np.empty(ws.shape))
+    op._apply_slope(w, q, slope, ws)
+    iso = _norm_of(op.solve_derivative(v, slope, ws, slope), other.values, a, ws.dx)
+    op._apply_slope(u, q, slope, ws)
+    np.subtract(slope.values, op._apply_slope(v, q, other, ws), slope.values)
+    lip = _norm_of(op.solve_derivative(u, slope, ws, slope), other.values, a, ws.dx)
+    return two_sided[keep], iso, lip / lip_denom[keep]
+
+
+def _norm_of(f: np.ndarray, other: np.ndarray, a: int, dx: float) -> np.ndarray:
+    """``sobolev_norm`` of each row of the values f, with ``other``, an
+    array of f's shape, as scratch: each derivative is written into the
+    array its function does not hold, and each term squared in place once
+    derived, so both arrays are overwritten."""
+    parts = []
+    for _ in range(a):
+        _derivative(_differenced(f), dx, _derived(other))
+        parts.append(_l2_squared(f, dx, f))
+        f, other = other, f
+    parts.append(_l2_squared(f, dx, f))
+    return _root_sum(parts)
 
 
 def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,

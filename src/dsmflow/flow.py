@@ -238,8 +238,9 @@ def euler_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     ``ws.k1`` holds the velocity A(u)^{-1}(h - F(u)), ``ws.dh`` the
     derivative D h that RK4's later stage velocities read, and the new
     iterate is returned as a fresh array. Without one, u and h are grid
-    functions, and k1 and D h are computed first, as ``integrate_flow``
-    computes them, in a workspace of the step's own (see ``_stage_one``).
+    functions, and k1 is computed first, as ``integrate_flow`` computes it,
+    in a workspace of the step's own (see ``_stage_one``); a public RK4 step
+    derives D h there too.
     """
     public = ws is None
     if public:
@@ -260,6 +261,7 @@ def rk4_step(p: ProblemSetup, u, h, dt: float, ws: Workspace | None = None):
     public = ws is None
     if public:
         u, h, ws = _stage_one(p, u, h)
+        _derivative(_differenced(h), ws.dx, ws.dh)  # D h, for k2, k3 and k4
     k, total, stage = ws.k2, ws.k1.values, ws.stage
     kv = k.values
     np.add(u, np.multiply(total, dt / 2.0, stage), stage)   # u + dt/2 k1
@@ -283,14 +285,16 @@ _VELOCITIES_PER_STEP = {"euler": 1, "rk4": 4}
 
 
 def _stage_one(p: ProblemSetup, u: GridFunction, h: GridFunction):
-    """The values of u and h and a workspace of their own, holding k1 and
-    the D h that RK4's later stages read, as ``integrate_flow`` computes
-    them, for a public step."""
+    """The values of u and h and a workspace of their own, holding k1 as
+    ``integrate_flow`` computes it, for a public step. The residual h - F(u)
+    and its derivative D(h - F(u)) go where ``_residual`` leaves them, but
+    no norm is taken, as a step reads none."""
     ws = Workspace.of(u, h)
     uv, hv = u.values, h.values
-    _residual(p, uv, hv, ws)  # h - F(u) and D(h - F(u)), as g takes them
-    p.operator.solve_derivative(uv, ws.res.rows[1], ws, ws.k1)
-    _derivative(_differenced(hv), ws.dx, ws.dh)
+    r, slope = ws.res.rows[:2]
+    np.subtract(hv, p.operator._eval(uv, r, ws), r.values)
+    _derivative(r, ws.dx, slope)
+    p.operator.solve_derivative(uv, slope, ws, ws.k1)
     return uv, hv, ws
 
 

@@ -103,6 +103,12 @@ class ScaleOperator(ABC):
         computed without it, written into ``out``, whose array is
         returned."""
 
+    @abstractmethod
+    def _apply_slope(self, u: np.ndarray, q: np.ndarray, out, ws: Workspace) -> np.ndarray:
+        """D A(u)q on values, the stencil derivative of ``apply_derivative``'s
+        result computed without it (the linearisation of ``_eval_slope``),
+        written into ``out``, whose array is returned."""
+
     def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace,
                 out: np.ndarray | None = None) -> np.ndarray:
         """A(u)^{-1} of a function whose derivative is v, written into
@@ -165,6 +171,13 @@ class QuadraticVolterra(ScaleOperator):
         np.multiply(u, u, square.values)
         return _derivative_of_integral(square, out, ws.pairs)
 
+    def _apply_slope(self, u, q, out, ws):
+        # twice the fused derivative of the integral of u q: u q goes into
+        # out, which the stencil reads whole, into its neighbour sums,
+        # before it writes there
+        product = _summed(np.multiply(u, q, out.values))
+        return np.multiply(_derivative_of_integral(product, out, ws.pairs), 2.0, out.values)
+
     def _divide(self, u, v, ws, out=None):
         """v / (2u)."""
         # One min over the whole array clears every row at once; only a dip
@@ -208,6 +221,9 @@ class LinearSmoothing(ScaleOperator):
 
     def _eval_slope(self, u, out, ws):
         return _derivative_of_integral(_summed(u), out, ws.pairs)
+
+    def _apply_slope(self, u, q, out, ws):
+        return _derivative_of_integral(_summed(q), out, ws.pairs)
 
 
 @dataclass(frozen=True)
@@ -259,7 +275,7 @@ def dsm_vector_field(p: ProblemSetup, u, h, ws: Workspace | None = None,
     is computed from D h - D F(u) (see ``ScaleOperator._eval_slope``), and F
     itself is not evaluated. Given a workspace, u is a value array, ``ws.dh``
     holds D h, written there once for the value array h by the caller (the
-    flow, or a public step), and the velocity is written into ``out``, the
+    flow, or a public RK4 step), and the velocity is written into ``out``, the
     views of a workspace array, whose array is returned; otherwise a fresh
     grid function.
     """

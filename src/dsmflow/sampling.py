@@ -133,9 +133,10 @@ def _draws(rng: np.random.Generator | np.ndarray, count: int) -> np.ndarray:
     return rng
 
 
-def _scale_rows(f: GridFunction, factor) -> GridFunction:
-    """f times a factor per row (a float for a single function)."""
-    return GridFunction._trusted(f.values * np.asarray(factor)[..., np.newaxis])
+def _scale_rows(f: GridFunction, factor) -> np.ndarray:
+    """The values of f times a factor per row (a float for a single
+    function), a fresh array."""
+    return f.values * np.asarray(factor)[..., np.newaxis]
 
 
 def _coefficients(draws: np.ndarray) -> np.ndarray:
@@ -159,11 +160,15 @@ def sample_in_ball(rng: np.random.Generator | np.ndarray, center: GridFunction,
     """Draw a point of the ball of the given H_a radius around `center`.
 
     The random direction is rescaled to a uniformly drawn fraction of the
-    radius, so draws fill the ball rather than its boundary.
+    radius, so draws fill the ball rather than its boundary. Each point is
+    built in one fresh array: the scaled direction, to which the center is
+    added in place (the bits of center + offset, as addition commutes).
     """
     draws = _draws(rng, POINT_DRAWS)
     d = trig_polynomial(draws[..., :DIRECTION_DRAWS], center.n)
-    return center + _scale_rows(d, _radial_scale(draws, center.n, radius, a))
+    point = _scale_rows(d, _radial_scale(draws, center.n, radius, a))
+    point += center.values
+    return GridFunction._trusted(point)
 
 
 def _radial_scale(draws: np.ndarray, n: int, radius: float, a: int):
@@ -202,4 +207,5 @@ def _ball_reach(draws: np.ndarray, n: int, radius: float, a: int) -> np.ndarray:
 def unit_direction(rng: np.random.Generator | np.ndarray, n: int, a: int) -> GridFunction:
     """Random direction with H_a norm one."""
     draws = _draws(rng, DIRECTION_DRAWS)
-    return _scale_rows(trig_polynomial(draws, n), 1.0 / _span_norm(_coefficients(draws), n, a))
+    scaled = _scale_rows(trig_polynomial(draws, n), 1.0 / _span_norm(_coefficients(draws), n, a))
+    return GridFunction._trusted(scaled)

@@ -268,7 +268,7 @@ class Workspace:
     - ``k1``: the velocity A(u)^{-1}(h - F(u)) at the iterate u, then the
       running RK4 sum; ``k2``: the latest stage velocity (derived views);
     - ``dh``: the derivative D h of the right-hand side, written once per
-      flow or public step and read by RK4's stage velocities;
+      flow or public RK4 step and read by RK4's stage velocities;
     - ``div``: the divisor of A(u)^{-1} (an array); ``trap``: the
       trapezoids of an integral (an array), whose views ``pairs`` hold the
       neighbour sums of ``_derivative_of_integral``, one fewer per row;

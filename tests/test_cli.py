@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmflow
@@ -967,3 +967,25 @@ def test_readme_examples_run(tmp_path):
         argv = argv[1:]
         argv[argv.index("--out-dir") + 1] = str(tmp_path / str(i))
         assert main(argv) == 0, argv
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "report.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), _JSON_VALUES, min_size=1, max_size=4))
+@example(payload={"a": {"b": [1.5, ()]}, "c": "\x00", "d": float("nan")})
+def test_json_reports_hold_the_indented_dumps_bytes(report_path, payload):
+    # every container kind, empty ones, NaN and infinities, and strings that
+    # hold the nested containers' stand-in, "\x00"
+    cli_module._write_json(report_path, payload)
+    assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -34,7 +34,16 @@ from dsmflow.sampling import (
     trig_polynomial,
     unit_direction,
 )
-from dsmflow.scale import BLOCK_ELEMENTS, GridFunction, sobolev_norm
+from dsmflow.scale import (
+    BLOCK_ELEMENTS,
+    GridFunction,
+    Workspace,
+    _derivative_of_integral,
+    _derived,
+    _pairs,
+    _summed,
+    sobolev_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +286,26 @@ def test_admissible_affine_pairs_converge_at_defaults(setup201, report42):
 
 # --- block evaluation against the per-sample loop --------------------------------
 
+def fused_slope(op, u, q):
+    """D A(u)q by the fused stencil M = ``scale._derivative_of_integral``:
+    2 M(u q) for ``QuadraticVolterra``, M(q) for ``LinearSmoothing``."""
+    values = (u * q).values if isinstance(op, QuadraticVolterra) else q.values
+    out = np.empty_like(values)
+    pairs = np.empty(values.shape[:-1] + (values.shape[-1] - 1,))
+    slope = _derivative_of_integral(_summed(values), _derived(out), _pairs(pairs))
+    return 2.0 * slope if isinstance(op, QuadraticVolterra) else slope
+
+
+def solved(op, u, slope):
+    """A(u)^{-1} of the function whose derivative is ``slope``, by the
+    workspace form of ``solve_derivative``, which raises at the guard."""
+    out = _derived(slope)
+    return GridFunction(op.solve_derivative(u.values, out, Workspace(slope.shape), out))
+
+
 def reference_estimate_constants(p, sample_count, seed):
-    """One sample at a time, each drawing u, v, w and q from the generator."""
+    """One sample at a time, each drawing u, v, w and q from the generator;
+    c_iso and c_lip from the fused slopes D A(.)q."""
     op = p.operator
     rng = np.random.default_rng(seed)
     two_sided_all, iso_all, lip_all = [], [], []
@@ -289,12 +316,10 @@ def reference_estimate_constants(p, sample_count, seed):
         q = unit_direction(rng, p.U.n, p.a)
         try:
             q_norm = sobolev_norm(q, p.a)
-            a_u_q = op.apply_derivative(u, q)
-            two_sided = sobolev_norm(a_u_q, p.a + p.delta) / q_norm
-            iso = sobolev_norm(
-                op.solve_derivative(v, op.apply_derivative(w, q)), p.a) / q_norm
-            diff = a_u_q - op.apply_derivative(v, q)
-            lip = sobolev_norm(op.solve_derivative(u, diff), p.a) / (
+            two_sided = sobolev_norm(op.apply_derivative(u, q), p.a + p.delta) / q_norm
+            iso = sobolev_norm(solved(op, v, fused_slope(op, w, q)), p.a) / q_norm
+            diff = fused_slope(op, u, q) - fused_slope(op, v, q)
+            lip = sobolev_norm(solved(op, u, diff), p.a) / (
                 sobolev_norm(u - v, p.a) * q_norm)
         except DegenerateCoefficient:
             continue
@@ -423,6 +448,84 @@ def test_bracket_only_equals_the_full_estimate(operator, n, samples, radius, mon
     assert longer.c0_lower <= bracket.c0_lower <= bracket.c0_upper <= longer.c0_upper
 
 
+@pytest.mark.parametrize("operator, n, samples, radius", [
+    pytest.param(QuadraticVolterra(), 20001, 11, 0.05, id="volterra-20001"),
+    pytest.param(LinearSmoothing(), 20001, 11, 0.05, id="linear-20001"),
+    # u_min = 0.95 inside a ball of radius 0.5 around U = 1: some samples trip
+    pytest.param(QuadraticVolterra(u_min=0.95), 2001, 40, 0.5, id="volterra-2001-guarded"),
+])
+def test_full_estimate_keeps_the_bracket_bits(operator, n, samples, radius):
+    # the fused composed and Lipschitz ratios leave the two-sided path alone
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), radius)
+    full = estimate_constants(setup, samples, 3)
+    bracket = estimate_constants(setup, samples, 3, bracket_only=True)
+    for name in ("c0_lower", "c0_upper", "rho0", "skipped"):
+        assert getattr(full, name) == getattr(bracket, name)
+    assert (full.skipped > 0) == (radius == 0.5)
+
+
+# --- the fused composed and Lipschitz ratios against long double ---------------
+
+def _long_fused(v):
+    """``scale._derivative_of_integral`` of each row of v, in its dtype."""
+    p = v[:, 1:] + v[:, :-1]
+    out = np.empty_like(v)
+    out[:, 1:-1] = (p[:, :-1] + p[:, 1:]) / 4
+    out[:, 0] = (3 * p[:, 0] - p[:, 1]) / 4
+    out[:, -1] = (3 * p[:, -1] - p[:, -2]) / 4
+    return out
+
+
+def _long_norm(f, a, dx):
+    """``sobolev_norm`` of each row of f, in its dtype."""
+    total = 0
+    for j in range(a + 1):
+        if j:
+            d = np.empty_like(f)
+            d[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * dx)
+            d[:, 0] = (4 * (f[:, 1] - f[:, 0]) - (f[:, 2] - f[:, 0])) / (2 * dx)
+            d[:, -1] = (4 * (f[:, -1] - f[:, -2]) - (f[:, -1] - f[:, -3])) / (2 * dx)
+            f = d
+        sq = f * f
+        total = total + dx * (sq.sum(-1) - (sq[:, 0] + sq[:, -1]) / 2)
+    return np.sqrt(total)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("operator", OPERATORS)
+@pytest.mark.parametrize("n, samples", [(2001, 40), (20001, 11)])
+def test_fused_ratios_match_long_double(operator, n, samples, monkeypatch):
+    # The block's own sample points, taken to long double, through the same
+    # discrete formula: D A(w)q = 2 M(w q) (M(q) for LinearSmoothing), with
+    # M the fused stencil of the cumulative trapezoid integral.
+    setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, n), 0.05)
+    blocks = []
+    _recording_ratios(monkeypatch, lambda draws, ratios: blocks.append((draws, ratios)))
+    estimate_constants(setup, samples, 3)
+    a, ld = setup.a, np.longdouble
+    dx = ld(1) / (n - 1)
+    volterra = isinstance(operator, QuadraticVolterra)
+
+    def slope(x, q):
+        return 2 * _long_fused(x * q) if volterra else _long_fused(q)
+
+    def divided(x, psi):
+        return psi / (2 * x) if volterra else psi
+
+    for draws, (_, iso, lip) in blocks:
+        u, v, w = (sample_in_ball(draws[:, i * POINT_DRAWS:(i + 1) * POINT_DRAWS],
+                                  setup.U, setup.R, a).values.astype(ld) for i in range(3))
+        q = unit_direction(draws[:, 3 * POINT_DRAWS:], n, a).values.astype(ld)
+        assert iso.shape == lip.shape == (len(draws),)  # no sample skipped
+        want_iso = _long_norm(divided(v, slope(w, q)), a, dx)
+        want_lip = (_long_norm(divided(u, slope(u, q) - slope(v, q)), a, dx)
+                    / _long_norm(u - v, a, dx))
+        np.testing.assert_allclose(iso, want_iso.astype(float), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lip, want_lip.astype(float), rtol=1e-12, atol=0)
+    assert sum(len(draws) for draws, _ in blocks) == samples
+
+
 # --- the coefficient bound on v's guard ------------------------------------------
 
 def _bracket_equals_full(setup, count, seed):
@@ -533,10 +636,12 @@ def _count_calls(monkeypatch, counts, name, owners):
         monkeypatch.setattr(owner, name, counting)
 
 
-# sobolev_norm only off the sampling span: A(u)q, the u - v distance and the
-# two A^{-1} images; the samples' own norms come from their coefficients
+# apply_derivative and sobolev_norm for the two-sided ratio and the u - v
+# distance only: the composed and Lipschitz ratios divide the fused slopes
+# D A(.)q and take their norms in the block's scratch; the samples' own norms
+# come from their coefficients
 FULL_CALLS = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
-              "apply_derivative": 3, "solve_derivative": 2, "sobolev_norm": 4}
+              "apply_derivative": 1, "solve_derivative": 2, "sobolev_norm": 2}
 # no w, no A^{-1}, no u - v distance, and no v where the coefficient bound
 # clears the guard for the whole block, as it does at u_min = 0.1
 BRACKET_CALLS = {"trig_polynomial": 2, "sample_in_ball": 1, "unit_direction": 1,

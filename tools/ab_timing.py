@@ -26,7 +26,9 @@ The operations are fixed:
 - ``estimate_constants`` with 50 samples at n = 20001;
 - the four cli-small commands at n = 201 through ``cli.main``: solves of
   scaled-linear 1.1, quadratic-perturb 0.05 and an ``--h-file`` input,
-  and ``compare-newton`` scaled-linear 1.1.
+  and ``compare-newton`` scaled-linear 1.1;
+- verify-large's command through ``cli.main``: ``verify --samples 50`` at
+  n = 20001.
 
 For each operation the tool prints each tree's median and quartiles in
 milliseconds over both orders, the ratio of B's median to A's, and the
@@ -110,8 +112,8 @@ class Tree:
     def constants(self):
         return self.pkg.estimate_constants(self.large, 50, self.seed)
 
-    def cli(self, kind: str, args: list[str]) -> int:
-        out = ["--n", "201", "--out-dir", str(self.workdir / kind)]
+    def cli(self, kind: str, args: list[str], n: int = 201) -> int:
+        out = ["--n", str(n), "--out-dir", str(self.workdir / kind)]
         code = self.pkg.cli.main(args + out)
         if code not in (0, 2):  # 2: a solve that stopped at the horizon
             raise RuntimeError(f"{self.pkg.__name__}: {args[0]} exited {code}")
@@ -133,6 +135,8 @@ class Tree:
         }
         ops += [(name, lambda name=name, args=args: self.cli(name.replace(" ", "_"), args))
                 for name, args in commands.items()]
+        ops.append(("cli verify n=20001 --samples 50",
+                    lambda: self.cli("cli_verify", ["verify", "--samples", "50"], 20001)))
         return ops
 
 
@@ -177,7 +181,7 @@ def report(src_a: Path, src_b: Path, rounds: int, runs: dict[str, dict]) -> None
     first = runs["a"]
     print(f"A = {src_a}\nB = {src_b}\n{rounds} rounds in each load order, times in ms; "
           "B/A is the geometric mean of the two orders' median ratios")
-    print(f"{'operation':28s} {'A median':>9s} {'A q1-q3':>17s} {'B median':>9s} "
+    print(f"{'operation':31s} {'A median':>9s} {'A q1-q3':>17s} {'B median':>9s} "
           f"{'B q1-q3':>17s} {'B/A':>6s} {'A 1st':>6s} {'B 1st':>6s} {'B won':>7s} "
           f"{'steps':>5s} {'A/step':>8s} {'B/step':>8s}")
     for name in first["names"]:
@@ -187,7 +191,7 @@ def report(src_a: Path, src_b: Path, rounds: int, runs: dict[str, dict]) -> None
                   for run in (runs["a"], runs["b"])]
         qa, qb = quartiles(a), quartiles(b)
         won = sum(y < x for x, y in zip(a, b))
-        row = (f"{name:28s} {qa[1] * 1e3:9.3f} {qa[0] * 1e3:8.3f}-{qa[2] * 1e3:<8.3f} "
+        row = (f"{name:31s} {qa[1] * 1e3:9.3f} {qa[0] * 1e3:8.3f}-{qa[2] * 1e3:<8.3f} "
                f"{qb[1] * 1e3:9.3f} {qb[0] * 1e3:8.3f}-{qb[2] * 1e3:<8.3f} "
                f"{math.sqrt(ratios[0] * ratios[1]):6.3f} {ratios[0]:6.3f} {ratios[1]:6.3f} "
                f"{won:3d}/{len(a):<3d}")
