@@ -15,8 +15,6 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -193,54 +191,9 @@ def _outputs(args, **names: str) -> dict:
     return {key: args.out_dir / name for key, name in names.items()}
 
 
-# A non-empty container's stand-in while its parent's items are encoded. No
-# flag value or path holds a NUL, and ``_indented`` counts the stand-ins.
-_NESTED = "\x00"
-_NESTED_TEXT = json.dumps(_NESTED)
-_CONTAINERS = (dict, list, tuple)
-
-
-@lru_cache(maxsize=None)
-def _encoder(indent: str):
-    """The C encoder of one container's items ``indent`` deep: keys sorted,
-    ``": "`` after each key, and a new line at ``indent`` between items."""
-    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + indent,
-                          True, False, True)
-
-
-def _indented(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` of a non-empty dict
-    or list whose lines start at ``indent``, from the C encoder, which
-    ``indent=2`` would pass over for the pure-Python one: one call encodes
-    a container's items, its non-empty containers standing in as
-    ``_NESTED``, and each of those, indented one level deeper, takes its
-    stand-in's place. Raises ``ValueError`` where a string's text holds the
-    stand-in's."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        nested = [k for k, v in value.items() if v and isinstance(v, _CONTAINERS)]
-        flat = {**value, **dict.fromkeys(nested, _NESTED)} if nested else value
-        nested = [value[k] for k in sorted(nested)]
-    else:
-        nested = [v for v in value if v and isinstance(v, _CONTAINERS)]
-        flat = [_NESTED if v and isinstance(v, _CONTAINERS) else v for v in value]
-    text = "".join(_encoder(inner)(flat, 0))
-    if nested:
-        parts = text.split(_NESTED_TEXT)
-        if len(parts) != len(nested) + 1:
-            raise ValueError("a string holds the nested container's stand-in")
-        text = parts[0] + "".join([_indented(v, inner) + part
-                                   for v, part in zip(nested, parts[1:])])
-    return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
-
-
 def _write_json(path: Path, payload: dict) -> None:
     # one string, one write: json.dump would write each of its chunks
-    try:
-        text = _indented(payload)
-    except ValueError:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    _write_text(path, text + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_report(args, inputs: dict, outputs: dict, key: str, payload: dict) -> None:

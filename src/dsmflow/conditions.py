@@ -17,16 +17,16 @@ functions. The two-sided ratio goes through the public operator layer:
 the H_a distance u - v. The composed and Lipschitz ratios form no
 cumulative sum: each operator's ``_apply_slope`` gives the fused stencil
 derivative D A(.)q (see ``scale._derivative_of_integral``), the workspace
-form of ``solve_derivative`` divides it, and the H_a norms of the results
-are taken in the block's two scratch arrays. The samplers normalise the
-sampled points and directions from their coefficients, through the cached
-Gram matrix of the sampling basis, and each direction q is a unit
-direction, ||q||_a = 1, so no ratio divides by a norm of q. With
-``bracket_only`` it computes the two-sided ratios alone, from the same
-draws, so its bracket and rho0 equal the full estimate's bit for bit; its
-report's ``c_iso`` and ``c_lip`` are then None. It evaluates the point v
-on the grid only where a bound from v's coefficients cannot show that v
-passes the guard.
+form of ``solve_derivative`` divides it, and ``scale._norm``, the flow's
+norm, takes the H_a norms of the results in the workspace's ``res``
+block. The samplers normalise the sampled points and directions from
+their coefficients, through the cached Gram matrix of the sampling basis,
+and each direction q is a unit direction, ||q||_a = 1, so no ratio
+divides by a norm of q. With ``bracket_only`` it computes the two-sided
+ratios alone, from the same draws, so its bracket and rho0 equal the full
+estimate's bit for bit; its report's ``c_iso`` and ``c_lip`` are then
+None. It evaluates the point v on the grid only where a bound from v's
+coefficients cannot show that v passes the guard.
 """
 
 from __future__ import annotations
@@ -49,12 +49,8 @@ from .sampling import (
 from .scale import (
     GridFunction,
     Workspace,
-    _derivative,
-    _derived,
-    _differenced,
-    _l2_squared,
+    _norm,
     _require_one,
-    _root_sum,
     ball_distance,
     sobolev_norm,
 )
@@ -199,8 +195,11 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     is drawn on the grid only where the bound min U - reach (see
     ``sampling._ball_reach``) cannot clear the guard for every row of the
     block; an operator without a guard clears every row. The composed and
-    Lipschitz ratios divide the fused slopes D A(.)q, in a ``Workspace``
-    of the block's shape of which only ``div`` and ``pairs`` are read."""
+    Lipschitz ratios divide the fused slopes D A(.)q in row 0 of the
+    ``res`` block of a ``Workspace`` of the block's shape, whose row 1 holds
+    the second slope of the Lipschitz difference, and whose ``div`` and
+    ``pairs`` the operator reads; ``scale._norm`` takes their H_a norms
+    there, squaring in place."""
     op, a, n = p.operator, p.a, p.U.n
 
     def point(i):
@@ -235,27 +234,16 @@ def _constants_ratios(p: ProblemSetup, draws: np.ndarray, bracket_only: bool):
     # scratch of the block's own, freed with it: a workspace kept per shape
     # across blocks would hold its arrays for the life of the process
     ws = Workspace(u.shape)
-    slope, other = _derived(np.empty(ws.shape)), _derived(np.empty(ws.shape))
+    terms = ws.res
+    slope, other = terms.rows[:2]
     op._apply_slope(w, q, slope, ws)
-    iso = _norm_of(op.solve_derivative(v, slope, ws, slope), other.values, a, ws.dx)
+    op.solve_derivative(v, slope, ws, slope)
+    iso = _norm(terms, a, ws.dx, terms.values)
     op._apply_slope(u, q, slope, ws)
     np.subtract(slope.values, op._apply_slope(v, q, other, ws), slope.values)
-    lip = _norm_of(op.solve_derivative(u, slope, ws, slope), other.values, a, ws.dx)
+    op.solve_derivative(u, slope, ws, slope)
+    lip = _norm(terms, a, ws.dx, terms.values)
     return two_sided[keep], iso, lip / lip_denom[keep]
-
-
-def _norm_of(f: np.ndarray, other: np.ndarray, a: int, dx: float) -> np.ndarray:
-    """``sobolev_norm`` of each row of the values f, with ``other``, an
-    array of f's shape, as scratch: each derivative is written into the
-    array its function does not hold, and each term squared in place once
-    derived, so both arrays are overwritten."""
-    parts = []
-    for _ in range(a):
-        _derivative(_differenced(f), dx, _derived(other))
-        parts.append(_l2_squared(f, dx, f))
-        f, other = other, f
-    parts.append(_l2_squared(f, dx, f))
-    return _root_sum(parts)
 
 
 def admissibility_check(p: ProblemSetup, u0: GridFunction, h: GridFunction,

@@ -25,10 +25,8 @@ from .scale import (
     Workspace,
     _derivative,
     _differenced,
-    _l2_squared,
     _norm,
     _require_one,
-    _root_sum,
     _term_block,
     _write_csv_rows,
     require_same_grid,
@@ -186,47 +184,39 @@ def _residual(p: ProblemSetup, u: np.ndarray, h: np.ndarray, ws: Workspace):
     res = ws.res
     r = res.rows[0]
     np.subtract(h, p.operator._eval(u, r, ws), r.values)
-    return _norm(res, p.a + p.delta, ws)
+    return _norm(res, p.a + p.delta, ws.dx, ws.sq.values)
 
 
 def _distance(u: np.ndarray, v: np.ndarray, a: int, ws: Workspace):
     """``ball_distance`` on values, in the workspace's ``gap``."""
     gap = ws.gap
     np.subtract(u, v, gap.rows[0].values)
-    return _norm(gap, a, ws)
+    return _norm(gap, a, ws.dx, gap.values)
 
 
 def _distances(points, center: np.ndarray, a: int, ws: Workspace) -> list[float]:
     """``ball_distance`` from ``center`` of each value array in ``points``,
-    rows = max(1, ``BLOCK_ELEMENTS`` // n) of them at a time: the block's
-    differences go into ``ws.dif[0]`` and their derivatives into
-    ``ws.dif[1:a + 1]``, so no call allocates scratch. A block of several
-    rows is copied in by one ``np.concatenate`` into the flattened rows
-    and differenced by one broadcast subtraction; the last block takes
-    only the rows it has left, the first ones of ``ws.dif``. Each term is
-    squared in place, as no distance reads it again. The kernels work row
-    by row, so each distance equals that of its point alone, bit for bit.
-    A block of several rows binds the views of its rows of ``ws.dif``
-    once. One-row blocks are differenced straight into their row and
-    derived as 1-D rows, the bound rows of ``ws.gap``, so ``_derivative``
-    takes its one-row path."""
-    terms = ws.dif[:a + 1]
-    rows = terms.shape[1]
-    flat = terms[0].reshape(-1)  # a view, as ``ws.dif`` is C-contiguous
+    rows = max(1, ``BLOCK_ELEMENTS`` // n) of them at a time, in
+    ``ws.dif``, so no call allocates scratch. A block of several rows is
+    copied into ``ws.dif[0]`` by one ``np.concatenate`` into the flattened
+    rows, differenced by one broadcast subtraction and measured by one
+    ``_norm``, which squares its terms in place; the last block takes only
+    the rows it has left, the first ones of ``ws.dif``. Where ``ws.dif``
+    has one row (n >= 8193), each distance is a ``_distance`` in
+    ``ws.gap``, that row. The kernels work row by row, so each distance
+    equals that of its point alone, bit for bit."""
+    rows = ws.dif.shape[1]
+    if rows == 1:
+        return [_distance(point, center, a, ws) for point in points]
+    flat = ws.dif[0].reshape(-1)  # a view, as ``ws.dif`` is C-contiguous
     dist = []
     for start in range(0, len(points), rows):
         block = points[start:start + rows]
-        live = terms[:, :len(block)]
-        if rows == 1:
-            derived = ws.gap.rows  # the rows of live[:, 0]
-            np.subtract(block[0], center, derived[0].values)
-        else:
-            np.concatenate(block, out=flat[:live[0].size])
-            np.subtract(live[0], center, live[0])
-            derived = _term_block(ws.dif[:, :len(block)]).rows
-        for low, high in zip(derived[:a], derived[1:a + 1]):
-            _derivative(low, ws.dx, high)
-        dist.extend(_root_sum([_l2_squared(t, ws.dx, t) for t in live]).tolist())
+        terms = _term_block(ws.dif[:, :len(block)])
+        diff = terms.values[0]
+        np.concatenate(block, out=flat[:diff.size])
+        np.subtract(diff, center, diff)
+        dist.extend(_norm(terms, a, ws.dx, terms.values).tolist())
     return dist
 
 
@@ -383,7 +373,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
             # k1 at u is the last step's FSAL stage: its local error is about
             # (s / 6) ||k4 - k1||, measured in L2 (see FlowConfig)
             np.subtract(k2_values, k1_values, gap_values)
-            if size / 6.0 * _norm(gap, 0, ws) <= GROW_TOL * g_prev:
+            if size / 6.0 * _norm(gap, 0, ws.dx, gap.values) <= GROW_TOL * g_prev:
                 units = min(2 * units, max_units)
             else:
                 units = max(units // 2, 1)

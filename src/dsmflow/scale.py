@@ -235,8 +235,9 @@ _summed = _views("Summed", "tail", "head")  # the input of _integrate and _deriv
 _pairs = _views("Pairs", "tail", "head", "first2", "last2")  # _derivative_of_integral's sums
 _integral = _views("Integral", "tail")  # _integrate's output
 # A block of terms: row 0 is differenced, and written by _integrate as a
-# residual; row 1 derived and differenced; row 2 derived.
-_term_block = _block(_views("Term", "tail", "tail2", "head2", "first3", "last3"),
+# residual or by _derivative_of_integral as a slope; row 1 derived and
+# differenced; row 2 derived.
+_term_block = _block(_views("Term", "body", "tail", "tail2", "head2", "first3", "last3"),
                      _views("Slope", "body", "tail2", "head2", "first3", "last3"),
                      _derived)
 # Of the squares of a norm's terms only row 0, u * u inside F and D F, is
@@ -273,11 +274,13 @@ class Workspace:
       trapezoids of an integral (an array), whose views ``pairs`` hold the
       neighbour sums of ``_derivative_of_integral``, one fewer per row;
     - the ``Block``s of three rows, each function above its derivatives, so
-      that one ``_l2_squared`` call takes every term of a norm: ``res``
-      holds h - F(x) at the point being evaluated in its row 0, and ``sq``
-      the squares of a norm's terms, and u * u inside F and D F in its row
-      0; ``gap`` is ``dif[:, 0]``, a difference whose norm a step measures
-      (a distance, or the flow's error estimate), above its derivatives;
+      that one ``_norm`` call takes every term of a norm: ``res`` holds
+      h - F(x) at the point being evaluated in its row 0 (in the constants
+      estimate, a slope D A(.)q divided by A^{-1}), and ``sq`` the squares
+      of the residual's terms, and u * u inside F and D F in its row 0;
+      ``gap`` is ``dif[:, 0]``, a difference whose norm a step measures (a
+      distance, or the flow's error estimate), above its derivatives, which
+      is squared in place;
     - ``dif``, a bare (3, rows, n) array, rows = max(1, ``BLOCK_ELEMENTS``
       // n), whatever the workspace's shape: ``dif[i]`` holds the i-th
       derivatives of a block of differences whose norms are taken together.
@@ -467,16 +470,20 @@ def sobolev_norm(f: GridFunction, a: int):
     return _root_sum(parts)
 
 
-def _norm(terms: Block, a: int, ws: Workspace):
-    """``sobolev_norm`` of the values in row 0 of ``terms``, with its
-    derivatives written into rows 1 to a; ``terms`` is a block of the
-    workspace, and ``a`` at most 2: ``ProblemSetup`` checks a and
-    a + delta."""
-    dx, rows, sq = ws.dx, terms.rows, ws.sq
+def _norm(terms: Block, a: int, dx: float, squares: np.ndarray):
+    """``sobolev_norm`` of the values in row 0 of ``terms``, a ``Block`` of
+    at least a + 1 rows, with its derivatives written into rows 1 to a and
+    the squares of those a + 1 terms into ``squares``, an array of the
+    block's values' shape: the block's own values where no term is read
+    again. A float for one function, an array of one norm per row for a
+    batch; ``a`` is at most 2, as ``ProblemSetup`` checks a and a + delta.
+    The only array-side H_a norm: residuals, distances and the constants'
+    ratios all take theirs here."""
+    rows = terms.rows
     for i in range(a):
         _derivative(rows[i], dx, rows[i + 1])
-    block, squares = terms.values[:a + 1], sq.values[:a + 1]
-    if squares.ndim > 2:  # a workspace of a batch
+    block, squares = terms.values[:a + 1], squares[:a + 1]
+    if squares.ndim > 2:  # a batch
         return _root_sum(_l2_squared(block, dx, squares))
     # One function: _l2_squared's trapezoid tails and fmin rule, and
     # _root_sum, as the same operations on Python floats, one term at a time.

@@ -985,7 +985,7 @@ def report_path(tmp_path_factory):
 @given(payload=st.dictionaries(st.text(max_size=4), _JSON_VALUES, min_size=1, max_size=4))
 @example(payload={"a": {"b": [1.5, ()]}, "c": "\x00", "d": float("nan")})
 def test_json_reports_hold_the_indented_dumps_bytes(report_path, payload):
-    # every container kind, empty ones, NaN and infinities, and strings that
-    # hold the nested containers' stand-in, "\x00"
+    # every container kind, empty ones, NaN and infinities, and a NUL in a
+    # string
     cli_module._write_json(report_path, payload)
     assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -496,24 +496,24 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
     p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, 201), 1.0)
     x = p.U.x
     h = GridFunction(x + 0.05 * x * x) if scheme == "rk4" else scaled_linear_h(201, 1.1)
-    distance_calls, block_terms, passes = [], [], []
-    distance, l2, distances = flow_module._distance, flow_module._l2_squared, flow_module._distances
+    distance_calls, block_norms, passes = [], [], []
+    distance, norm, distances = flow_module._distance, flow_module._norm, flow_module._distances
 
     def counting_distance(*args):
         distance_calls.append(args)
         return distance(*args)
 
-    def counting_l2(values, dx, sq=None):
-        if values.ndim == 2:  # one term of a block
-            block_terms.append(values.shape)
-        return l2(values, dx, sq)
+    def counting_norm(terms, a, dx, squares):
+        if terms.values.ndim == 3:  # the terms of a block of several rows
+            block_norms.append((a, terms.values.shape))
+        return norm(terms, a, dx, squares)
 
     def counting_distances(points, center, a, terms):
         passes.append(len(points))
         return distances(points, center, a, terms)
 
     monkeypatch.setattr(flow_module, "_distance", counting_distance)
-    monkeypatch.setattr(flow_module, "_l2_squared", counting_l2)
+    monkeypatch.setattr(flow_module, "_norm", counting_norm)
     monkeypatch.setattr(flow_module, "_distances", counting_distances)
     traj = integrate_flow(p, p.U, h, FlowConfig(scheme=scheme, enforce_ball=enforce_ball))
     assert traj.stop_reason == STOP_CONVERGED and len(traj.samples) == samples
@@ -522,16 +522,16 @@ def test_only_enforce_ball_measures_distances_inside_the_step_loop(
     # column is also dist_u0, so a block pass takes it only when not enforced
     assert len(distance_calls) == (samples if enforce_ball else 0)
     assert passes == ([] if enforce_ball else [samples])
-    # the H1 norms of each block: two terms of 40 rows each, the last
-    # block's of the rows it has left
+    # one H1 norm of each block, over 40 rows, the last block's over the
+    # rows it has left
     live = [40] * (samples // 40) + [samples % 40] * (samples % 40 > 0)
-    assert block_terms == [(rows, 201) for rows in live for _ in range(2)] * len(passes)
+    assert block_norms == [(1, (3, rows, 201)) for rows in live] * len(passes)
 
 
 @pytest.mark.parametrize("n, rows", [(201, 40), (2001, 4), (20001, 1)])
 def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
     workspaces, blocks, passes = [], [], []
-    distances, l2 = flow_module._distances, flow_module._l2_squared
+    distances, norm = flow_module._distances, flow_module._norm
 
     class Recording(Workspace):
         def __init__(self, shape):
@@ -542,14 +542,14 @@ def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
         passes.append(ws)
         return distances(points, center, a, ws)
 
-    def recording_l2(values, dx, sq=None):
-        if passes:  # the terms of a block, after the step loop
-            blocks.append(values)
-        return l2(values, dx, sq)
+    def recording_norm(terms, a, dx, squares):
+        if passes:  # the norm of a block, after the step loop
+            blocks.append((a, terms.values, squares))
+        return norm(terms, a, dx, squares)
 
     monkeypatch.setattr(flow_module, "Workspace", Recording)
     monkeypatch.setattr(flow_module, "_distances", recording_distances)
-    monkeypatch.setattr(flow_module, "_l2_squared", recording_l2)
+    monkeypatch.setattr(flow_module, "_norm", recording_norm)
     p = ProblemSetup.from_reference(QuadraticVolterra(), GridFunction.constant(1.0, n), 0.05)
     x = p.U.x
     h = GridFunction(x + 0.05 * x * x)
@@ -560,14 +560,16 @@ def test_flow_scratch_lives_in_its_workspace(monkeypatch, n, rows):
             log.clear()
         traj = integrate_flow(p, u0, h, FlowConfig(scheme=scheme, t_max=1.0))
         [ws] = workspaces
-        # one (3, rows, n) block serves the steps' row 0 and the blocks:
-        # two H1 terms per block, in each pass
+        # one (3, rows, n) block serves the steps' row 0 and the blocks: one
+        # H1 norm per block, in each pass, squared in place; a one-row
+        # block is the 1-D row ws.gap, and a distance of its own
         assert ws.dif.shape == (3, rows, n)
         assert passes == [ws] * n_passes
         m = len(traj.samples)
         live = [rows] * (m // rows) + [m % rows] * (m % rows > 0)
-        assert [b.shape for b in blocks] == [(k, n) for k in live for _ in range(2)] * n_passes
-        assert all(np.shares_memory(b, ws.dif) for b in blocks)
+        shape = (lambda k: (3, n)) if rows == 1 else (lambda k: (3, k, n))
+        assert [(a, t.shape) for a, t, _ in blocks] == [(1, shape(k)) for k in live] * n_passes
+        assert all(sq is t and np.shares_memory(t, ws.dif) for _, t, sq in blocks)
         if u0 is p.U:
             assert all(s.dist_u0 == s.dist_U for s in traj.samples)
         # D h is written for every scheme

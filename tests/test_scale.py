@@ -179,11 +179,18 @@ def one_row_block(n):
     return block
 
 
-@pytest.mark.parametrize("n", [3, 4, 201, 20001])
-def test_one_row_kernels_equal_the_rows_of_a_block(n):
+# Where _norm squares its terms: a workspace's sq, as the residual's norm
+# does, or the terms' own block, in place, as a distance's does.
+_SQUARES = {"": lambda ws: ws.sq.values, "-in-place": lambda ws: ws.res.values}
+
+
+@pytest.mark.parametrize("n, squares", [
+    pytest.param(n, squares, id=f"{n}{where}")
+    for where, squares in _SQUARES.items() for n in (3, 4, 201, 20001)])
+def test_one_row_kernels_equal_the_rows_of_a_block(n, squares):
     # a 1-D output takes the kernels' one-row paths: Python floats at the
     # ends; a block, and a 1-D input derived into a block, take the block
-    # path. All three give the same bits.
+    # path. All three give the same bits, and _norm those of sobolev_norm.
     block = one_row_block(n)
     dx = 1.0 / (n - 1)
     with np.errstate(all="ignore"):
@@ -198,13 +205,16 @@ def test_one_row_kernels_equal_the_rows_of_a_block(n):
         for a in (0, 1, 2):
             batch = Workspace((3, n))
             batch.res.values[0] = block
-            norms = _norm(batch.res, a, batch)
-            for values, want in zip(block, norms):
+            norms = _norm(batch.res, a, dx, squares(batch))
+            want = sobolev_norm(GridFunction._trusted(block.copy()), a)
+            assert np.array_equal(norms, want, equal_nan=True)
+            for values, row_norm in zip(block, norms):
                 ws = Workspace((n,))
                 ws.res.values[0] = values
-                got = _norm(ws.res, a, ws)
+                got = _norm(ws.res, a, dx, squares(ws))
                 assert type(got) is float
-                assert np.array_equal(got, want, equal_nan=True)
+                alone = sobolev_norm(GridFunction._trusted(values.copy()), a)
+                assert np.array_equal([got, row_norm], [alone, alone], equal_nan=True)
     assert math.isnan(norms[1]) and norms[2] == math.inf
 
 

@@ -36,6 +36,8 @@ RUNS = [
     ("solve-scaled-linear", ["solve", "--h-family", "scaled-linear", "--param", "1.1"]),
     ("solve-quadratic-perturb-201", ["solve", *_QP]),
     ("solve-quadratic-perturb-2001", ["solve", *_QP, "--n", "2001"]),
+    # from n = 8193 up a distance block is one row: each distance its own
+    ("solve-quadratic-perturb-20001", ["solve", *_QP, "--n", "20001"]),
     ("solve-linear-smoothing", ["solve", "--operator", "linear-smoothing", *_QP]),
     # converges inside the ball, where 0.05 leaves it (exit 2, ball_exit)
     ("solve-enforce-ball", ["solve", "--h-family", "quadratic-perturb", "--param", "0.02",
