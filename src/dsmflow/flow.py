@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +118,12 @@ class FlowConfig:
         return math.floor(self.t_max / self.dt * (1.0 + 1e-12))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
+    """One record of a flow: time, residual g and the distances to u0 and
+    U. A named tuple, immutable and compared by value, so a run builds its
+    samples with ``_make`` at the cost of a tuple each, where a frozen
+    dataclass's ``__init__`` set each field through ``object.__setattr__``."""
+
     t: float
     g: float
     dist_u0: float
@@ -420,7 +425,7 @@ def integrate_flow(p: ProblemSetup, u0: GridFunction, h: GridFunction,
         dist_U = _distances(points, U, a, ws)
     # from u0 = U, as the CLI starts without --u0-file, the columns are equal
     dist_u0 = dist_U if start is U else _distances(points, start, a, ws)
-    samples = map(TrajectorySample, times, gs, dist_u0, dist_U)
+    samples = map(TrajectorySample._make, zip(times, gs, dist_u0, dist_U))
     return Trajectory(tuple(samples), tuple(recorded), stop, a,
                       (len(times) - 1 + retaken) * _VELOCITIES_PER_STEP[cfg.scheme], ratio)
 

@@ -38,6 +38,7 @@ from .scale import (
     integrate_from_zero,
     require_same_grid,
 )
+from .sampling import DIRECTION_DRAWS
 
 
 class DegenerateCoefficient(RuntimeError):
@@ -109,6 +110,15 @@ class ScaleOperator(ABC):
         result computed without it (the linearisation of ``_eval_slope``),
         written into ``out``, whose array is returned."""
 
+    def _image_factors(self, u: np.ndarray | None, q: np.ndarray):
+        """Two sampled functions f and g with A(u)q = I(f g), I the
+        trapezoid integral, given by their coefficients in the sampling
+        basis (rows, or one row for all), for u and q given so (u None
+        where it lies outside that basis). None where the operator states
+        no such form, as here: the estimate then takes every two-sided
+        ratio on the grid."""
+        return None
+
     def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace,
                 out: np.ndarray | None = None) -> np.ndarray:
         """A(u)^{-1} of a function whose derivative is v, written into
@@ -178,6 +188,9 @@ class QuadraticVolterra(ScaleOperator):
         product = _summed(np.multiply(u, q, out.values))
         return np.multiply(_derivative_of_integral(product, out, ws.pairs), 2.0, out.values)
 
+    def _image_factors(self, u, q):
+        return None if u is None else (2.0 * u, q)
+
     def _divide(self, u, v, ws, out=None):
         """v / (2u)."""
         # One min over the whole array clears every row at once; only a dip
@@ -196,6 +209,11 @@ class QuadraticVolterra(ScaleOperator):
     def _clears_guard(self, floor: np.ndarray) -> np.ndarray:
         # a row whose min is at least floor >= u_min is not below the guard
         return floor >= self.u_min
+
+
+# The constant 1, the sampling basis's first function, in that basis.
+_ONE = np.eye(1, DIRECTION_DRAWS)[0]
+_ONE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -224,6 +242,9 @@ class LinearSmoothing(ScaleOperator):
 
     def _apply_slope(self, u, q, out, ws):
         return _derivative_of_integral(_summed(q), out, ws.pairs)
+
+    def _image_factors(self, u, q):
+        return _ONE, q
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,15 @@ from it. Norms of anything computed from the rounded values, such as
 operator images or the distance between two points, stay with
 ``scale.sobolev_norm``.
 
+The constants estimate screens its two-sided ratios ||A(u)q||_{a+delta}
+the same way, and takes on the grid only the few that could be its min
+or max. The product of two sampled functions lies in the span of the 33
+functions C = cos(m pi x), m <= 2K, and sin(m pi x), 1 <= m <= 2K, and is
+known from its values at 33 collocation points; so the H_b norm of its
+trapezoid integral is a quadratic form in those values, with a 33 x 33
+Gram matrix cached per (n, b) and built in column panels of the grid,
+without any (33, n) array (``_image_gram``, ``_image_norm``).
+
 Draw order: ``trig_polynomial`` consumes 2K+1 uniform(-1, 1) draws, the
 cosine coefficients for k = 0..K followed by the sine coefficients for
 k = 1..K; ``sample_in_ball`` consumes one further uniform(0, 1) draw. A
@@ -102,25 +111,173 @@ def _chunk_rows(n: int) -> int:
 
 
 def _chunked_product(coeffs: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
-    """``coeffs @ matrix``, a (rows, 17) batch in chunks of ``_chunk_rows(n)``
+    """``coeffs @ matrix``, a (rows, k) batch in chunks of ``_chunk_rows(n)``
     rows, the last chunk padded with zero rows; a vector product for one
     1-D row of coefficients."""
     if coeffs.ndim == 1:
         return coeffs @ matrix
-    rows, height = len(coeffs), _chunk_rows(n)
+    (rows, width), height = coeffs.shape, _chunk_rows(n)
     chunks = -(-rows // height)
-    padded = np.zeros((chunks * height, DIRECTION_DRAWS))
+    padded = np.zeros((chunks * height, width))
     padded[:rows] = coeffs
-    # a stacked product multiplies each (height, 17) chunk on its own
-    product = padded.reshape(chunks, height, DIRECTION_DRAWS) @ matrix
+    # a stacked product multiplies each (height, k) chunk on its own
+    product = padded.reshape(chunks, height, width) @ matrix
     return product.reshape(chunks * height, matrix.shape[1])[:rows]
+
+
+def _gram_norm(coeffs: np.ndarray, gram: np.ndarray, n: int):
+    """sqrt(c G c^T) for each row c of `coeffs` (a scalar for a single
+    row), its products with G taken in chunks as ``_chunked_product``
+    takes them."""
+    y = _chunked_product(coeffs, gram, n)
+    return np.sqrt(np.einsum("...i,...i->...", y, coeffs))
 
 
 def _span_norm(coeffs: np.ndarray, n: int, a: int):
     """Discrete H_a norm of ``coeffs @ _trig_basis(n)``, one per row of
     `coeffs` (a scalar for a single row), from the cached Gram matrix."""
-    y = _chunked_product(coeffs, _span_gram(n, a), n)
-    return np.sqrt(np.einsum("...i,...i->...", y, coeffs))
+    return _gram_norm(coeffs, _span_gram(n, a), n)
+
+
+# The images' basis C: cos(m pi x), m = 0..2K, then sin(m pi x), m = 1..2K.
+# The product f g of two sampled functions lies in its span, by the
+# product-to-sum identities, and so A(u)q = I(f g), with I the trapezoid
+# integral, lies in the span of the integrals I C.
+IMAGE_TERMS = 4 * MAX_FREQUENCY + 1
+
+# Grid nodes per column panel of ``_image_gram``.
+IMAGE_PANEL = 512
+
+
+@lru_cache(maxsize=1)
+def _collocation() -> tuple[np.ndarray, np.ndarray]:
+    """The (17, 33) values of the sampling basis at the 33 collocation
+    points x_p = 2p / 33, equally spaced over [0, 2), the period of every
+    C_m, and the (33, 33) matrix M that takes the values of a function in
+    the span of C at those points to its coefficients in C.
+
+    C is orthogonal on the points: sum_p C_m(x_p) C_l(x_p) is 33 for
+    m = l = 0, 33 / 2 for m = l > 0 and 0 otherwise. So, with E the values
+    of C at the points (E[p, m] = C_m(x_p)), M = E diag(1/33, 2/33, ...).
+    A product f g is known exactly from its values, the products of f's
+    and g's: this is how the product-to-sum identities are applied."""
+    K, K2 = MAX_FREQUENCY, 2 * MAX_FREQUENCY
+    angles = np.outer(2.0 * np.pi * np.arange(IMAGE_TERMS) / IMAGE_TERMS, np.arange(K2 + 1))
+    E = np.hstack([np.cos(angles), np.sin(angles[:, 1:])])
+    basis = np.r_[0:K + 1, K2 + 1:K2 + K + 1]
+    scale = np.full(IMAGE_TERMS, 2.0 / IMAGE_TERMS)
+    scale[0] = 1.0 / IMAGE_TERMS
+    values, to_coefficients = E[:, basis].T.copy(), E * scale
+    values.flags.writeable = to_coefficients.flags.writeable = False
+    return values, to_coefficients
+
+
+@lru_cache(maxsize=4)
+def _image_gram(n: int, b: int) -> np.ndarray:
+    """Read-only 33 x 33 Gram matrix G of the integrals I C in the discrete
+    H_b inner product, so that g G g^T is the squared H_b norm of
+    ``integrate_from_zero(g @ C)`` for a row of coefficients g, taken to
+    the collocation points' values (see the end).
+
+    No (33, n) array is formed. Let phi be x followed by C. The trapezoid
+    sums of cosines and sines have closed forms,
+    I cos(m pi x) = k_m sin(m pi x) and I sin(m pi x) = k_m (1 - cos(m pi x)),
+    k_m = dx / 2 cot(m pi dx / 2) (I cos = x and I sin = 0 where m dx / 2
+    is a whole number: there cos is 1 at every node), and the central
+    difference maps phi into its span: D x = 1, D cos = -s sin and
+    D sin = s cos, s = sin(m pi dx) / dx. So at the nodes where no stencil
+    reaches an end stencil, j or more from either end, D^j I C = L_j phi
+    for fixed 33 x 34 matrices L_j, and G is the sum over j <= b of
+    L_j P L_j^T, with P the 34 x 34 Gram matrix of phi, summed over
+    column panels of ``IMAGE_PANEL`` nodes, each built from the cached
+    basis; the j nodes at each end are then corrected by their own terms,
+    derived from I C on the first and last 2b + 1 nodes. The matrix kept is
+    M G M^T (M from ``_collocation``), the Gram matrix of I applied to the
+    functions of the span of C that are 1 at one collocation point and 0
+    at the others, so that h G h^T is the squared norm of I f for the
+    values h of f at the collocation points."""
+    check_scale_index(b)
+    K2 = 2 * MAX_FREQUENCY
+    dx = 1.0 / (n - 1)
+    m = np.arange(1, K2 + 1)
+    theta = m * np.pi * dx
+    aliased = m % (2 * (n - 1)) == 0
+    kappa = np.where(aliased, 0.0, dx / 2.0 / np.tan(theta / 2.0))
+    # columns of phi: x, then cos m at 1 + m and sin m at 1 + K2 + m;
+    # rows of I C: cos m at m, sin m at K2 + m
+    lift = np.zeros((IMAGE_TERMS, IMAGE_TERMS + 1))
+    lift[0, 0] = 1.0
+    lift[m, 1 + K2 + m] = kappa
+    lift[m[aliased], 0] = 1.0
+    lift[K2 + m, 1] = kappa
+    lift[K2 + m, 1 + m] = -kappa
+    step = np.zeros((IMAGE_TERMS + 1, IMAGE_TERMS + 1))
+    step[0, 1] = 1.0
+    s = np.sin(theta) / dx
+    step[1 + m, 1 + K2 + m] = -s
+    step[1 + K2 + m, 1 + m] = s
+    maps = [lift]
+    for _ in range(b):
+        maps.append(maps[-1] @ step)
+    K, basis = MAX_FREQUENCY, _trig_basis(n)
+
+    def phi(lo, hi, out):
+        """phi at nodes lo to hi - 1, written into ``out``: C from the
+        cached basis, its frequencies K + k by cos(K + k) = cos K cos k -
+        sin K sin k and sin(K + k) = sin K cos k + cos K sin k."""
+        cos, sin = basis[:K + 1, lo:hi], basis[K + 1:, lo:hi]
+        high_cos, high_sin = out[K + 2:K2 + 2], out[K2 + K + 2:]
+        np.multiply(np.arange(lo, hi), dx, out[0])
+        out[1:K + 2] = cos
+        out[K2 + 2:K2 + K + 2] = sin
+        np.multiply(cos[K], cos[1:], high_cos)
+        high_cos -= sin[K - 1] * sin
+        np.multiply(sin[K - 1], cos[1:], high_sin)
+        high_sin += cos[K] * sin
+        return out
+
+    panel = np.empty((IMAGE_TERMS + 1, min(n, IMAGE_PANEL)))
+    inner = np.zeros((IMAGE_TERMS + 1, IMAGE_TERMS + 1))
+    for lo in range(0, n, IMAGE_PANEL):
+        hi = min(n, lo + IMAGE_PANEL)
+        values = phi(lo, hi, panel[:, :hi - lo])
+        # a product with a copy of the transpose: numpy's symmetric product
+        # (syrk), on first use, raises a process's resident memory by more
+        # than this panel holds
+        inner += values @ values.T.copy()
+    for node in (0, n - 1):  # the trapezoid's half weights
+        end = phi(node, node + 1, np.empty((IMAGE_TERMS + 1, 1)))[:, 0]
+        inner -= 0.5 * np.outer(end, end)
+    inner *= dx
+    gram = sum(L @ inner @ L.T for L in maps)
+    width = 2 * b + 1
+    windows = [(0, n)] if n <= 2 * width else [(0, width), (n - width, n)]
+    for lo, hi in windows:
+        values = phi(lo, hi, np.empty((IMAGE_TERMS + 1, hi - lo)))
+        nodes = np.arange(lo, hi)
+        weights = np.where((nodes == 0) | (nodes == n - 1), dx / 2.0, dx)
+        terms = maps[0] @ values
+        for j in range(1, b + 1):
+            terms = _derivative(_differenced(terms), dx, _derived(np.empty_like(terms)))
+            near = (nodes < j) | (nodes >= n - j)
+            got, model = terms[:, near], (maps[j] @ values)[:, near]
+            gram += (got * weights[near]) @ got.T - (model * weights[near]) @ model.T
+    to_coefficients = _collocation()[1]
+    gram = to_coefficients @ gram @ to_coefficients.T
+    gram.flags.writeable = False
+    return gram
+
+
+def _image_norm(f: np.ndarray, g: np.ndarray, n: int, b: int) -> np.ndarray:
+    """The discrete H_b norm of I(f g) on the n-point grid, one per row,
+    for the functions f and g whose coefficients in the sampling basis are
+    the rows of `f` and `g` (or one row, for all): sqrt(h G h^T), with h
+    the values of f g at the collocation points and G from
+    ``_image_gram``. Each product is taken in chunks as
+    ``_chunked_product`` takes it."""
+    values = _collocation()[0]
+    h = _chunked_product(f, values, n) * _chunked_product(g, values, n)
+    return _gram_norm(h, _image_gram(n, b), n)
 
 
 def _draws(rng: np.random.Generator | np.ndarray, count: int) -> np.ndarray:

@@ -17,9 +17,10 @@ def test_one_tree_against_itself_exits_zero():
     assert proc.returncode == 0, proc.stderr
     rows = {line.split("  ")[0].strip(): line for line in proc.stdout.splitlines()}
     for name in ("flow n=201", "flow n=2001", "flow n=20001", "sweep admissible",
-                 "constants(50) n=20001", "cli solve scaled-linear",
-                 "cli solve quadratic-perturb", "cli solve h-file", "cli compare-newton",
-                 "cli verify n=20001 --samples 50"):
+                 "constants(50) n=20001", "constants bracket(200) n=201",
+                 "cli solve scaled-linear", "cli solve quadratic-perturb", "cli solve h-file",
+                 "cli compare-newton", "cli verify n=20001 --samples 50",
+                 "cold verify n=20001"):
         assert name in rows, proc.stdout
     # the canonical flow takes 31 steps at every n
     assert rows["flow n=201"].split()[-3] == "31"

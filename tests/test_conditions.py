@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dsmflow.operators import (
     LinearSmoothing,
     ProblemSetup,
     QuadraticVolterra,
+    ScaleOperator,
 )
 from dsmflow.sampling import (
     DIRECTION_DRAWS,
@@ -575,6 +577,93 @@ def test_bracket_equals_the_full_estimate_wherever_the_bound_clears(u_min, clear
     assert _bracket_equals_full(setup, 60, 3)
 
 
+# --- the coefficient screen of the two-sided ratios --------------------------
+
+def _estimate_or_error(setup, count, seed, bracket_only):
+    try:
+        return estimate_constants(setup, count, seed, bracket_only=bracket_only)
+    except (EstimationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _unscreened(setup, count, seed, bracket_only):
+    """The estimate with the screen off: every kept row is a candidate and
+    takes its two-sided ratio on the grid."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions_module, "_screen", lambda *args: None)
+        return _estimate_or_error(setup, count, seed, bracket_only)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([3, 21, 201, 4097]),
+       radius=st.sampled_from([1e-300, 0.05, 0.5, 1e150]), u_min=st.floats(1e-3, 1.0),
+       linear=st.booleans(), bracket_only=st.booleans(), count=st.integers(10, 40))
+def test_the_screen_changes_no_estimate(seed, n, radius, u_min, linear, bracket_only, count):
+    # U = 1; at n = 4097 the samples span blocks of 14 rows, so the bracket
+    # also runs from one block into the next
+    op = LinearSmoothing() if linear else QuadraticVolterra(u_min=u_min)
+    setup = ProblemSetup.from_reference(op, GridFunction.constant(1.0, n), radius)
+    assert _estimate_or_error(setup, count, seed, bracket_only) == _unscreened(
+        setup, count, seed, bracket_only)
+
+
+@pytest.mark.parametrize("n", [21, 201, 2001, 20001])
+def test_screened_ratios_match_the_grid(n):
+    # the screen's margin is a thousand times its largest error
+    rows = 20 if n == 20001 else 200
+    worst = 0.0
+    for op in (QuadraticVolterra(), LinearSmoothing()):
+        for center, radius in ((1.0, 0.05), (1.0, 0.5), (2.5, 3.0)):
+            setup = ProblemSetup.from_reference(op, GridFunction.constant(center, n), radius)
+            draws = np.random.default_rng([n, int(radius * 100)]).random((rows, 71))
+            screened = conditions_module._screen(setup, center, draws)
+            u = sample_in_ball(draws[:, :POINT_DRAWS], setup.U, radius, setup.a)
+            q = unit_direction(draws[:, 3 * POINT_DRAWS:], n, setup.a)
+            grid = sobolev_norm(op.apply_derivative(u, q), setup.a + setup.delta)
+            worst = max(worst, np.max(np.abs(screened / grid - 1.0)))
+    assert worst <= conditions_module.SCREEN_TOLERANCE / 1000
+
+
+@dataclass(frozen=True)
+class UnscreenedSmoothing(ScaleOperator):
+    """``LinearSmoothing`` less its screen: a subclass that states no
+    A(u)q in the images' basis."""
+
+    a: int = 1
+    delta: int = 1
+    eval = LinearSmoothing.eval
+    apply_derivative = LinearSmoothing.apply_derivative
+    _eval = LinearSmoothing._eval
+    _eval_slope = LinearSmoothing._eval_slope
+    _apply_slope = LinearSmoothing._apply_slope
+
+
+@pytest.mark.parametrize("bracket_only", [False, True])
+@pytest.mark.parametrize("operator, U, reference", [
+    # U not constant: u = U + s c B lies outside the sampling basis
+    pytest.param(QuadraticVolterra(), GridFunction.from_callable(lambda x: 1.0 + 0.2 * x, 201),
+                 None, id="volterra-U-not-constant"),
+    pytest.param(UnscreenedSmoothing(), GridFunction.constant(1.0, 201), LinearSmoothing(),
+                 id="operator-without-screen"),
+])
+def test_without_a_screen_every_kept_row_is_taken_on_the_grid(operator, U, reference,
+                                                                bracket_only, monkeypatch):
+    setup = ProblemSetup.from_reference(operator, U, 0.05)
+    rows = []
+    apply = type(operator).apply_derivative
+    monkeypatch.setattr(type(operator), "apply_derivative",
+                        lambda self, u, q: rows.append(len(u.values)) or apply(self, u, q))
+    report = estimate_constants(setup, 60, 3, bracket_only=bracket_only)
+    assert sum(rows) == 60 - report.skipped
+    monkeypatch.undo()
+    assert report == _unscreened(setup, 60, 3, bracket_only)
+    if reference is not None:  # the same numbers as the built-in, screened
+        screened = estimate_constants(ProblemSetup.from_reference(reference, U, 0.05), 60, 3,
+                                      bracket_only=bracket_only)
+        assert report == screened
+
+
 # 11 samples: blocks of 14 rows (7 chunks of 2) at n = 4097, of 2 rows at
 # n = 20001, the last block holding only the samples left
 LARGE_GRID_BLOCKS = {4097: [(11, 71)], 20001: [(2, 71)] * 5 + [(1, 71)]}
@@ -591,22 +680,33 @@ def test_large_grids_run_one_block_at_4097_and_two_row_blocks_at_20001(n, monkey
 
 def test_estimate_passes_over_nan_and_uses_each_draw_once(setup201, monkeypatch):
     rows = 320  # 8 chunks of 40 rows at n = 201
-    blocks = []
+    blocks, grid = [], []
 
     def record(draws, ratios):
-        for r in ratios:
+        for r in ratios[1:]:
             r[0] = np.nan  # the reductions pass over it
         blocks.append((draws, ratios))
 
     _recording_ratios(monkeypatch, record)
+    norm = conditions_module.sobolev_norm
+
+    def first_nan(f, a):
+        # the two-sided ratios the bracket takes on the grid, the first NaN
+        ratios = norm(f, a)
+        ratios[0] = np.nan
+        grid.append(ratios)
+        return ratios
+
+    monkeypatch.setattr(conditions_module, "sobolev_norm", first_nan)
     report = estimate_constants(setup201, rows + 5, 17)
     draws, ratios = zip(*blocks)
     assert [d.shape for d in draws] == [(rows, 71), (5, 71)]
     # every draw reaches one row, in the order of one-at-a-time draws
     assert np.array_equal(np.concatenate(draws),
                           np.random.default_rng(17).random((rows + 5, 71)))
-    two_sided, iso, lip = (np.concatenate(parts) for parts in zip(*ratios))
-    assert np.isnan(two_sided).sum() == 2
+    screened, iso, lip = (np.concatenate(parts) for parts in zip(*ratios))
+    two_sided = np.concatenate(grid)
+    assert screened.size == rows + 5 and np.isnan(two_sided).sum() == len(grid)
     assert (report.c0_lower, report.c0_upper, report.c_iso, report.c_lip) == (
         np.nanmin(two_sided), np.nanmax(two_sided), np.nanmax(iso), np.nanmax(lip))
     assert report.skipped == 0
@@ -636,30 +736,32 @@ def _count_calls(monkeypatch, counts, name, owners):
         monkeypatch.setattr(owner, name, counting)
 
 
-# apply_derivative and sobolev_norm for the two-sided ratio and the u - v
-# distance only: the composed and Lipschitz ratios divide the fused slopes
-# D A(.)q and take their norms in the block's scratch; the samples' own norms
-# come from their coefficients
+# Per block: the full estimate draws u, v, w and q and takes the u - v
+# distance with sobolev_norm, and divides the fused slopes D A(.)q in the
+# block's scratch; the bracket draws u and v only where the coefficient
+# bound cannot clear their guard, as at u_min = 0.99, and never q. The
+# samples' own norms come from their coefficients.
 FULL_CALLS = {"trig_polynomial": 4, "sample_in_ball": 3, "unit_direction": 1,
-              "apply_derivative": 1, "solve_derivative": 2, "sobolev_norm": 2}
-# no w, no A^{-1}, no u - v distance, and no v where the coefficient bound
-# clears the guard for the whole block, as it does at u_min = 0.1
-BRACKET_CALLS = {"trig_polynomial": 2, "sample_in_ball": 1, "unit_direction": 1,
-                 "apply_derivative": 1, "solve_derivative": 0, "sobolev_norm": 1}
-# at u_min = 0.99 the bound cannot clear every row of a block: v is drawn
-GUARDED_BRACKET_CALLS = {**BRACKET_CALLS, "trig_polynomial": 3, "sample_in_ball": 2}
+              "solve_derivative": 2, "sobolev_norm": 1}
+GUARDED_BRACKET_CALLS = {"trig_polynomial": 2, "sample_in_ball": 2}
+# Per block that holds a candidate for the bracket's min or max: its
+# two-sided ratios on the grid, through apply_derivative and sobolev_norm,
+# from the block's u and q, or from the candidates' chunks drawn again.
+FULL_CANDIDATE_CALLS = {"apply_derivative": 1, "sobolev_norm": 1}
+BRACKET_CANDIDATE_CALLS = {"trig_polynomial": 2, "sample_in_ball": 1, "unit_direction": 1,
+                           "apply_derivative": 1, "sobolev_norm": 1}
 
 
-@pytest.mark.parametrize("operator, bracket_only, per_block", [
-    pytest.param(QuadraticVolterra(), False, FULL_CALLS, id="volterra"),
-    pytest.param(LinearSmoothing(), False, FULL_CALLS, id="linear"),
-    pytest.param(QuadraticVolterra(), True, BRACKET_CALLS, id="volterra-bracket"),
-    pytest.param(LinearSmoothing(), True, BRACKET_CALLS, id="linear-bracket"),
+@pytest.mark.parametrize("operator, bracket_only, per_block, per_candidate_block", [
+    pytest.param(QuadraticVolterra(), False, FULL_CALLS, FULL_CANDIDATE_CALLS, id="volterra"),
+    pytest.param(LinearSmoothing(), False, FULL_CALLS, FULL_CANDIDATE_CALLS, id="linear"),
+    pytest.param(QuadraticVolterra(), True, {}, BRACKET_CANDIDATE_CALLS, id="volterra-bracket"),
+    pytest.param(LinearSmoothing(), True, {}, BRACKET_CANDIDATE_CALLS, id="linear-bracket"),
     pytest.param(QuadraticVolterra(u_min=0.99), True, GUARDED_BRACKET_CALLS,
-                 id="volterra-bracket-guarded"),
+                 BRACKET_CANDIDATE_CALLS, id="volterra-bracket-guarded"),
 ])
 def test_estimate_calls_each_layer_once_per_block(operator, bracket_only, per_block,
-                                                  monkeypatch):
+                                                  per_candidate_block, monkeypatch):
     setup = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, 201), 0.05)
     counts = collections.Counter()
     modules = (dsmflow.scale, dsmflow.sampling, conditions_module, dsmflow.operators)
@@ -667,11 +769,14 @@ def test_estimate_calls_each_layer_once_per_block(operator, bracket_only, per_bl
         _count_calls(monkeypatch, counts, name, modules)
     for name in ("apply_derivative", "solve_derivative"):
         _count_calls(monkeypatch, counts, name, (type(operator),))
-    # blocks of 320 rows at n = 201
+    # blocks of 320 rows at n = 201; at seed 1 no screened ratio of the
+    # second block of 330 samples comes near the first block's bracket
     for samples, blocks in ((20, 1), (320, 1), (330, 2)):
         counts.clear()
         estimate_constants(setup, samples, 1, bracket_only=bracket_only)
-        assert dict(counts) == {name: blocks * c for name, c in per_block.items() if c}
+        want = collections.Counter({name: blocks * c for name, c in per_block.items()})
+        want.update(per_candidate_block)
+        assert dict(counts) == dict(want)
 
 
 def test_guarded_coinciding_samples_are_skipped_not_too_small():

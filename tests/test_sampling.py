@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dsmflow.sampling import (
+    IMAGE_PANEL,
     MAX_FREQUENCY,
     POINT_DRAWS,
     _chunk_rows,
+    _image_gram,
+    _image_norm,
     _span_gram,
     _span_norm,
     _trig_basis,
@@ -14,7 +17,7 @@ from dsmflow.sampling import (
     trig_polynomial,
     unit_direction,
 )
-from dsmflow.scale import GridFunction, sobolev_norm
+from dsmflow.scale import GridFunction, integrate_from_zero, sobolev_norm
 
 DRAWS = 2 * MAX_FREQUENCY + 1
 
@@ -161,3 +164,35 @@ def test_span_gram_is_built_in_one_pass_over_the_basis(a):
     # product would add one more
     assert peak < (a + 0.5) * unit
     assert gram.shape == (DRAWS, DRAWS) and not gram.flags.writeable
+
+
+# --- norms of A(u)q from coefficients ------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 10, 11, 21, 201, IMAGE_PANEL, IMAGE_PANEL + 1,
+                               IMAGE_PANEL + 2, 4097, 20001])
+def test_image_norm_equals_the_norm_of_the_integral(n):
+    # below 10 nodes some C_m is 1 at every node; from 11 up the end
+    # corrections come from two windows; a panel may hold one node
+    rng = np.random.default_rng(n)
+    f, g = (-1.0 + 2.0 * rng.random((40, DRAWS)) for _ in range(2))
+    f[:, 0] += 2.0
+    basis = _trig_basis(n)
+    for b in (1, 2):
+        want = sobolev_norm(integrate_from_zero(GridFunction._trusted((f @ basis) * (g @ basis))), b)
+        np.testing.assert_allclose(_image_norm(f, g, n, b), want, rtol=2e-12, atol=0.0)
+
+
+def test_image_gram_holds_no_basis_sized_array():
+    n = 20001
+    unit = DRAWS * n * 8  # one basis-sized array
+    _trig_basis(n)
+    tracemalloc.start()
+    try:
+        gram = _image_gram.__wrapped__(n, 2)  # built afresh, past the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # column panels of IMAGE_PANEL nodes: no (33, n) array, nor one of the
+    # basis's size
+    assert peak < unit
+    assert gram.shape == (4 * MAX_FREQUENCY + 1,) * 2 and not gram.flags.writeable

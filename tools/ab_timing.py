@@ -23,12 +23,16 @@ The operations are fixed:
 - one sweep-large-style admissible operation at n = 20001: a drawn u0 and
   h = F(V) for a drawn V, ``admissibility_check``, then the flow with
   ``eps_rel = 1e-4``, ``eps_abs = 1e-10`` and ``enforce_ball``;
-- ``estimate_constants`` with 50 samples at n = 20001;
+- ``estimate_constants`` with 50 samples at n = 20001, and the 200-sample
+  ``bracket_only`` estimate of a CLI solve at n = 201;
 - the four cli-small commands at n = 201 through ``cli.main``: solves of
   scaled-linear 1.1, quadratic-perturb 0.05 and an ``--h-file`` input,
   and ``compare-newton`` scaled-linear 1.1;
 - verify-large's command through ``cli.main``: ``verify --samples 50`` at
-  n = 20001.
+  n = 20001;
+- the same command in a fresh Python process of its own (``cold verify``),
+  which imports the tree and builds its caches (the sampling basis and
+  Gram matrices) on the way, as a first run does.
 
 For each operation the tool prints each tree's median and quartiles in
 milliseconds over both orders, the ratio of B's median to A's, and the
@@ -44,6 +48,7 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 RADIUS = 0.05  # the CLI's default working-ball radius
+_ENTRY = "import sys; from dsmflow.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def load_tree(src: Path, name: str):
@@ -72,8 +78,9 @@ def load_tree(src: Path, name: str):
 class Tree:
     """One loaded package, with its inputs and its operations."""
 
-    def __init__(self, package, workdir: Path, seed: int):
+    def __init__(self, package, src: Path, workdir: Path, seed: int):
         self.pkg = package
+        self.src = src
         self.workdir = workdir
         self.seed = seed
         self.flows = {}
@@ -112,6 +119,18 @@ class Tree:
     def constants(self):
         return self.pkg.estimate_constants(self.large, 50, self.seed)
 
+    def bracket(self):
+        return self.pkg.estimate_constants(self.flows[201][0], 200, self.seed, bracket_only=True)
+
+    def cold_verify(self) -> None:
+        out = self.workdir / "cold_verify"
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENTRY, "verify", "--n", "20001", "--samples", "50",
+             "--out-dir", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(self.src)), capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{self.src}: cold verify exited {proc.returncode}: {proc.stderr}")
+
     def cli(self, kind: str, args: list[str], n: int = 201) -> int:
         out = ["--n", str(n), "--out-dir", str(self.workdir / kind)]
         code = self.pkg.cli.main(args + out)
@@ -123,7 +142,8 @@ class Tree:
         """(name, call) pairs, in the order each round runs them."""
         ops = [(f"flow n={n}", lambda n=n: self.flow(n)) for n in (201, 2001, 20001)]
         ops += [("sweep admissible", self.sweep),
-                ("constants(50) n=20001", self.constants)]
+                ("constants(50) n=20001", self.constants),
+                ("constants bracket(200) n=201", self.bracket)]
         commands = {
             "cli solve scaled-linear": ["solve", "--h-family", "scaled-linear",
                                         "--param", "1.1"],
@@ -137,6 +157,7 @@ class Tree:
                 for name, args in commands.items()]
         ops.append(("cli verify n=20001 --samples 50",
                     lambda: self.cli("cli_verify", ["verify", "--samples", "50"], 20001)))
+        ops.append(("cold verify n=20001", self.cold_verify))
         return ops
 
 
@@ -155,7 +176,7 @@ def measure(srcs: dict[str, Path], first: str, rounds: int, seed: int) -> dict:
         for tag in (first, "b" if first == "a" else "a"):
             workdir = Path(tmp) / tag
             workdir.mkdir()
-            trees[tag] = Tree(load_tree(srcs[tag], f"dsmflow_{tag}"), workdir, seed)
+            trees[tag] = Tree(load_tree(srcs[tag], f"dsmflow_{tag}"), srcs[tag], workdir, seed)
             trees[tag].setup()
         ops = [trees[tag].operations() for tag in ("a", "b")]
         names = [name for name, _ in ops[0]]

@@ -56,6 +56,13 @@ RUNS = [
     ("verify-2001", ["verify", "--n", "2001", "--samples", "30"]),
     ("verify-4097", ["verify", "--n", "4097", "--samples", "11"]),
     ("verify-guarded", ["verify", "--radius", "0.5", "--u-min", "0.95", "--samples", "60"]),
+    # a ball of radius 1e150, whose points A(u)q = I(q) does not see
+    ("verify-linear-smoothing-huge-ball", ["verify", "--operator", "linear-smoothing",
+                                           "--radius", "1e150"]),
+    # a bracket whose bound cannot clear the guard of u or v: both are
+    # drawn on the grid
+    ("solve-radius-2", ["solve", "--radius", "2", "--h-family", "scaled-linear",
+                        "--param", "1.1"]),
     ("compare-newton", ["compare-newton", "--h-family", "scaled-linear", "--param", "1.1"]),
     ("probe-loss", ["probe-loss"]),
     ("classical-ift", ["classical-ift"]),
