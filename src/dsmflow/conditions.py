@@ -15,9 +15,9 @@ functions.
 
 The two-sided ratio ||A(u)q||_{a+delta} is screened from coefficients.
 With U constant, u = U + s c B and q = e B / ||e B||_a lie in the span of
-the sampling basis B, and each built-in states A(u)q as I(f g), the
-trapezoid integral of a product of two such functions (2u and q, or 1 and
-q); so its norm is a quadratic form in the values of f g at 33
+the sampling basis B, and each built-in states A(u)q = I(phi'(u) q) as
+I(f g), the trapezoid integral of a product of two such functions (2u and
+q, or 1 and q); so its norm is a quadratic form in the values of f g at 33
 collocation points, with a Gram matrix cached per grid
 (``sampling._image_norm``), and no grid value is touched. The estimate
 keeps only the min and max of these ratios, so only candidates for them
@@ -32,9 +32,9 @@ each row has the bits it has in the block. So the bracket, rho0 and the
 skipped count equal those of taking every ratio on the grid, bit for bit;
 an operator without a screen, or a U that is not constant, takes every
 kept row on the grid. ``scale.sobolev_norm`` also takes the H_a distance
-u - v. The composed and Lipschitz ratios form no cumulative sum: each
-operator's ``_apply_slope`` gives the fused stencil derivative D A(.)q
-(see ``scale._derivative_of_integral``), the workspace form of
+u - v. The composed and Lipschitz ratios form no cumulative sum: the
+operator's ``_apply_slope`` gives the fused stencil derivative D A(.)q =
+M(phi'(.) q) (M = ``scale._derivative_of_integral``), the workspace form of
 ``solve_derivative`` divides it, and ``scale._norm``, the flow's norm,
 takes the H_a norms of the results in the workspace's ``res`` block. The
 samplers normalise the sampled points and directions from their

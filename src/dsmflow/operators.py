@@ -5,16 +5,24 @@ in H_{a+delta}. Applying the inverse derivative goes the other way and costs
 the same number of indices, which is what makes plain Newton iteration
 delicate on these problems.
 
+Every operator here is F(u) = I(phi(u)), with I the cumulative trapezoid
+integral and phi a pointwise nonlinearity, so everything else follows from
+phi and its derivative phi':
+
+* A(u)q = I(phi'(u) q), and A(u)^{-1} psi = D psi / phi'(u), with D the
+  stencil derivative;
+* D F(u) = M phi(u) and D A(u)q = M(phi'(u) q), with M = D o I the fused
+  stencil ``scale._derivative_of_integral``, which forms no integral.
+
 Built-ins:
 
-* ``QuadraticVolterra`` -- F(u)(x) = integral_0^x u(s)^2 ds with
-  A(u)q = 2 integral_0^x u q and A(u)^{-1} psi = psi' / (2u).
-* ``LinearSmoothing`` -- F(u)(x) = integral_0^x u(s) ds, a linear sanity
-  operator whose derivative does not depend on u.
+* ``QuadraticVolterra`` -- phi(u) = u^2: F(u)(x) = integral_0^x u(s)^2 ds,
+  A(u)q = integral_0^x 2u q and A(u)^{-1} psi = psi' / (2u).
+* ``LinearSmoothing`` -- phi(u) = u: F(u)(x) = integral_0^x u(s) ds, a
+  linear sanity operator whose derivative does not depend on u.
 
-The flow's velocity A(u)^{-1}(h - F(u)) is (D h - D F(u)) / (2u), or
-D h - D F(u) for ``LinearSmoothing``, with D the stencil derivative; D F(u)
-is a local average of u^2 (or u) that needs no integral.
+The flow's velocity A(u)^{-1}(h - F(u)) is (D h - M phi(u)) / phi'(u): D F(u)
+is a local average of phi(u) that needs no integral.
 """
 
 from __future__ import annotations
@@ -46,34 +54,63 @@ class DegenerateCoefficient(RuntimeError):
 
 
 class ScaleOperator(ABC):
-    """Interface bundling F, A(u) application and A(u)^{-1} application.
+    """An operator F(u) = I(phi(u)), with A(u) = F'(u) and A(u)^{-1}.
 
-    ``a`` is the domain index and ``delta`` the smoothing gain: images of
-    ``eval`` have finite H_{a+delta} norm.
+    ``a`` is the domain index and ``delta`` the smoothing gain, 1 each for
+    every I o phi: images of ``eval`` have finite H_{a+delta} norm.
 
-    F and its stencil derivative D F are written on value arrays along the
-    last axis (``_eval`` and ``_eval_slope``), into the views of an array
-    (see ``scale._views``) with scratch from a ``Workspace``;
-    ``solve_derivative``, ``dsm_vector_field`` and the flow run on them.
-    ``solve_derivative`` takes the derivative of a grid function, or is
-    handed it with a workspace, and passes it to ``_divide``, which the
-    velocity shares, so the guard and the division by the coefficient of
-    A(u) are written once. ``eval`` states F in grid-function arithmetic on
-    the same scale kernels, bit for bit. Each built-in binds
-    ``solve_derivative`` in its own class, where the traced benchmark wraps
-    it per operator.
+    A subclass declares phi and phi' on value arrays (``phi`` and
+    ``dphi``), the floor ``u_min`` of its guard on u (None, no guard, by
+    default; else positive and finite) and, where A(u)q has a form in the
+    sampling basis, ``_image_factors``. ``dphi`` returns None where phi' is
+    1, so that A(u) = F, and nothing is multiplied or divided by it; an
+    identity ``phi`` returns u itself. So neither costs an array pass.
+
+    The base class derives the rest once, for every operator. ``eval`` and
+    ``apply_derivative`` state F and A(u)q in grid-function arithmetic on
+    the public ``integrate_from_zero``. F, D F and D A(u)q are written on
+    value arrays along the last axis (``_eval``, ``_eval_slope`` and
+    ``_apply_slope``), into the views of an array (see ``scale._views``)
+    with scratch from a ``Workspace``; ``solve_derivative``,
+    ``dsm_vector_field`` and the flow run on them, bit for bit as on grid
+    functions. ``solve_derivative`` takes the derivative of a grid
+    function, or is handed it with a workspace, and passes it to
+    ``_divide``, which the velocity shares, so the guard (``_below_guard``
+    and ``_clears_guard``) and the division by phi'(u) are written once.
+
+    Each built-in binds ``eval``, ``apply_derivative`` and
+    ``solve_derivative``, these functions themselves, in its own class: the
+    traced benchmark (``perfbench/spans.py``) wraps each from the class's
+    own dict, per operator.
     """
 
-    a: int
-    delta: int
+    a = delta = 1
+    u_min: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.u_min is not None and not (math.isfinite(self.u_min) and self.u_min > 0.0):
+            raise ValueError(f"u_min must be positive and finite, got {self.u_min!r}")
 
     @abstractmethod
+    def phi(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """phi(u) on values, written into ``out`` (a fresh array if None),
+        which is returned; an identity returns u itself."""
+
+    @abstractmethod
+    def dphi(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
+        """phi'(u) on values, written into ``out`` (a fresh array if None),
+        which is returned; None where phi' is 1."""
+
     def eval(self, u: GridFunction) -> GridFunction:
-        """Forward map F(u)."""
+        """Forward map F(u) = I(phi(u))."""
+        w = self.phi(u.values)
+        return integrate_from_zero(u if w is u.values else GridFunction._trusted(w))
 
-    @abstractmethod
     def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
-        """Apply A(u) = F'(u) to the direction q; linear in q."""
+        """Apply A(u) = F'(u) to the direction q, I(phi'(u) q); linear in q."""
+        require_same_grid(u, q)
+        f = self.dphi(u.values)
+        return integrate_from_zero(q if f is None else GridFunction._trusted(f * q.values))
 
     def solve_derivative(self, u, psi, ws: Workspace | None = None,
                          out: np.ndarray | None = None):
@@ -94,21 +131,34 @@ class ScaleOperator(ABC):
         v = _derivative(_differenced(psi.values), ws.dx, _derived(np.empty(ws.shape)))
         return GridFunction._trusted(self._divide(u.values, v, ws))
 
-    @abstractmethod
+    def _image(self, u: np.ndarray, ws: Workspace):
+        """phi(u) on values, with the views the integral kernels read: in
+        row 0 of the workspace's ``sq``, whose views are bound, or u's own,
+        bound here, where phi is the identity."""
+        square = ws.sq.rows[0]
+        w = self.phi(u, square.values)
+        return square if w is square.values else _summed(w)
+
     def _eval(self, u: np.ndarray, out, ws: Workspace) -> np.ndarray:
         """F(u) on values, written into ``out``, whose array is returned."""
+        return _integrate(self._image(u, ws), ws.dx, out, ws.trap)
 
-    @abstractmethod
     def _eval_slope(self, u: np.ndarray, out, ws: Workspace) -> np.ndarray:
-        """D F(u) on values, the stencil derivative of ``_eval``'s result
-        computed without it, written into ``out``, whose array is
-        returned."""
+        """D F(u) = M phi(u) on values, the stencil derivative of
+        ``_eval``'s result computed without it, written into ``out``, whose
+        array is returned."""
+        return _derivative_of_integral(self._image(u, ws), out, ws.pairs)
 
-    @abstractmethod
     def _apply_slope(self, u: np.ndarray, q: np.ndarray, out, ws: Workspace) -> np.ndarray:
-        """D A(u)q on values, the stencil derivative of ``apply_derivative``'s
-        result computed without it (the linearisation of ``_eval_slope``),
-        written into ``out``, whose array is returned."""
+        """D A(u)q = M(phi'(u) q) on values, the stencil derivative of
+        ``apply_derivative``'s result computed without it (the
+        linearisation of ``_eval_slope``), written into ``out``, whose
+        array is returned."""
+        # phi'(u) q goes into out, which the stencil reads whole, into its
+        # neighbour sums, before it writes there
+        f = self.dphi(u, out.values)
+        product = q if f is None else np.multiply(f, q, f)
+        return _derivative_of_integral(_summed(product), out, ws.pairs)
 
     def _image_factors(self, u: np.ndarray | None, q: np.ndarray):
         """Two sampled functions f and g with A(u)q = I(f g), I the
@@ -121,94 +171,71 @@ class ScaleOperator(ABC):
 
     def _divide(self, u: np.ndarray, v: np.ndarray, ws: Workspace,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """A(u)^{-1} of a function whose derivative is v, written into
-        ``out``, an array of v's shape (v itself, in place, if None), which
-        is returned: v copied unless the operator divides it by a
-        coefficient of u."""
+        """A(u)^{-1} of a function whose derivative is v, v / phi'(u) with
+        phi'(u) in ``ws.div``, written into ``out``, an array of v's shape
+        (v itself, in place, if None), which is returned; v copied where
+        phi' is 1. Raises ``DegenerateCoefficient`` when a row of u trips
+        the guard."""
+        # One min over the whole array clears every row at once; only a dip
+        # or a NaN (whose row does not trip the guard) asks row by row. A
+        # batch of zero rows has no min, and trips nothing.
+        if (self.u_min is not None and u.size and not np.minimum.reduce(u, None) >= self.u_min
+                and self._below_guard(u).any()):
+            raise DegenerateCoefficient(
+                f"min node value {u.min():.6g} below guard {self.u_min:.6g}")
+        f = self.dphi(u, ws.div)
+        if f is not None:
+            return np.divide(v, f, v if out is None else out)
         if out is None or out is v:
             return v
         np.copyto(out, v)
         return out
 
     def _below_guard(self, u: np.ndarray) -> np.ndarray:
-        """Whether each row of the values u trips the guard on A(u)^{-1}.
-        No row trips it unless the operator guards a division."""
-        return np.zeros(u.shape[:-1], dtype=bool)
+        """Whether each row of the values u trips the guard on A(u)^{-1}:
+        holds a node below ``u_min``. No row trips it where there is no
+        guard."""
+        if self.u_min is None:
+            return np.zeros(u.shape[:-1], dtype=bool)
+        return np.minimum.reduce(u, -1) < self.u_min
 
     def _clears_guard(self, floor: np.ndarray) -> np.ndarray:
         """Whether a row of values none of which lies below ``floor``
         passes the guard on A(u)^{-1}, for each entry of ``floor``: every
-        row unless the operator guards a division. A NaN floor clears
-        nothing that is guarded."""
-        return np.ones(floor.shape, dtype=bool)
+        row where there is no guard. A NaN floor clears nothing that is
+        guarded."""
+        if self.u_min is None:
+            return np.ones(floor.shape, dtype=bool)
+        return floor >= self.u_min
 
 
 @dataclass(frozen=True)
 class QuadraticVolterra(ScaleOperator):
-    """The quadratic Volterra operator F(u) = integral_0^x u^2.
+    """The quadratic Volterra operator F(u) = integral_0^x u^2: phi(u) =
+    u^2 and phi'(u) = 2u.
 
-    ``u_min`` guards the pointwise division in A^{-1}: once the trajectory
-    leaves the safe ball and u dips below the guard, ``solve_derivative``
-    raises ``DegenerateCoefficient`` instead of silently blowing up. On a
-    batch it raises when any row dips below; ``_below_guard`` says which.
+    ``u_min`` guards the pointwise division by 2u in A^{-1}: once the
+    trajectory leaves the safe ball and u dips below the guard,
+    ``solve_derivative`` raises ``DegenerateCoefficient`` instead of
+    silently blowing up. On a batch it raises when any row dips below;
+    ``_below_guard`` says which.
     """
 
     u_min: float = 0.1
-    a: int = field(default=1, init=False)
-    delta: int = field(default=1, init=False)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.u_min) and self.u_min > 0.0):
-            raise ValueError(f"u_min must be positive and finite, got {self.u_min!r}")
-
-    def eval(self, u: GridFunction) -> GridFunction:
-        return integrate_from_zero(u * u)
-
-    def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
-        require_same_grid(u, q)
-        return 2.0 * integrate_from_zero(u * q)
-
+    eval = ScaleOperator.eval
+    apply_derivative = ScaleOperator.apply_derivative
     solve_derivative = ScaleOperator.solve_derivative
 
-    def _eval(self, u, out, ws):
-        # u * u goes into the workspace's sq row 0, whose views are bound
-        square = ws.sq.rows[0]
-        np.multiply(u, u, square.values)
-        return _integrate(square, ws.dx, out, ws.trap)
+    def phi(self, u, out=None):
+        return np.multiply(u, u, out)
 
-    def _eval_slope(self, u, out, ws):
-        square = ws.sq.rows[0]
-        np.multiply(u, u, square.values)
-        return _derivative_of_integral(square, out, ws.pairs)
-
-    def _apply_slope(self, u, q, out, ws):
-        # twice the fused derivative of the integral of u q: u q goes into
-        # out, which the stencil reads whole, into its neighbour sums,
-        # before it writes there
-        product = _summed(np.multiply(u, q, out.values))
-        return np.multiply(_derivative_of_integral(product, out, ws.pairs), 2.0, out.values)
+    def dphi(self, u, out=None):
+        return np.multiply(u, 2.0, out)
 
     def _image_factors(self, u, q):
-        return None if u is None else (2.0 * u, q)
-
-    def _divide(self, u, v, ws, out=None):
-        """v / (2u)."""
-        # One min over the whole array clears every row at once; only a dip
-        # or a NaN (whose row does not trip the guard) asks row by row. A
-        # batch of zero rows has no min, and trips nothing.
-        if (u.size and not np.minimum.reduce(u, None) >= self.u_min
-                and self._below_guard(u).any()):
-            raise DegenerateCoefficient(
-                f"min node value {u.min():.6g} below guard {self.u_min:.6g}"
-            )
-        return np.divide(v, np.multiply(u, 2.0, ws.div), v if out is None else out)
-
-    def _below_guard(self, u: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(u, -1) < self.u_min
-
-    def _clears_guard(self, floor: np.ndarray) -> np.ndarray:
-        # a row whose min is at least floor >= u_min is not below the guard
-        return floor >= self.u_min
+        # phi' is linear: phi'(u)'s coefficients are phi' of u's
+        return None if u is None else (self.dphi(u), q)
 
 
 # The constant 1, the sampling basis's first function, in that basis.
@@ -218,30 +245,18 @@ _ONE.flags.writeable = False
 
 @dataclass(frozen=True)
 class LinearSmoothing(ScaleOperator):
-    """Linear smoothing operator F(u) = integral_0^x u, with A(u) = F."""
+    """Linear smoothing operator F(u) = integral_0^x u, with A(u) = F:
+    phi(u) = u and phi'(u) = 1, and no guard."""
 
-    a: int = field(default=1, init=False)
-    delta: int = field(default=1, init=False)
-
-    def eval(self, u: GridFunction) -> GridFunction:
-        return integrate_from_zero(u)
-
-    def apply_derivative(self, u: GridFunction, q: GridFunction) -> GridFunction:
-        require_same_grid(u, q)
-        return integrate_from_zero(q)
-
+    eval = ScaleOperator.eval
+    apply_derivative = ScaleOperator.apply_derivative
     solve_derivative = ScaleOperator.solve_derivative
 
-    def _eval(self, u, out, ws):
-        # u is any value array, a stage point or a new iterate: its views
-        # are bound here
-        return _integrate(_summed(u), ws.dx, out, ws.trap)
+    def phi(self, u, out=None):
+        return u
 
-    def _eval_slope(self, u, out, ws):
-        return _derivative_of_integral(_summed(u), out, ws.pairs)
-
-    def _apply_slope(self, u, q, out, ws):
-        return _derivative_of_integral(_summed(q), out, ws.pairs)
+    def dphi(self, u, out=None):
+        return None
 
     def _image_factors(self, u, q):
         return _ONE, q

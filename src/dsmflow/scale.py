@@ -240,7 +240,7 @@ _integral = _views("Integral", "tail")  # _integrate's output
 _term_block = _block(_views("Term", "body", "tail", "tail2", "head2", "first3", "last3"),
                      _views("Slope", "body", "tail2", "head2", "first3", "last3"),
                      _derived)
-# Of the squares of a norm's terms only row 0, u * u inside F and D F, is
+# Of the squares of a norm's terms only row 0, phi(u) inside F and D F, is
 # read on its own.
 _square_block = _block(_summed)
 
@@ -270,14 +270,14 @@ class Workspace:
       running RK4 sum; ``k2``: the latest stage velocity (derived views);
     - ``dh``: the derivative D h of the right-hand side, written once per
       flow or public RK4 step and read by RK4's stage velocities;
-    - ``div``: the divisor of A(u)^{-1} (an array); ``trap``: the
+    - ``div``: the divisor phi'(u) of A(u)^{-1} (an array); ``trap``: the
       trapezoids of an integral (an array), whose views ``pairs`` hold the
       neighbour sums of ``_derivative_of_integral``, one fewer per row;
     - the ``Block``s of three rows, each function above its derivatives, so
       that one ``_norm`` call takes every term of a norm: ``res`` holds
       h - F(x) at the point being evaluated in its row 0 (in the constants
       estimate, a slope D A(.)q divided by A^{-1}), and ``sq`` the squares
-      of the residual's terms, and u * u inside F and D F in its row 0;
+      of the residual's terms, and phi(u) inside F and D F in its row 0;
       ``gap`` is ``dif[:, 0]``, a difference whose norm a step measures (a
       distance, or the flow's error estimate), above its derivatives, which
       is squared in place;

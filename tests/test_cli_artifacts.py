@@ -20,7 +20,7 @@ def load_tool():
 
 def test_run_list_names_each_run_once():
     names = [name for name, *_ in load_tool().RUNS]
-    assert len(names) == len(set(names)) == 23
+    assert len(names) == len(set(names)) == 27
 
 
 def test_stall_input_is_a_grid_whose_solve_stops_at_the_horizon(tmp_path):

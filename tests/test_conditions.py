@@ -26,7 +26,6 @@ from dsmflow.operators import (
     LinearSmoothing,
     ProblemSetup,
     QuadraticVolterra,
-    ScaleOperator,
 )
 from dsmflow.sampling import (
     DIRECTION_DRAWS,
@@ -626,17 +625,12 @@ def test_screened_ratios_match_the_grid(n):
 
 
 @dataclass(frozen=True)
-class UnscreenedSmoothing(ScaleOperator):
-    """``LinearSmoothing`` less its screen: a subclass that states no
-    A(u)q in the images' basis."""
+class UnscreenedSmoothing(LinearSmoothing):
+    """``LinearSmoothing`` with ``_image_factors`` forced to None: a
+    subclass that states no A(u)q in the images' basis."""
 
-    a: int = 1
-    delta: int = 1
-    eval = LinearSmoothing.eval
-    apply_derivative = LinearSmoothing.apply_derivative
-    _eval = LinearSmoothing._eval
-    _eval_slope = LinearSmoothing._eval_slope
-    _apply_slope = LinearSmoothing._apply_slope
+    def _image_factors(self, u, q):
+        return None
 
 
 @pytest.mark.parametrize("bracket_only", [False, True])

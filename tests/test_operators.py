@@ -4,16 +4,22 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dsmflow.conditions import estimate_constants
+from dsmflow.flow import STOP_CONVERGED, integrate_flow
+from dsmflow.newton_lab import newton_solve
 from dsmflow.operators import (
     DegenerateCoefficient,
     LinearSmoothing,
     ProblemSetup,
     QuadraticVolterra,
+    ScaleOperator,
     dsm_vector_field,
     make_operator,
 )
 from dsmflow.sampling import sample_in_ball, unit_direction
 from dsmflow.scale import GridFunction, GridMismatchError, Workspace, sobolev_norm
+
+from cubic_volterra import CubicVolterra
 
 
 @pytest.fixture
@@ -392,3 +398,67 @@ def test_make_operator_ids():
 def test_guard_must_be_positive():
     with pytest.raises(ValueError):
         QuadraticVolterra(u_min=0.0)
+
+
+# --- operators from phi and phi' alone -----------------------------------------
+
+@pytest.mark.parametrize("cls", [QuadraticVolterra, LinearSmoothing])
+def test_each_built_in_binds_the_base_class_methods_and_defines_no_kernel(cls):
+    # the traced benchmark wraps these three in the class's own dict
+    for name in ("eval", "apply_derivative", "solve_derivative"):
+        assert vars(cls)[name] is getattr(ScaleOperator, name)
+    assert not {"_eval", "_eval_slope", "_apply_slope", "_divide", "_below_guard",
+                "_clears_guard"} & set(vars(cls))
+
+
+# The cubic Volterra operator (tests/cubic_volterra.py) declares only phi,
+# phi' and its guard: every path below is the base class's generic one.
+
+
+@pytest.mark.parametrize("n", [201, 2001])
+@pytest.mark.parametrize("p", [0.05, 0.2])
+def test_cubic_flow_converges_to_the_closed_form_root(n, p):
+    # u* = (1 + 2 p x)^(1/3): u*^3 is linear, which the trapezoid rule
+    # integrates exactly, so F(u*) = x + p x^2 on the grid
+    setup = ProblemSetup.from_reference(CubicVolterra(), GridFunction.constant(1.0, n), 0.05)
+    x = setup.U.x
+    traj = integrate_flow(setup, setup.U, GridFunction(x + p * x * x))
+    assert traj.stop_reason == STOP_CONVERGED and traj.steps <= 35
+    assert sobolev_norm(traj.final_u - GridFunction(np.cbrt(1.0 + 2.0 * p * x)), 1) <= 1e-8
+
+
+def test_cubic_newton_residuals_follow_the_scalar_iteration():
+    # h = c*^3 x from u0 = 1: every iterate is a constant c, whose residual
+    # is |c^3 - c*^3| ||x||_2, and Newton's step is c - (c^3 - c*^3) / (3 c^2)
+    setup = ProblemSetup.from_reference(CubicVolterra(), GridFunction.constant(1.0, 201), 0.05)
+    x = GridFunction(setup.U.x)
+    target = 1.1 ** 3
+    record = newton_solve(setup, setup.U, target * x)
+    c, expected = 1.0, []
+    for _ in record.steps:
+        expected.append(abs(c ** 3 - target) * sobolev_norm(x, 2))
+        c -= (c ** 3 - target) / (3.0 * c * c)
+    assert record.converged and len(record.steps) == 5
+    assert [s.residual for s in record.steps] == pytest.approx(expected, rel=1e-6, abs=1e-11)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_cubic_constants_are_three_times_the_linear_ones(seed):
+    # within 1e-6 of U = 1, A(u) = I(3u^2 .) is 3 I to within a few 1e-6
+    reports = [estimate_constants(ProblemSetup.from_reference(
+        op, GridFunction.constant(1.0, 201), 1e-6), 200, seed)
+        for op in (CubicVolterra(), LinearSmoothing())]
+    cubic, linear = reports
+    assert cubic.skipped == 0
+    assert cubic.c0_lower == pytest.approx(3.0 * linear.c0_lower, rel=1e-6)
+    assert cubic.c0_upper == pytest.approx(3.0 * linear.c0_upper, rel=1e-6)
+
+
+def test_cubic_guard_trips_through_the_public_solve():
+    op = CubicVolterra(u_min=0.1)
+    x = GridFunction.constant(0.0, 101).x
+    with pytest.raises(DegenerateCoefficient, match="below guard 0.1"):
+        op.solve_derivative(GridFunction(1.0 - 0.95 * x), GridFunction(x))
+    # at the guard it divides D x = 1 by 3 u^2
+    back = op.solve_derivative(GridFunction.constant(0.1, 101), GridFunction(x))
+    assert np.allclose(back.values, 1.0 / 0.03, rtol=1e-12)

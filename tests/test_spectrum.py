@@ -7,7 +7,13 @@ rows are the [1, 2, 1] / 4 average, whose symbol is cos^2(theta / 2), so
 its eigenvalues lie near cos^2(j pi / (2 (n - 1))), j = 0 .. n - 1, and the
 checkerboard s = (-1)^k, which the trapezoid integral annihilates, spans
 its kernel. A mode near the grid's Nyquist frequency decays at rate
-lambda_j, not at 1. Only numpy is used.
+lambda_j, not at 1.
+
+M's left kernel is spanned by l, the checkerboard whose two end entries on
+each side weigh 1/4 and 3/4. Along the flow, d phi(u)/dt = phi'(u) du/dt =
+D h - M phi(u) for every operator F = I(phi(.)), and l.D h = l.M phi(V) = 0
+for solvable data h = F(V), up to rounding: so l.phi(u) is the flow's
+invariant. Only numpy is used.
 """
 
 import math
@@ -15,9 +21,19 @@ import math
 import numpy as np
 import pytest
 
-from dsmflow.scale import _derivative_of_integral, _derived, _pairs, _summed
+import dsmflow.flow as flow_module
+from dsmflow.flow import FlowConfig, integrate_flow
+from dsmflow.operators import LinearSmoothing, ProblemSetup, QuadraticVolterra
+from dsmflow.scale import GridFunction, _derivative_of_integral, _derived, _pairs, _summed
+
+from cubic_volterra import CubicVolterra
 
 N = 201
+CHECKERBOARD = (-1.0) ** np.arange(N)
+# (1/4, -3/4, 1, -1, ..., 1, -3/4, 1/4) at n = 201
+LEFT_NULL = CHECKERBOARD.copy()
+LEFT_NULL[[0, -1]] *= 0.25
+LEFT_NULL[[1, -2]] *= 0.75
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +71,50 @@ def test_the_slowest_nonzero_mode(eigenvalues):
 
 def test_half_the_spectrum_decays_at_less_than_half_the_rate(eigenvalues):
     assert np.count_nonzero(eigenvalues.real < 0.5) == 100
+
+
+def test_the_left_null_vector_in_closed_form(matrix, eigenvalues):
+    assert LEFT_NULL[:3].tolist() == [0.25, -0.75, 1.0]
+    assert LEFT_NULL[-3:].tolist() == [1.0, -0.75, 0.25]
+    assert np.all(LEFT_NULL @ matrix == 0.0)
+    # zero is a simple eigenvalue of M, so l spans its left kernel
+    smallest = np.sort(np.abs(eigenvalues))
+    assert smallest[0] < 1e-14 < 1e-5 < smallest[1]
+
+
+def checkerboard_flow(operator, cfg=None):
+    """l.phi(u) at every iterate of the flow from the checkerboard start
+    u0 = 1 + 1e-4 (-1)^k to solvable data h = F(V), V = 1 + 0.01 sin(pi x)."""
+    p = ProblemSetup.from_reference(operator, GridFunction.constant(1.0, N), 0.05)
+    h = operator.eval(GridFunction(1.0 + 0.01 * np.sin(np.pi * p.U.x)))
+    traj = integrate_flow(p, GridFunction(1.0 + 1e-4 * CHECKERBOARD), h, cfg)
+    return np.array([LEFT_NULL @ operator.phi(u.values) for u in traj.recorded_u])
+
+
+# Each operator with phi'(1) and the default flow's largest change of
+# l.phi(u) relative to its start value: rounding where phi is linear, and
+# RK4's truncation error otherwise, 1.6e-7 and 4.7e-7 measured.
+@pytest.mark.parametrize("operator, slope, drift", [
+    pytest.param(QuadraticVolterra(), 2.0, 2e-6, id="volterra"),
+    pytest.param(LinearSmoothing(), 1.0, 1e-11, id="linear"),
+    pytest.param(CubicVolterra(), 3.0, 5e-6, id="cubic"),
+])
+def test_the_flow_keeps_l_dot_phi_at_its_start_value(operator, slope, drift):
+    kept = checkerboard_flow(operator)
+    # l sums to 0 and l.(-1)^k = n - 2, so l.phi(u0) = (n - 2) phi'(1) 1e-4
+    # to first order
+    assert kept[0] == pytest.approx((N - 2) * slope * 1e-4, rel=1e-3)
+    assert np.ptp(kept) <= drift * kept[0]
+
+
+@pytest.mark.parametrize("operator", [QuadraticVolterra(), CubicVolterra()],
+                         ids=["volterra", "cubic"])
+def test_the_drift_of_a_nonlinear_phi_is_rk4_truncation(operator, monkeypatch):
+    # at fixed steps the drift of l.phi(u) over t = 4 falls as dt^4: 18x and
+    # 17x from dt = 0.4 to 0.2 to 0.1
+    monkeypatch.setattr(flow_module, "GROW_TOL", -1.0)
+    drift = []
+    for dt in (0.4, 0.2, 0.1):
+        kept = checkerboard_flow(operator, FlowConfig(dt=dt, t_max=4.0, eps_abs=0.0))
+        drift.append(abs(kept[-1] - kept[0]))
+    assert drift[0] / drift[1] >= 12.0 and drift[1] / drift[2] >= 12.0

@@ -63,8 +63,16 @@ RUNS = [
     # drawn on the grid
     ("solve-radius-2", ["solve", "--radius", "2", "--h-family", "scaled-linear",
                         "--param", "1.1"]),
+    # u dips below the guard: the flow stops degenerate, Newton diverges at
+    # its second step (both exit 2)
+    ("solve-degenerate", ["solve", "--h-family", "quadratic-perturb", "--param", "-0.6"]),
     ("compare-newton", ["compare-newton", "--h-family", "scaled-linear", "--param", "1.1"]),
+    ("compare-newton-degenerate", ["compare-newton", "--h-family", "quadratic-perturb",
+                                   "--param", "-0.6"]),
+    ("compare-newton-linear-smoothing", ["compare-newton", "--operator", "linear-smoothing",
+                                         *_QP]),
     ("probe-loss", ["probe-loss"]),
+    ("probe-loss-linear-smoothing", ["probe-loss", "--operator", "linear-smoothing"]),
     ("classical-ift", ["classical-ift"]),
 ]
 
