@@ -41,10 +41,6 @@ UNIFORMITY_TOL = 1e-9
 # of ``Workspace.dif``, hold at least one (1 from n = 8193 up).
 BLOCK_ELEMENTS = 8192
 
-# Longest rows of a block whose interior differences ``_derivative`` takes
-# over the flattened block (its shape rule).
-FLAT_STENCIL_MAX_N = 4096
-
 
 class GridMismatchError(ValueError):
     """Two grid functions that should share a grid do not."""
@@ -313,36 +309,13 @@ class Workspace:
 
 def _derivative(v, dx: float, out) -> np.ndarray:
     """``derivative`` on values: writes it into ``out`` and returns its
-    array.
-
-    Flattened interior: a C-contiguous (rows, n) block derived into a
-    C-contiguous ``out`` of its shape takes its central differences, and
-    their division by 2 dx, in one pass each over the flattened block, not
-    over the strided (rows, n - 2) row slices. The flat pass also
-    differences the 2 (rows - 1) pairs that straddle two rows; they land on
-    the end nodes, which the one-sided stencils then overwrite, so every
-    value is the same as the slices', bit for bit.
-
-    Warnings: the flat pass runs with every floating-point error raised.
-    Where one is, from a straddling pair or from a pair inside a row, the
-    row slices take the whole interior again under the caller's error
-    state, so a block warns exactly as its row slices warn, and never for
-    a straddling pair.
-
-    Shape rule: only blocks of more than two rows of at most
-    ``FLAT_STENCIL_MAX_N`` nodes are flattened. numpy 2.4 runs a ufunc over
-    strided rows shorter than about 2,000 to 3,000 nodes up to 2.5 times
-    slower than over contiguous values: on one core of an Intel Xeon the
-    row slices of a (200, 201) block took 101 us against 62 us flat, and
-    of a (32, 2001) block 141 us against 85 us, while from n = 3001 up both
-    took the same time. For two rows or fewer the switch of error state
-    (about 1 us) costs more than flattening saves.
-    """
+    array. The interior is one subtraction of row slices for every shape:
+    each row of a block gets the bits of that row derived alone, and no
+    pair that straddles two rows is formed, to overflow or warn."""
     h2 = 2.0 * dx
+    inner = np.subtract(v.tail2, v.head2, out.body)
+    inner /= h2
     o = out.values
-    if o.ndim != 2 or not _flat_interior(v.values, h2, o):
-        inner = np.subtract(v.tail2, v.head2, out.body)
-        inner /= h2
     # difference-first form of the one-sided stencils: exact zero on constants.
     if o.ndim == 1:
         # one function: the same operations on Python floats, without numpy's
@@ -357,25 +330,6 @@ def _derivative(v, dx: float, out) -> np.ndarray:
     ot[0] = (4.0 * (lt[1] - lt[0]) - (lt[2] - lt[0])) / h2
     ot[-1] = (4.0 * (tt[2] - tt[1]) - (tt[2] - tt[0])) / h2
     return o
-
-
-def _flat_interior(v: np.ndarray, h2: float, out: np.ndarray) -> bool:
-    """Write ``_derivative``'s interior of the (rows, n) block ``v``, taken
-    over its flattened values, into ``out`` and return True; return False,
-    for the row slices to take it, where the shape rule excludes the block
-    or the flat pass raises a floating-point error."""
-    rows, n = out.shape
-    if (rows <= 2 or n > FLAT_STENCIL_MAX_N or v.shape != out.shape
-            or not (v.flags.c_contiguous and out.flags.c_contiguous)):
-        return False
-    flat, flat_out = v.reshape(-1), out.reshape(-1)
-    try:
-        with np.errstate(all="raise"):
-            inner = np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
-            inner /= h2
-    except FloatingPointError:
-        return False
-    return True
 
 
 def derivative(f: GridFunction) -> GridFunction:

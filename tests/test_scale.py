@@ -16,7 +16,6 @@ from dsmflow.scale import (
     _derivative_of_integral,
     _derived,
     _differenced,
-    _flat_interior,
     _integral,
     _integrate,
     _pairs,
@@ -221,23 +220,20 @@ def test_one_row_kernels_equal_the_rows_of_a_block(n, squares):
 @pytest.mark.parametrize("n", [3, 4, 5, 201, 2001])
 @pytest.mark.parametrize("rows", [1, 2, 3, 40, 200])
 def test_block_derivative_equals_its_rows_derived_alone(rows, n):
-    # a C-contiguous block of more than two rows, into a C-contiguous out,
-    # takes its interior over the flattened block; a strided input or out,
-    # and a block of one or two rows, the row slices. Each row's bits are
-    # those of the 1-D kernel either way.
+    # every layout of input and out, and every row count, takes the same
+    # row slices; each row's bits are those of the 1-D kernel.
     v = np.random.default_rng(rows * n).uniform(-2.0, 2.0, (rows, n))
     dx = 1.0 / (n - 1)
     want = np.array([derive(row, dx, np.empty(n)) for row in v])
     spaced = np.empty((2 * rows, n))
     spaced[::2] = v
     cases = {
-        "contiguous": (v, np.empty((rows, n)), rows > 2),
-        "strided input": (spaced[::2], np.empty((rows, n)), False),
-        "strided out": (v, np.empty((rows, 2 * n))[:, ::2], False),
-        "column-major out": (v, np.empty((rows, n), order="F"), False),
+        "contiguous": (v, np.empty((rows, n))),
+        "strided input": (spaced[::2], np.empty((rows, n))),
+        "strided out": (v, np.empty((rows, 2 * n))[:, ::2]),
+        "column-major out": (v, np.empty((rows, n), order="F")),
     }
-    for name, (values, out, flat) in cases.items():
-        assert _flat_interior(values, 2.0 * dx, out) is flat, name
+    for name, (values, out) in cases.items():
         assert derive(values, dx, out) is out
         assert np.array_equal(out, want), name
 
@@ -245,16 +241,14 @@ def test_block_derivative_equals_its_rows_derived_alone(rows, n):
 @pytest.mark.parametrize("n", [3, 4, 201])
 def test_overflow_only_across_rows_derives_without_a_warning(n):
     # Rows of -1e308, 1e308 and -1e308: every difference inside a row is 0,
-    # and every flat pair straddling two rows overflows. The suite turns
-    # warnings into errors, so a warning from a straddling pair would fail
-    # here. (An inf - inf across rows needs an infinite end node, whose
-    # one-sided stencil takes inf - inf within its own row and warns at
-    # any rate.)
+    # while a pair straddling two rows would overflow. The suite turns
+    # warnings into errors, so this holds because the row slices never form
+    # such a pair. (An inf - inf across rows needs an infinite end node,
+    # whose one-sided stencil takes inf - inf within its own row and warns
+    # at any rate.)
     v = np.repeat([[-1e308], [1e308], [-1e308]], n, axis=1)
     dx = 1.0 / (n - 1)
-    out = np.empty_like(v)
-    assert not _flat_interior(v, 2.0 * dx, out)  # the flat pass trapped
-    assert not derive(v, dx, out).any()
+    assert not derive(v, dx, np.empty_like(v)).any()
 
 
 def test_an_in_row_overflow_warns_as_the_row_slices_warn():
@@ -267,7 +261,9 @@ def test_an_in_row_overflow_warns_as_the_row_slices_warn():
     with np.errstate(all="ignore"):
         want = reference_derivative(v, dx)
     caught = []
-    for values in (v, spaced[::2]):  # flat-eligible, then row slices only
+    # a contiguous block and a strided one take the same row slices, so each
+    # warns once per overflowing operation, as one row derived alone would
+    for values in (v, spaced[::2]):
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
             out = derive(values, dx, np.empty((3, 201)))

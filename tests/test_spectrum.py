@@ -13,7 +13,9 @@ M's left kernel is spanned by l, the checkerboard whose two end entries on
 each side weigh 1/4 and 3/4. Along the flow, d phi(u)/dt = phi'(u) du/dt =
 D h - M phi(u) for every operator F = I(phi(.)), and l.D h = l.M phi(V) = 0
 for solvable data h = F(V), up to rounding: so l.phi(u) is the flow's
-invariant. Only numpy is used.
+invariant. From M's eigendecomposition the path w(t) is known in closed
+form, the oracle that pins RK4's order and the adaptive flow's largest
+deviation. Only numpy is used.
 """
 
 import math
@@ -24,7 +26,8 @@ import pytest
 import dsmflow.flow as flow_module
 from dsmflow.flow import FlowConfig, integrate_flow
 from dsmflow.operators import LinearSmoothing, ProblemSetup, QuadraticVolterra
-from dsmflow.scale import GridFunction, _derivative_of_integral, _derived, _pairs, _summed
+from dsmflow.scale import (GridFunction, _derivative_of_integral, _derived, _pairs, _summed,
+                           derivative)
 
 from cubic_volterra import CubicVolterra
 
@@ -118,3 +121,72 @@ def test_the_drift_of_a_nonlinear_phi_is_rk4_truncation(operator, monkeypatch):
         kept = checkerboard_flow(operator, FlowConfig(dt=dt, t_max=4.0, eps_abs=0.0))
         drift.append(abs(kept[-1] - kept[0]))
     assert drift[0] / drift[1] >= 12.0 and drift[1] / drift[2] >= 12.0
+
+
+# --- the flow's path against the closed form --------------------------------
+#
+# From u0 = U = 1 to h = x + 0.05 x^2 (so D h = 1 + 0.1 x exactly), w = phi(u)
+# solves dw/dt = b - M w, b = D h. With M = V diag(lambda) V^{-1} (V's
+# condition number is 14) each mode y = V^{-1} w moves alone: y_j tends to
+# c_j / lambda_j at rate lambda_j, c = V^{-1} b, and the zero mode y_0 moves
+# as y_0(0) + c_0 t.
+
+@pytest.fixture(scope="module")
+def exact_path(matrix):
+    """w(t) from w(0) = 1, and the data h."""
+    x = np.linspace(0.0, 1.0, N)
+    h = GridFunction(x + 0.05 * x * x)
+    rates, modes = np.linalg.eig(matrix)
+    inverse = np.linalg.inv(modes)
+    zero = np.argmin(np.abs(rates))
+    moving = np.arange(N) != zero
+    rates = rates[moving]
+    start, drive = inverse @ np.ones(N), inverse @ derivative(h).values
+    rest = drive[moving] / rates
+
+    def w(t):
+        y = np.empty(N)
+        y[moving] = rest + (start[moving] - rest) * np.exp(-rates * t)
+        y[zero] = start[zero] + drive[zero] * t
+        return modes @ y
+
+    return w, h
+
+
+def path_errors(operator, h, w, cfg=None):
+    """The largest error of phi(u) against w(t) at each record of the flow
+    from u0 = U = 1 to h."""
+    U = GridFunction.constant(1.0, N)
+    traj = integrate_flow(ProblemSetup.from_reference(operator, U, 0.5), U, h, cfg)
+    return traj, [float(np.max(np.abs(operator.phi(u.values) - w(s.t))))
+                  for s, u in zip(traj.samples, traj.recorded_u)]
+
+
+OPERATORS = [pytest.param(QuadraticVolterra(), id="volterra"),
+             pytest.param(LinearSmoothing(), id="linear")]
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_fixed_step_rk4_is_fourth_order_on_the_path(operator, exact_path, monkeypatch):
+    # at t = 4 the error reads 1.19e-7, 6.84e-9 and 4.10e-10 (volterra) and
+    # 1.15e-7, 6.64e-9 and 3.98e-10 (linear) at dt = 0.2, 0.1 and 0.05:
+    # 17.4x, then 16.7x, order 4.12 and 4.06
+    w, h = exact_path
+    monkeypatch.setattr(flow_module, "GROW_TOL", -1.0)
+    final = []
+    for dt in (0.2, 0.1, 0.05):
+        traj, errors = path_errors(operator, h, w, FlowConfig(dt=dt, t_max=4.0, eps_abs=0.0))
+        assert traj.final_t == 4.0 and traj.steps == round(4.0 / dt)
+        final.append(errors[-1])
+    assert final[0] < 2e-7
+    assert final[0] / final[1] >= 14.0 and final[1] / final[2] >= 14.0
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_the_adaptive_flow_stays_near_the_exact_path(operator, exact_path):
+    # the default flow converges in 31 steps, straying at most 1.21e-4
+    # (volterra) and 1.16e-4 (linear) from the exact path in w
+    w, h = exact_path
+    traj, errors = path_errors(operator, h, w)
+    assert traj.stop_reason == "converged" and traj.steps == 31
+    assert max(errors) <= 2e-4

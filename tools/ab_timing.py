@@ -28,18 +28,23 @@ The operations are fixed:
 - the four cli-small commands at n = 201 through ``cli.main``: solves of
   scaled-linear 1.1, quadratic-perturb 0.05 and an ``--h-file`` input,
   and ``compare-newton`` scaled-linear 1.1;
+- ``verify`` at its defaults, n = 201 and 200 samples, through
+  ``cli.main``; no benchmark workload runs it;
 - verify-large's command through ``cli.main``: ``verify --samples 50`` at
   n = 20001;
 - the same command in a fresh Python process of its own (``cold verify``),
   which imports the tree and builds its caches (the sampling basis and
   Gram matrices) on the way, as a first run does.
 
-For each operation the tool prints each tree's median and quartiles in
-milliseconds over both orders, the ratio of B's median to A's, and the
-rounds B won; for a flow, also its step count and the median time per
+For each operation the tool prints each tree's median, minimum and
+quartiles in milliseconds over both orders, the ratio of B's median to
+A's, and the rounds B won; for a flow, also its step count and the median time per
 step. Timings from one process are paired: a shift of the host's speed
 moves both trees alike, where separate benchmark processes can differ by
-several percent. The script needs only the standard library and numpy.
+several percent. On a shared host the medians of short operations can move by up to
+15 % from one run to the next on a shared host, where the minima of the
+same runs repeat to within a few percent; read a small shift from the
+minima. The script needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -155,6 +160,7 @@ class Tree:
         }
         ops += [(name, lambda name=name, args=args: self.cli(name.replace(" ", "_"), args))
                 for name, args in commands.items()]
+        ops.append(("cli verify n=201", lambda: self.cli("cli_verify_201", ["verify"])))
         ops.append(("cli verify n=20001 --samples 50",
                     lambda: self.cli("cli_verify", ["verify", "--samples", "50"], 20001)))
         ops.append(("cold verify n=20001", self.cold_verify))
@@ -202,9 +208,9 @@ def report(src_a: Path, src_b: Path, rounds: int, runs: dict[str, dict]) -> None
     first = runs["a"]
     print(f"A = {src_a}\nB = {src_b}\n{rounds} rounds in each load order, times in ms; "
           "B/A is the geometric mean of the two orders' median ratios")
-    print(f"{'operation':31s} {'A median':>9s} {'A q1-q3':>17s} {'B median':>9s} "
-          f"{'B q1-q3':>17s} {'B/A':>6s} {'A 1st':>6s} {'B 1st':>6s} {'B won':>7s} "
-          f"{'steps':>5s} {'A/step':>8s} {'B/step':>8s}")
+    print(f"{'operation':31s} {'A median':>9s} {'A min':>9s} {'A q1-q3':>17s} "
+          f"{'B median':>9s} {'B min':>9s} {'B q1-q3':>17s} {'B/A':>6s} {'A 1st':>6s} "
+          f"{'B 1st':>6s} {'B won':>7s} {'steps':>5s} {'A/step':>8s} {'B/step':>8s}")
     for name in first["names"]:
         a = [t for run in runs.values() for t in run["times"][name][0]]
         b = [t for run in runs.values() for t in run["times"][name][1]]
@@ -212,8 +218,10 @@ def report(src_a: Path, src_b: Path, rounds: int, runs: dict[str, dict]) -> None
                   for run in (runs["a"], runs["b"])]
         qa, qb = quartiles(a), quartiles(b)
         won = sum(y < x for x, y in zip(a, b))
-        row = (f"{name:31s} {qa[1] * 1e3:9.3f} {qa[0] * 1e3:8.3f}-{qa[2] * 1e3:<8.3f} "
-               f"{qb[1] * 1e3:9.3f} {qb[0] * 1e3:8.3f}-{qb[2] * 1e3:<8.3f} "
+        row = (f"{name:31s} {qa[1] * 1e3:9.3f} {min(a) * 1e3:9.3f} "
+               f"{qa[0] * 1e3:8.3f}-{qa[2] * 1e3:<8.3f} "
+               f"{qb[1] * 1e3:9.3f} {min(b) * 1e3:9.3f} "
+               f"{qb[0] * 1e3:8.3f}-{qb[2] * 1e3:<8.3f} "
                f"{math.sqrt(ratios[0] * ratios[1]):6.3f} {ratios[0]:6.3f} {ratios[1]:6.3f} "
                f"{won:3d}/{len(a):<3d}")
         if name in first["steps"]:
